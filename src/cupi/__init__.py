@@ -16,7 +16,7 @@ from .chains import (Chain, ChainMap, FreeChainComplex, GradedMap,
 from .steenrod import (BarElement, SteenrodStructure, aw_diagonal,
                        bar_boundary, eta, higher_diagonal, steenrod_squares,
                        structure_for, verify_structure)
-from .reconstruct import (MorphismVerdict, RhoVector, XiImage, adjoint_alpha,
+from .reconstruct import (MorphismVerdict, XiImage, adjoint_alpha,
                           enumerate_morphisms, homology_square,
                           is_steenrod_morphism, lift_morphism, s_functor,
                           verify_reconstruction, xi_iterate)

@@ -25,27 +25,42 @@ def _add_into(acc, key, coeff):
 # chains and complexes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Chain:
-    """Integer combination of basis labels in a single degree."""
+def _terms(d):
+    """The sorted (label, coeff) tuple of a coefficient dict, zeros dropped."""
+    return tuple(sorted((k, v) for k, v in d.items() if v))
 
-    degree: int
-    coeffs: tuple  # sorted tuple of (label, coeff), no zeros
+
+class Combination:
+    """Sparse integer combination of hashable labels: the one algebra behind
+    chains, tensor chains and bar elements.
+
+    coeffs is a sorted tuple of (label, coeff) pairs with no zeros.  A
+    subclass is a frozen dataclass whose fields are its grading, as returned
+    by _grade, followed by coeffs.  Gradings must agree for a sum, except
+    that the zero combination has no grading: it equals every zero of its
+    type.
+    """
+
+    def _grade(self):
+        return ()
+
+    def _with(self, grade, d):
+        # freeze a dict derived from valid combinations: labels are not
+        # re-checked, and _add_into and scale leave no zero coefficients
+        return type(self)(*grade, tuple(sorted(d.items())))
 
     def __eq__(self, other):
-        if not isinstance(other, Chain):
+        if type(other) is not type(self):
             return NotImplemented
         if self.coeffs != other.coeffs:
             return False
-        # the zero chain is degree-agnostic
-        return not self.coeffs or self.degree == other.degree
+        return not self.coeffs or self._grade() == other._grade()
 
     def __hash__(self):
-        return hash((self.degree if self.coeffs else None, self.coeffs))
+        return hash((self._grade() if self.coeffs else None, self.coeffs))
 
-    @classmethod
-    def from_dict(cls, degree, d):
-        return cls(degree, tuple(sorted((k, v) for k, v in d.items() if v)))
+    def __len__(self):
+        return len(self.coeffs)
 
     def as_dict(self):
         return dict(self.coeffs)
@@ -54,18 +69,40 @@ class Chain:
         return not self.coeffs
 
     def __add__(self, other):
-        if self.degree != other.degree and self.coeffs and other.coeffs:
+        grade = self._grade()
+        if other._grade() != grade and self.coeffs and other.coeffs:
             raise ValueError("degree mismatch")
         out = self.as_dict()
-        for k, v in other.coeffs:
-            _add_into(out, k, v)
-        return Chain.from_dict(self.degree if self.coeffs else other.degree, out)
+        _add_scaled(out, other)
+        return self._with(grade if self.coeffs else other._grade(), out)
 
     def scale(self, c):
-        return Chain.from_dict(self.degree, {k: c * v for k, v in self.coeffs})
+        return self._with(self._grade(),
+                          {k: c * v for k, v in self.coeffs} if c else {})
 
     def __sub__(self, other):
         return self + other.scale(-1)
+
+
+def _add_scaled(acc, combination, c=1):
+    """acc += c * combination, in place on a coefficient dict."""
+    for k, v in combination.coeffs:
+        _add_into(acc, k, c * v)
+
+
+@dataclass(frozen=True, eq=False)
+class Chain(Combination):
+    """Integer combination of basis labels in a single degree."""
+
+    degree: int
+    coeffs: tuple
+
+    def _grade(self):
+        return (self.degree,)
+
+    @classmethod
+    def from_dict(cls, degree, d):
+        return cls(degree, _terms(d))
 
 
 class FreeChainComplex:
@@ -265,18 +302,24 @@ def unnormalized_chains(sset, up_to):
     return FreeChainComplex(basis, diff)
 
 
-def chain_map_from_vertex_map(vmap, NA=None, NB=None):
-    """The chain map N(theta) of a simplicial vertex map: a simplex goes to
+def induced_components(vmap):
+    """Components of N(theta) for a simplicial vertex map: a simplex goes to
     its image when the map is injective on it, to zero otherwise."""
-    NA = NA if NA is not None else normalized_chains(vmap.source)
-    NB = NB if NB is not None else normalized_chains(vmap.target)
     m = vmap.as_dict()
     comps = {}
     for s in vmap.source.all_simplices():
         image = tuple(sorted({m[v] for v in s}))
         if len(image) == len(s):
             comps[s] = {image: 1}
-    return ChainMap(NA, NB, comps)
+    return comps
+
+
+def chain_map_from_vertex_map(vmap, NA=None, NB=None):
+    """The chain map N(theta) of a simplicial vertex map, with the chain-map
+    law checked."""
+    NA = NA if NA is not None else normalized_chains(vmap.source)
+    NB = NB if NB is not None else normalized_chains(vmap.target)
+    return ChainMap(NA, NB, induced_components(vmap))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +379,7 @@ def simplex_degree(s):
 
 
 @dataclass(frozen=True, eq=False)
-class TensorChain:
+class TensorChain(Combination):
     """Integer combination of arity-k tuples of simplices.
 
     Labels are tuples of strictly increasing vertex tuples; the degree of a
@@ -346,18 +389,10 @@ class TensorChain:
 
     arity: int
     degree: int
-    coeffs: tuple  # sorted ((s_1, ..., s_k), coeff) pairs
+    coeffs: tuple
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorChain):
-            return NotImplemented
-        if self.arity != other.arity or self.coeffs != other.coeffs:
-            return False
-        return not self.coeffs or self.degree == other.degree
-
-    def __hash__(self):
-        return hash((self.arity, self.degree if self.coeffs else None,
-                     self.coeffs))
+    def _grade(self):
+        return (self.arity, self.degree)
 
     @classmethod
     def from_dict(cls, arity, degree, d):
@@ -366,49 +401,25 @@ class TensorChain:
                 raise ValueError("arity mismatch in tensor label")
             if sum(simplex_degree(s) for s in key) != degree:
                 raise ValueError("degree mismatch in tensor label")
-        return cls(arity, degree, tuple(sorted((k, v) for k, v in d.items() if v)))
+        return cls(arity, degree, _terms(d))
 
     @classmethod
     def zero(cls, arity, degree):
         return cls(arity, degree, ())
 
-    def as_dict(self):
-        return dict(self.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        if self.degree != other.degree and self.coeffs and other.coeffs:
-            raise ValueError("degree mismatch")
-        out = self.as_dict()
-        for k, v in other.coeffs:
-            _add_into(out, k, v)
-        return TensorChain.from_dict(
-            self.arity, self.degree if self.coeffs else other.degree, out)
-
-    def scale(self, c):
-        return TensorChain.from_dict(self.arity, self.degree,
-                                     {k: c * v for k, v in self.coeffs})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def boundary(self):
         """Koszul alternating-face boundary of each tensor factor."""
         out = {}
         for key, c in self.coeffs:
-            sign_prefix = 1
             for pos, s in enumerate(key):
-                if simplex_degree(s) > 0:
+                if len(s) > 1:
+                    head, tail, sign = key[:pos], key[pos + 1:], c
                     for i in range(len(s)):
-                        face = s[:i] + s[i + 1:]
-                        newkey = key[:pos] + (face,) + key[pos + 1:]
-                        _add_into(out, newkey, c * sign_prefix * ((-1) ** i))
-                sign_prefix *= (-1) ** simplex_degree(s)
-        return TensorChain.from_dict(self.arity, self.degree - 1, out)
+                        _add_into(out, (*head, s[:i] + s[i + 1:], *tail), sign)
+                        sign = -sign
+                if len(s) % 2 == 0:  # odd degree: Koszul sign for later factors
+                    c = -c
+        return self._with((self.arity, self.degree - 1), out)
 
     def swap(self):
         """Transposition of an arity-2 tensor with the Koszul sign
@@ -419,7 +430,7 @@ class TensorChain:
         for (a, b), c in self.coeffs:
             sgn = (-1) ** (simplex_degree(a) * simplex_degree(b))
             _add_into(out, (b, a), c * sgn)
-        return TensorChain.from_dict(2, self.degree, out)
+        return self._with(self._grade(), out)
 
     def map_factors(self, f):
         """Apply a degree-0 chain map to every factor (no Koszul signs arise)."""
@@ -434,7 +445,20 @@ class TensorChain:
                 for _, v in combo:
                     coeff *= v
                 _add_into(out, newkey, coeff)
-        return TensorChain.from_dict(self.arity, self.degree, out)
+        return self._with(self._grade(), out)
+
+    def relabel(self, verts):
+        """Replace each vertex v of every factor by verts[v].
+
+        v -> verts[v] must be strictly increasing on every factor, as a
+        simplex's vertex list is on positions: relabeling a table on
+        positions by a simplex gives its value on that simplex.
+        """
+        out = {}
+        for key, c in self.coeffs:
+            _add_into(out, tuple(tuple(map(verts.__getitem__, s))
+                                 for s in key), c)
+        return self._with(self._grade(), out)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,18 @@ def cmd_homology_square(args):
     return 0 if report.ok else 1
 
 
+def _nonneg(text):
+    """argparse type of every count, index and bound (exit 2 when negative)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="cupi",
                                 description=__doc__.splitlines()[0])
@@ -157,24 +169,24 @@ def build_parser():
     add("chains", cmd_chains, ((["complex"], {})))
     add("homology", cmd_homology, ((["complex"], {})))
     add("xi-dump", cmd_xi_dump, ((["complex"], {})),
-        ((["--max-i"], {"dest": "max_i", "type": int, "default": None})))
+        ((["--max-i"], {"dest": "max_i", "type": _nonneg, "default": None})))
     add("xi-check", cmd_xi_check, ((["complex"], {})),
-        ((["--max-i"], {"dest": "max_i", "type": int, "default": None})))
+        ((["--max-i"], {"dest": "max_i", "type": _nonneg, "default": None})))
     add("squares", cmd_squares, ((["complex"], {})),
-        ((["--i"], {"dest": "i", "type": int, "required": True})))
+        ((["--i"], {"dest": "i", "type": _nonneg, "required": True})))
     add("enumerate", cmd_enumerate, ((["complex"], {})),
-        ((["--n"], {"dest": "n", "type": int, "required": True})),
+        ((["--n"], {"dest": "n", "type": _nonneg, "required": True})),
         ((["--mode"], {"choices": ["guided", "brute"], "default": "guided"})),
-        ((["--bound"], {"dest": "bound", "type": int, "default": 2})))
+        ((["--bound"], {"dest": "bound", "type": _nonneg, "default": 2})))
     add("reconstruct", cmd_reconstruct, ((["complex"], {})),
-        ((["--up-to"], {"dest": "up_to", "type": int, "default": None})))
+        ((["--up-to"], {"dest": "up_to", "type": _nonneg, "default": None})))
     add("is-morphism", cmd_is_morphism, ((["source"], {})), ((["target"], {})),
         ((["map"], {})))
     add("lift", cmd_lift, ((["source"], {})), ((["target"], {})),
         ((["map"], {})))
     add("homology-square", cmd_homology_square, ((["source"], {})),
         ((["target"], {})), ((["map"], {})),
-        ((["--i-max"], {"dest": "i_max", "type": int, "default": 2})))
+        ((["--i-max"], {"dest": "i_max", "type": _nonneg, "default": 2})))
     return p
 
 

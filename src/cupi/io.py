@@ -47,12 +47,6 @@ def load_complex(path):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def complex_as_json(X):
-    return {"vertices": list(X.vertices),
-            "simplices": {str(k): [list(s) for s in X.simplices_of_dim(k)]
-                          for k in range(X.dim + 1)}}
-
-
 def load_chain_map(path, source_chains, target_chains):
     """Read a degree-indexed triple list into a graded map of degree 0."""
     try:
@@ -88,16 +82,6 @@ def load_chain_map(path, source_chains, target_chains):
         return GradedMap(source_chains, target_chains, 0, comps)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def chain_map_as_json(f):
-    out = {}
-    for src, img in sorted(f.comps.items()):
-        deg = f.source.degree_of[src]
-        out.setdefault(str(deg), [])
-        for tgt, c in sorted(img.items()):
-            out[str(deg)].append([list(tgt), list(src), c])
-    return out
 
 
 def dumps(obj):

@@ -17,13 +17,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .chains import (Chain, GradedMap, TensorChain, chain_map_from_vertex_map,
-                     homology, HomologyClasses, in_column_span,
-                     simplex_degree, unnormalized_chains)
+from .chains import (Chain, GradedMap, TensorChain, _add_into, _terms,
+                     chain_map_from_vertex_map, homology, HomologyClasses,
+                     in_column_span, induced_components, simplex_degree,
+                     unnormalized_chains)
 from .simplicial import (OrderedComplex, VertexMap, adjoin, coface,
                          codegeneracy, epi_mono_factor, identity_map,
-                         standard_simplex, surjections)
-from .steenrod import BarElement, eta, higher_diagonal, structure_for
+                         simplicial_maps, standard_simplex)
+from .steenrod import BarElement, eta, structure_for
 
 
 class BruteForceLimitError(ValueError):
@@ -38,24 +39,6 @@ BRUTE_MAX_VECTORS_PER_DEGREE = 2_000_000
 # ---------------------------------------------------------------------------
 # iterated structure maps
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RhoVector:
-    """Evaluation vector: component k is eta_m^(k-1) . e_m (x) ... (x) e_m."""
-
-    m: int
-    K: int
-
-    def __post_init__(self):
-        if self.K < 2:
-            raise ValueError("truncation K must be at least 2")
-
-    def sign(self, k):
-        return eta(self.m) ** (k - 1)
-
-    def component(self, k):
-        return self.sign(k), tuple(BarElement.e(self.m) for _ in range(k - 1))
-
 
 @dataclass(frozen=True)
 class XiImage:
@@ -96,17 +79,14 @@ class AlphaHandle:
         rest = bars[1:]
         arity = len(bars) + 1
         deg = chain.degree + sum(sum(n for (_, n), _ in b.coeffs) for b in bars)
-        out = TensorChain.zero(arity, deg)
+        out = {}
         cache = {}
         for (a, b), c in first.coeffs:
             if a not in cache:
                 cache[a] = self._nested(self.struct.chains.generator(a), rest)
-            inner = cache[a]
-            terms = {}
-            for key, v in inner.coeffs:
-                terms[key + (b,)] = v * c
-            out = out + TensorChain.from_dict(arity, deg, terms)
-        return out
+            for key, v in cache[a].coeffs:
+                _add_into(out, key + (b,), v * c)
+        return TensorChain(arity, deg, _terms(out))
 
 
 def adjoint_alpha(struct, chain):
@@ -121,10 +101,11 @@ def xi_iterate(struct, chain, K=3):
     simplex generator yields exactly (c, c (x) c, ..., c^(x K)).  Computed as
     a left fold: each step expands the leftmost tensor factor through xi.
     """
+    if K < 2:
+        raise ValueError("truncation K must be at least 2")
     m = chain.degree
-    rho = RhoVector(m, K)
     e_m = BarElement.e(m)
-    comps = [TensorChain.from_dict(1, m, {(s,): c for s, c in chain.coeffs})]
+    comps = [TensorChain(1, m, tuple(((s,), c) for s, c in chain.coeffs))]
     current = comps[0]
     for k in range(2, K + 1):
         deg = current.degree + m
@@ -135,18 +116,13 @@ def xi_iterate(struct, chain, K=3):
             if head not in expand:
                 expand[head] = struct.xi(e_m, struct.chains.generator(head))
             for (a, b), v in expand[head].coeffs:
-                new = (a, b) + key[1:]
-                val = out.get(new, 0) + c * v
-                if val:
-                    out[new] = val
-                elif new in out:
-                    del out[new]
-        current = TensorChain.from_dict(k, deg, out)
+                _add_into(out, (a, b) + key[1:], c * v)
+        current = TensorChain(k, deg, _terms(out))
         comps.append(current)
     # component k carries the rho coefficient eta_m^(k-1)
     scaled = [comps[0]]
     for k in range(2, K + 1):
-        scaled.append(comps[k - 1].scale(rho.sign(k)))
+        scaled.append(comps[k - 1].scale(eta(m) ** (k - 1)))
     return XiImage(m=m, K=K, components=tuple(scaled))
 
 
@@ -195,8 +171,9 @@ def is_steenrod_morphism(f, source, target):
     Returns a verdict whose witness re-checks by direct evaluation; positive
     verdicts carry the inducing vertex map as certificate.
     """
+    S_src = structure_for(source)
     S_tgt = structure_for(target)
-    NA = structure_for(source).chains
+    NA = S_src.chains
     if f.source.basis != NA.basis or f.target.basis != S_tgt.chains.basis:
         raise ValueError("map is not between the chains of the given complexes")
     if f.shift != 0:
@@ -210,8 +187,9 @@ def is_steenrod_morphism(f, source, target):
     bound = 2 * target.dim
     for s in source.all_simplices():
         k = simplex_degree(s)
-        for j in range(0, max(bound - k, 0) + 1):
-            left = higher_diagonal(j, s).map_factors(f)
+        # for j > k both sides vanish: f keeps degrees, Delta_j is 0 there
+        for j in range(min(k, max(bound - k, 0)) + 1):
+            left = S_src.table[(j, s)].map_factors(f)
             right = S_tgt.xi(BarElement.e(j), f.apply(NA.generator(s)))
             if left != right:
                 return MorphismVerdict("not_morphism", witness=(j, s))
@@ -230,8 +208,7 @@ def _extract_vertex_map(f, source, target):
     vmap = VertexMap.from_dict(source, target, mapping)
     if not (vmap.is_order_preserving() and vmap.is_simplicial()):
         return None
-    induced = chain_map_from_vertex_map(vmap, f.source, f.target)
-    return vmap if induced.equals(f) else None
+    return vmap if induced_components(vmap) == f.comps else None
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +241,10 @@ def _classify(vmap):
 def enumerate_morphisms(n, X, mode="guided", bound=2, verify=True):
     """All diagonal-structure morphisms N(standard n-simplex) -> N(X).
 
-    guided: induce chain maps from the weakly order-preserving vertex maps
+    guided: induce graded maps from the weakly order-preserving vertex maps
     whose image spans a simplex (non-injective ones collapse simplices to
-    zero), then verify each through the full decision procedure.
+    zero), then verify each through the full decision procedure, which also
+    checks the chain-map law.
 
     brute: exhaust chain maps with coefficients in [-bound, bound] degree by
     degree (degree-0 candidates are pre-filtered by the (e_0, vertex) square
@@ -279,18 +257,14 @@ def enumerate_morphisms(n, X, mode="guided", bound=2, verify=True):
         out = []
         NA = structure_for(source).chains
         NB = structure_for(X).chains
-        for k in range(min(n, X.dim) + 1):
-            for tau in X.simplices_of_dim(k):
-                for theta in surjections(n, k):
-                    mapping = {i: tau[theta[i]] for i in range(n + 1)}
-                    vmap = VertexMap.from_dict(source, X, mapping)
-                    f = chain_map_from_vertex_map(vmap, NA, NB)
-                    if verify:
-                        verdict = is_steenrod_morphism(f, source, X)
-                        if not verdict.ok:
-                            raise AssertionError(
-                                f"induced map failed verification: {verdict}")
-                    out.append(MorphismSimplex(f, vmap, theta, tau))
+        for vmap in simplicial_maps(n, X):
+            f = GradedMap(NA, NB, 0, induced_components(vmap))
+            if verify:
+                verdict = is_steenrod_morphism(f, source, X)
+                if not verdict.ok:
+                    raise AssertionError(
+                        f"induced map failed verification: {verdict}")
+            out.append(MorphismSimplex(f, vmap, *_classify(vmap)))
         out.sort(key=lambda ms: (ms.simplex, ms.surjection))
         return out
     if mode == "brute":
@@ -408,27 +382,14 @@ def _enumerate_brute(n, X, bound):
 # the reconstruction functor and its verification
 # ---------------------------------------------------------------------------
 
-def _coface_chain_map(i, n, NA_small, NA_big):
-    """N(delta_i): chains of the (n-1)-simplex into chains of the n-simplex."""
-    vm = VertexMap.from_dict(standard_simplex(n - 1), standard_simplex(n),
-                             {j: v for j, v in enumerate(coface(i, n))})
-    return chain_map_from_vertex_map(vm, NA_small, NA_big)
-
-
-def _codegeneracy_chain_map(i, n, NA_big, NA_small):
-    """N(sigma_i): chains of the (n+1)-simplex onto chains of the n-simplex."""
-    vm = VertexMap.from_dict(standard_simplex(n + 1), standard_simplex(n),
-                             {j: v for j, v in enumerate(codegeneracy(i, n))})
-    return chain_map_from_vertex_map(vm, NA_big, NA_small)
-
-
 class ShomSimplicialSet:
     """The simplicial set whose n-simplices are the verified morphisms out
     of n-simplex chains, with faces and degeneracies by precomposition.
 
     Materialized through dimension up_to; every operator call composes chain
-    maps and returns the stored simplex with the composite's classification,
-    so simplicial identities are checkable directly.
+    maps and returns the stored simplex with the composite's classification
+    (None when the composite is not that stored morphism), so simplicial
+    identities are checkable directly.
     """
 
     def __init__(self, X, up_to):
@@ -438,31 +399,33 @@ class ShomSimplicialSet:
                        for n in range(up_to + 1)}
         self._by_pair = {n: {ms.pair: ms for ms in level}
                          for n, level in self.levels.items()}
+        self._operators = {}  # (n, coface/codegeneracy values) -> chain map
 
     def simplices_of_dim(self, n):
         return self.levels[n]
 
-    def _locate(self, n, chain_map, pair):
-        ms = self._by_pair[n][pair]
-        if not ms.chain_map.equals(chain_map):
-            raise AssertionError("composite is not the classified morphism")
-        return ms
+    def _precompose(self, ms, values, dim):
+        """The stored dim-simplex equal to ms precomposed with the chain map
+        of the monotone map `values`, or None if the composite is not it."""
+        n = len(ms.surjection) - 1
+        if (n, values) not in self._operators:
+            small, big = standard_simplex(dim), standard_simplex(n)
+            vm = VertexMap.from_dict(small, big, dict(enumerate(values)))
+            self._operators[(n, values)] = chain_map_from_vertex_map(
+                vm, structure_for(small).chains, structure_for(big).chains)
+        composite = ms.chain_map.compose(self._operators[(n, values)])
+        stored = self._by_pair[dim].get(_pair_of_composite(ms, values))
+        if stored is None or not stored.chain_map.equals(composite):
+            return None
+        return stored
 
     def face(self, ms, i):
         n = len(ms.surjection) - 1
-        NA_small = structure_for(standard_simplex(n - 1)).chains
-        NA_big = structure_for(standard_simplex(n)).chains
-        cf = _coface_chain_map(i, n, NA_small, NA_big)
-        pair = _pair_of_composite(ms, coface(i, n))
-        return self._locate(n - 1, ms.chain_map.compose(cf), pair)
+        return self._precompose(ms, coface(i, n), n - 1)
 
     def degeneracy(self, ms, i):
         n = len(ms.surjection) - 1
-        NA_small = structure_for(standard_simplex(n)).chains
-        NA_big = structure_for(standard_simplex(n + 1)).chains
-        sg = _codegeneracy_chain_map(i, n, NA_big, NA_small)
-        pair = _pair_of_composite(ms, codegeneracy(i, n))
-        return self._locate(n + 1, ms.chain_map.compose(sg), pair)
+        return self._precompose(ms, codegeneracy(i, n), n + 1)
 
 
 def s_functor(X, up_to):
@@ -513,49 +476,20 @@ def verify_reconstruction(X, up_to):
                                         tuple(counts))
     # operators commute with the classification bijection
     for n in range(1, up_to + 1):
-        NA_small = structure_for(standard_simplex(n - 1)).chains
-        NA_big = structure_for(standard_simplex(n)).chains
-        cofaces = [(_coface_chain_map(i, n, NA_small, NA_big), coface(i, n))
-                   for i in range(n + 1)]
         for ms in levels[n]:
-            for i, (cf, values) in enumerate(cofaces):
-                composite = ms.chain_map.compose(cf)
-                got = _pair_of_composite(ms, values)
-                want = df.face(ms.pair, i)
-                if got != want:
+            for i in range(n + 1):
+                got = shom.face(ms, i)
+                if got is None or got.pair != df.face(ms.pair, i):
                     return ReconstructionReport(
                         False, f"face d_{i} disagrees at {ms.pair} in dim {n}",
                         tuple(counts))
-                induced = chain_map_from_vertex_map(
-                    VertexMap.from_dict(standard_simplex(n - 1), X,
-                                        {j: ms.vertex_map(v)
-                                         for j, v in enumerate(values)}),
-                    NA_small, structure_for(X).chains)
-                if not composite.equals(induced):
-                    return ReconstructionReport(
-                        False, f"face composite is not induced at {ms.pair}",
-                        tuple(counts))
     for n in range(up_to):
-        NA_small = structure_for(standard_simplex(n)).chains
-        NA_big = structure_for(standard_simplex(n + 1)).chains
         for ms in levels[n]:
             for i in range(n + 1):
-                sg = _codegeneracy_chain_map(i, n, NA_big, NA_small)
-                composite = ms.chain_map.compose(sg)
-                got = _pair_of_composite(ms, codegeneracy(i, n))
-                want = df.degeneracy(ms.pair, i)
-                if got != want:
+                got = shom.degeneracy(ms, i)
+                if got is None or got.pair != df.degeneracy(ms.pair, i):
                     return ReconstructionReport(
                         False, f"degeneracy s_{i} disagrees at {ms.pair}",
-                        tuple(counts))
-                induced = chain_map_from_vertex_map(
-                    VertexMap.from_dict(standard_simplex(n + 1), X,
-                                        {j: ms.vertex_map(v) for j, v in
-                                         enumerate(codegeneracy(i, n))}),
-                    NA_big, structure_for(X).chains)
-                if not composite.equals(induced):
-                    return ReconstructionReport(
-                        False, f"degeneracy composite not induced at {ms.pair}",
                         tuple(counts))
     # the canonical inclusion lands exactly on the nondegenerate part
     for n in range(min(X.dim, up_to) + 1):

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import TensorChain, _add_into, normalized_chains, simplex_degree
+from .chains import (Combination, TensorChain, _add_into, _add_scaled, _terms,
+                     normalized_chains, simplex_degree)
 
 
 def eta(k):
@@ -38,18 +39,21 @@ def eta(k):
 # the bar resolution W
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BarElement:
-    """Integer combination of generators T^g e_n of the bar resolution."""
+@dataclass(frozen=True, eq=False)
+class BarElement(Combination):
+    """Integer combination of generators T^g e_n of the bar resolution.
 
-    coeffs: tuple  # sorted (((g, n), coeff), ...) with g in {0, 1}, no zeros
+    Labels are (g, n) with g in {0, 1}; sums may mix degrees.
+    """
+
+    coeffs: tuple
 
     @classmethod
     def from_dict(cls, d):
         for (g, n) in d:
             if g not in (0, 1) or n < 0:
                 raise ValueError(f"bad bar generator {(g, n)}")
-        return cls(tuple(sorted((k, v) for k, v in d.items() if v)))
+        return cls(_terms(d))
 
     @classmethod
     def e(cls, n):
@@ -59,27 +63,9 @@ class BarElement:
     def te(cls, n):
         return cls.from_dict({(1, n): 1})
 
-    def as_dict(self):
-        return dict(self.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = self.as_dict()
-        for k, v in other.coeffs:
-            _add_into(out, k, v)
-        return BarElement.from_dict(out)
-
-    def scale(self, c):
-        return BarElement.from_dict({k: c * v for k, v in self.coeffs})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def t_action(self):
         """Left multiplication by T (T^2 = 1)."""
-        return BarElement.from_dict({(1 - g, n): c for (g, n), c in self.coeffs})
+        return self._with((), {(1 - g, n): c for (g, n), c in self.coeffs})
 
     def degrees(self):
         return {n for (_, n), _ in self.coeffs}
@@ -104,64 +90,25 @@ def bar_augmentation(b):
 # ---------------------------------------------------------------------------
 # universal diagonal tables on standard simplices
 # ---------------------------------------------------------------------------
-# Table entries are dicts {(A, B): coeff} where A, B are increasing tuples of
-# positions in {0..k}; transporting along a simplex's vertex list gives the
-# value on any simplex of any complex (naturality is built in).
-
-def _t_bdry(t):
-    out = {}
-    for (a, b), c in t.items():
-        if len(a) > 1:
-            for i in range(len(a)):
-                _add_into(out, (a[:i] + a[i + 1:], b), c * ((-1) ** i))
-        sgn = (-1) ** (len(a) - 1)
-        if len(b) > 1:
-            for i in range(len(b)):
-                _add_into(out, (a, b[:i] + b[i + 1:]), c * sgn * ((-1) ** i))
-    return out
-
-
-def _t_swap(t):
-    out = {}
-    for (a, b), c in t.items():
-        _add_into(out, (b, a), c * ((-1) ** ((len(a) - 1) * (len(b) - 1))))
-    return out
-
-
-def _t_scale(t, s):
-    return {k: c * s for k, c in t.items()} if s else {}
-
-
-def _t_sum(*ts):
-    out = {}
-    for t in ts:
-        for k, c in t.items():
-            _add_into(out, k, c)
-    return out
-
-
-def _t_transport(t, verts):
-    out = {}
-    for (a, b), c in t.items():
-        key = (tuple(verts[i] for i in a), tuple(verts[i] for i in b))
-        _add_into(out, key, c)
-    return out
-
+# Table entries are TensorChains of (A, B) pairs, where A, B are increasing
+# tuples of positions in {0..k}; relabeling them by a simplex's vertex list
+# gives the value on any simplex of any complex (naturality is built in).
 
 def _aw_table(k):
     top = tuple(range(k + 1))
-    return {(top[:p + 1], top[p:]): 1 for p in range(k + 1)}
+    return TensorChain(2, k, _terms({(top[:p + 1], top[p:]): 1
+                                     for p in range(k + 1)}))
 
 
 def _contract(t):
     """Tensor-square cone contraction H = h (x) 1 + e (x) h, h = prepend 0."""
     out = {}
-    for (a, b), c in t.items():
+    for (a, b), c in t.coeffs:
         if a[0] != 0:
             _add_into(out, ((0,) + a, b), c)
         if len(a) == 1 and b[0] != 0:
             _add_into(out, ((0,), (0,) + b), c)
-    return out
+    return TensorChain(2, t.degree + 1, _terms(out))
 
 
 _TABLES = {(0, 0): _aw_table(0)}
@@ -170,7 +117,7 @@ _LEVEL_BUILT = 0
 
 def _table(i, k):
     if i < 0 or i > k:
-        return {}
+        return TensorChain.zero(2, i + k)
     return _TABLES[(i, k)]
 
 
@@ -178,13 +125,14 @@ def _rhs(i, k):
     """Right side of the chain-map law for the level-(i, k) table."""
     top = tuple(range(k + 1))
     prev = _table(i - 1, k)
-    parts = [prev, _t_scale(_t_swap(prev), (-1) ** i)]
+    out = prev.as_dict()
+    _add_scaled(out, prev.swap(), (-1) ** i)
     if i <= k - 1:
         lower = _table(i, k - 1)
         for j in range(k + 1):
-            face = top[:j] + top[j + 1:]
-            parts.append(_t_scale(_t_transport(lower, face), (-1) ** (i + j)))
-    return _t_sum(*parts)
+            _add_scaled(out, lower.relabel(top[:j] + top[j + 1:]),
+                        (-1) ** (i + j))
+    return TensorChain(2, i + k - 1, _terms(out))
 
 
 def _build_level(k):
@@ -192,19 +140,23 @@ def _build_level(k):
     _TABLES[(0, k)] = _aw_table(k)
     for i in range(1, k + 1):
         R = _rhs(i, k)
-        assert not _t_bdry(R), f"internal: rhs not a cycle at {(i, k)}"
+        if not R.boundary().is_zero():
+            raise RuntimeError(f"internal: rhs not a cycle at {(i, k)}")
         D = _contract(R)
         if i == k:
-            lam = D.get((top, top), 0)
+            want = TensorChain(2, 2 * k, (((top, top), eta(k)),))
+            lam = D.as_dict().get((top, top), 0)
             if lam != eta(k):
                 # realign the top coefficient with an even cycle correction
                 mu = (eta(k) - lam) // 2
-                corr = _t_scale(_t_bdry({(top, top): 1}), mu)
-                _TABLES[(k - 1, k)] = _t_sum(_TABLES[(k - 1, k)], corr)
+                corr = TensorChain(2, 2 * k, (((top, top), 1),)).boundary()
+                _TABLES[(k - 1, k)] = _TABLES[(k - 1, k)] + corr.scale(mu)
                 R = _rhs(i, k)
                 D = _contract(R)
-            assert D == {(top, top): eta(k)}, f"internal: top identity at k={k}"
-        assert _t_bdry(D) == R, f"internal: chain-map law at {(i, k)}"
+            if D != want:
+                raise RuntimeError(f"internal: top identity at {(i, k)}")
+        if D.boundary() != R:
+            raise RuntimeError(f"internal: chain-map law at {(i, k)}")
         _TABLES[(i, k)] = D
 
 
@@ -222,7 +174,7 @@ def cup_table(i, k):
     if i > k:
         return {}
     ensure_tables(k)
-    return dict(_TABLES[(i, k)])
+    return _TABLES[(i, k)].as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +195,8 @@ def higher_diagonal(i, simplex):
     k = simplex_degree(simplex)
     if i > k:
         return TensorChain.zero(2, i + k)
-    table = cup_table(i, k)
-    return TensorChain.from_dict(2, i + k, _t_transport(table, simplex))
+    ensure_tables(k)
+    return _TABLES[(i, k)].relabel(simplex)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +241,15 @@ class SteenrodStructure:
         degs = bar.degrees()
         if len(degs) > 1:
             raise ValueError("bar element must be homogeneous")
-        if not degs or chain.is_zero():
-            n = next(iter(degs), 0)
-            return TensorChain.zero(2, n + chain.degree)
-        n = degs.pop()
-        out = TensorChain.zero(2, n + chain.degree)
+        degree = next(iter(degs), 0) + chain.degree
+        parts = ({}, {})  # the e_n and the T e_n part
         for (g, m), bc in bar.coeffs:
             for simplex, cc in chain.coeffs:
-                piece = self.delta(m, simplex).scale(bc * cc)
-                if g == 1:
-                    piece = piece.swap()
-                out = out + piece
-        return out
+                _add_scaled(parts[g], self.delta(m, simplex), bc * cc)
+        out = TensorChain(2, degree, _terms(parts[0]))
+        if not parts[1]:
+            return out
+        return out + TensorChain(2, degree, _terms(parts[1])).swap()
 
 
 _structure_cache = {}
@@ -361,16 +310,15 @@ def verify_structure(S):
         ds = S.chains.boundary(S.chains.generator(s))
         for i in range(S.max_i + 1):
             # C1: boundary of the table entry matches the chain-map law
-            lhs = S.table[(i, s)].boundary()
-            rhs = TensorChain.zero(2, i + k - 1)
+            rhs = {}
             if i >= 1:
                 prev = S.table[(i - 1, s)]
-                rhs = rhs + prev + prev.swap().scale((-1) ** i)
-            acc = TensorChain.zero(2, i + k - 1)
+                _add_scaled(rhs, prev)
+                _add_scaled(rhs, prev.swap(), (-1) ** i)
             for face, c in ds.coeffs:
-                acc = acc + S.table[(i, face)].scale(c)
-            rhs = rhs + acc.scale((-1) ** i)
-            if lhs != rhs:
+                _add_scaled(rhs, S.table[(i, face)], c * (-1) ** i)
+            lhs = S.table[(i, s)].boundary()
+            if lhs != TensorChain(2, i + k - 1, _terms(rhs)):
                 return _fail("C1", i, s)
             # C2: T acts by the Koszul-signed swap
             gen = S.chains.generator(s)
@@ -378,9 +326,7 @@ def verify_structure(S):
                 return _fail("C2", i, s)
         # C5: the table is the transport of the universal one
         for i in range(min(k, S.max_i) + 1):
-            universal = cup_table(i, k)
-            if S.table[(i, s)] != TensorChain.from_dict(
-                    2, i + k, _t_transport(universal, s)):
+            if S.table[(i, s)] != higher_diagonal(i, s):
                 return _fail("C5", i, s)
     return StructureReport(True)
 

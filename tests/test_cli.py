@@ -186,3 +186,18 @@ class TestDeterminism:
             _, first = run(capsys, *argv)
             _, second = run(capsys, *argv)
             assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["xi-check", "tri.json", "--max-i", "-1"],
+    ["squares", "rp2.json", "--i", "-1"],
+    ["enumerate", "circle.json", "--n", "-1"],
+    ["reconstruct", "tri.json", "--up-to", "-1"],
+    ["homology-square", "d1.json", "d1.json", "id_d1.json", "--i-max", "-1"],
+    ["enumerate", "d1.json", "--n", "1", "--mode", "brute", "--bound", "-1"],
+])
+def test_negative_arguments_are_input_errors(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

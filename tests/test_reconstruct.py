@@ -9,12 +9,12 @@ import pytest
 from cupi.chains import Chain, GradedMap, chain_map_from_vertex_map
 from cupi.simplicial import (VertexMap, adjoin, build_complex,
                              epi_mono_factor, identity_map, standard_simplex)
-from cupi.steenrod import BarElement, aw_diagonal, eta, structure_for
-from cupi.reconstruct import (BruteForceLimitError, MorphismVerdict, RhoVector,
+from cupi.steenrod import (BarElement, aw_diagonal, eta, higher_diagonal,
+                           structure_for)
+from cupi.reconstruct import (BruteForceLimitError, MorphismVerdict,
                               adjoint_alpha, enumerate_morphisms,
-                              higher_diagonal, homology_square,
-                              is_steenrod_morphism, lift_morphism,
-                              lifted_on_morphisms, s_functor,
+                              homology_square, is_steenrod_morphism,
+                              lift_morphism, lifted_on_morphisms, s_functor,
                               verify_reconstruction, xi_iterate)
 
 import oracles
@@ -24,23 +24,6 @@ from conftest import circle, rp2
 def _as_key(f):
     return tuple(sorted((lb, tuple(sorted(img.items())))
                         for lb, img in f.comps.items()))
-
-
-class TestRhoVector:
-    def test_signs_follow_eta_powers(self):
-        rho = RhoVector(m=2, K=4)
-        assert [rho.sign(k) for k in (2, 3, 4)] == \
-            [eta(2), eta(2) ** 2, eta(2) ** 3]
-
-    def test_component_shape(self):
-        sign, bars = RhoVector(m=1, K=3).component(3)
-        assert sign == eta(1) ** 2 == 1
-        assert len(bars) == 2
-        assert all(b == BarElement.e(1) for b in bars)
-
-    def test_requires_k_at_least_two(self):
-        with pytest.raises(ValueError):
-            RhoVector(m=1, K=1)
 
 
 class TestAdjointAlpha:
@@ -113,6 +96,11 @@ class TestXiIterate:
         c = S.chains.generator((0, 1)).scale(2)
         im = xi_iterate(S, c, K=3)
         assert im.component(2).as_dict() == {((0, 1), (0, 1)): 2}
+
+    def test_requires_k_at_least_two(self):
+        S = structure_for(circle())
+        with pytest.raises(ValueError):
+            xi_iterate(S, S.chains.generator((0, 1)), K=1)
 
     def test_higher_truncation(self):
         # the tensor-power pattern continues at every arity
@@ -315,6 +303,25 @@ class TestVerifyReconstruction:
     def test_circle_through_dim3(self):
         report = verify_reconstruction(circle(), 3)
         assert report.ok, report.detail
+
+    def test_wrong_stored_morphism_is_a_failing_report(self, monkeypatch):
+        # a stored simplex whose chain map is not the precomposite: the
+        # report fails instead of raising
+        import dataclasses
+        from cupi import reconstruct
+        X = standard_simplex(1)
+        shom = s_functor(X, 2)
+        ms = shom.levels[0][0]
+        f = ms.chain_map
+        doubled = GradedMap(f.source, f.target, 0,
+                            {lb: {t: 2 * c for t, c in img.items()}
+                             for lb, img in f.comps.items()})
+        bad = dataclasses.replace(ms, chain_map=doubled)
+        shom.levels[0][0] = shom._by_pair[0][ms.pair] = bad
+        monkeypatch.setattr(reconstruct, "s_functor", lambda X, up_to: shom)
+        report = verify_reconstruction(X, 2)
+        assert not report.ok
+        assert report.detail.startswith("face d_")
 
     def test_counts_recorded(self):
         report = verify_reconstruction(standard_simplex(1), 2)

@@ -110,6 +110,18 @@ class TestHigherDiagonal:
             for i in range(k + 1):
                 assert set(map(abs, cup_table(i, k).values())) <= {1}
 
+    def test_integrity_checks_raise_with_level(self, monkeypatch):
+        # a broken contraction must stop a fresh build, also under python -O
+        from cupi import steenrod
+        monkeypatch.setattr(steenrod, "_TABLES",
+                            {(0, 0): steenrod._TABLES[(0, 0)]})
+        monkeypatch.setattr(steenrod, "_LEVEL_BUILT", 0)
+        contract = steenrod._contract
+        monkeypatch.setattr(steenrod, "_contract",
+                            lambda t: contract(t).scale(2))
+        with pytest.raises(RuntimeError, match=r"\(1, 1\)"):
+            steenrod.ensure_tables(1)
+
     def test_mod2_solver_certifies_contract(self):
         # independent GF(2) route: an equivariant extension with the pinned
         # top classes exists, and the integral tables satisfy the same mod-2
