@@ -526,11 +526,12 @@ def smith_normal_form(M):
         if dirty:
             continue
         # enforce divisibility of the remaining block by the pivot
-        stray = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                      if D[i][j] % D[t][t]), None)
-        if stray is not None:
-            add_row(t, stray[0], 1)
-            continue
+        if abs(D[t][t]) != 1:
+            stray = next(((i, j) for i in range(t + 1, m)
+                          for j in range(t + 1, n) if D[i][j] % D[t][t]), None)
+            if stray is not None:
+                add_row(t, stray[0], 1)
+                continue
         if D[t][t] < 0:
             negate_row(t)
         t += 1
@@ -541,36 +542,43 @@ def _diagonal(D):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i]]
 
 
+def _invariants(M):
+    """The nonzero diagonal of the Smith normal form of M."""
+    return _diagonal(smith_normal_form(M)[0]) if M and M[0] else []
+
+
 def matrix_rank(M):
-    if not M or not M[0]:
-        return 0
-    D, _, _ = smith_normal_form(M)
-    return len(_diagonal(D))
+    return len(_invariants(M))
+
+
+def integer_solver(M):
+    """Factor M once; return solve(b), one integer solution x of M x = b or
+    None.  M dense, b a list."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    if m == 0:
+        return lambda b: [0] * n
+    D, U, V = smith_normal_form(M)
+    diag = _diagonal(D)
+    r = len(diag)
+
+    def solve(b):
+        c = [sum(u * x for u, x in zip(row, b)) for row in U]
+        if any(c[r:]):
+            return None
+        y = [0] * n
+        for i, d in enumerate(diag):
+            if c[i] % d:
+                return None
+            y[i] = c[i] // d
+        return [sum(v * x for v, x in zip(row, y)) for row in V]
+
+    return solve
 
 
 def solve_integer(M, b):
     """One integer solution x of M x = b, or None.  M dense, b a list."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    D, U, V = smith_normal_form(M)
-    c = [sum(U[i][j] * b[j] for j in range(m)) for i in range(m)]
-    y = [0] * n
-    r = 0
-    for i in range(min(m, n)):
-        if D[i][i]:
-            if c[i] % D[i][i]:
-                return None
-            y[i] = c[i] // D[i][i]
-            r = i + 1
-    if any(c[i] for i in range(r, m)):
-        return None
-    return [sum(V[i][j] * y[j] for j in range(n)) for i in range(n)]
-
-
-def in_column_span(M, b):
-    return solve_integer(M, b) is not None
+    return integer_solver(M)(b)
 
 
 def kernel_basis(M):
@@ -598,21 +606,16 @@ class HomologyGroup:
 
 
 def homology(C, up_to=None):
-    """Integral homology invariants per degree, via Smith normal form."""
+    """Integral homology invariants per degree, via one Smith normal form
+    per boundary matrix: the invariants of d_(n+1) give the torsion of H_n
+    and the rank of the boundaries in degree n + 1."""
     top = C.top_degree if up_to is None else up_to
+    invariants = [[]] + [_invariants(C.boundary_matrix(n))
+                         for n in range(1, top + 2)]  # of d_n
     out = []
     for n in range(top + 1):
-        rank_n = C.rank(n)
-        dn = C.boundary_matrix(n)
-        dn1 = C.boundary_matrix(n + 1)
-        r_n = matrix_rank(dn) if n > 0 else 0
-        if C.rank(n + 1):
-            D, _, _ = smith_normal_form(dn1)
-            invariants = _diagonal(D)
-        else:
-            invariants = []
-        betti = rank_n - r_n - len(invariants)
-        torsion = tuple(d for d in invariants if abs(d) > 1)
+        betti = C.rank(n) - len(invariants[n]) - len(invariants[n + 1])
+        torsion = tuple(d for d in invariants[n + 1] if abs(d) > 1)
         out.append(HomologyGroup(n, betti, torsion))
     return out
 
@@ -631,23 +634,24 @@ class HomologyClasses:
         self.labels = C.basis.get(n, ())
         dn = C.boundary_matrix(n) if n > 0 else [[0] * len(self.labels)]
         self.K = kernel_basis(dn)  # list of kernel columns
-        self.kmat = [[col[i] for col in self.K] for i in range(len(self.labels))]
+        self._cycle_coords = integer_solver(
+            [[col[i] for col in self.K] for i in range(len(self.labels))])
         bnd = C.boundary_matrix(n + 1)
         cols = []
         for j in range(C.rank(n + 1)):
             b = [bnd[i][j] for i in range(len(self.labels))]
-            coords = solve_integer(self.kmat, b)
+            coords = self._cycle_coords(b)
             if coords is None:
                 raise ValueError("boundary not in cycle lattice")
             cols.append(coords)
-        k = len(self.K)
-        pres = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
-        if k and cols:
-            self.D, self.U, _ = smith_normal_form(pres)
-        else:
-            self.D = []
-            self.U = [[int(i == j) for j in range(k)] for i in range(k)]
-        self.invariants = _diagonal(self.D) if self.D else []
+        pres = [[col[i] for col in cols] for i in range(len(self.K))]
+        D, self.U, _ = smith_normal_form(pres)
+        self.invariants = _diagonal(D)
+
+    def group(self):
+        """H_n read off the presentation: betti number and torsion."""
+        return HomologyGroup(self.n, len(self.K) - len(self.invariants),
+                             tuple(d for d in self.invariants if abs(d) > 1))
 
     def generators(self):
         """Cycle chains generating H_n (images of the kernel basis)."""
@@ -660,7 +664,7 @@ class HomologyClasses:
     def class_coords(self, cycle):
         """Canonical coordinates of [cycle]: free part exact, torsion reduced."""
         vec = [cycle.as_dict().get(lb, 0) for lb in self.labels]
-        a = solve_integer(self.kmat, vec)
+        a = self._cycle_coords(vec)
         if a is None:
             raise ValueError("chain is not a cycle")
         k = len(self.K)
@@ -672,6 +676,3 @@ class HomologyClasses:
                 continue  # killed coordinate
             out.append(w[i] % d if d else w[i])
         return tuple(out)
-
-    def is_zero_class(self, cycle):
-        return all(c == 0 for c in self.class_coords(cycle))

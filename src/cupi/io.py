@@ -6,6 +6,8 @@ simplices sorted lexicographically by vertex list within dimension.
 
 Chain map files: an object mapping degree strings to lists of triples
 [target_label, source_label, coeff], labels being simplex vertex lists.
+
+Vertex ids and coefficients must be JSON integers; true and false are not.
 """
 
 from __future__ import annotations
@@ -20,6 +22,14 @@ class InputError(ValueError):
     """Malformed input file."""
 
 
+def _is_int(v):
+    return type(v) is int  # a JSON integer; true and false are not
+
+
+def _is_int_list(v):
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
 def load_complex(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -29,18 +39,21 @@ def load_complex(path):
     if not isinstance(data, dict) or "facets" not in data:
         raise InputError(f"{path}: expected an object with a 'facets' list")
     facets = data["facets"]
-    if not isinstance(facets, list) or \
-            any(not isinstance(f, list) for f in facets):
-        raise InputError(f"{path}: 'facets' must be a list of vertex lists")
+    if not isinstance(facets, list) or not all(map(_is_int_list, facets)):
+        raise InputError(
+            f"{path}: 'facets' must be a list of lists of integer vertex ids")
     declared = data.get("vertices")
     all_facets = [tuple(f) for f in facets]
     if declared is not None:
+        if not _is_int_list(declared):
+            raise InputError(
+                f"{path}: 'vertices' must be a list of integer vertex ids")
         used = {v for f in facets for v in f}
         undeclared = used - set(declared)
         if undeclared:
             raise InputError(
                 f"{path}: facets use undeclared vertices {sorted(undeclared)}")
-        all_facets += [(int(v),) for v in declared]  # allows isolated vertices
+        all_facets += [(v,) for v in declared]  # allows isolated vertices
     try:
         return build_complex(all_facets)
     except InvalidComplexError as exc:
@@ -62,10 +75,18 @@ def load_chain_map(path, source_chains, target_chains):
             degree = int(deg_str)
         except ValueError as exc:
             raise InputError(f"{path}: bad degree key {deg_str!r}") from exc
+        if not isinstance(triples, list):
+            raise InputError(f"{path}: degree {deg_str} must map to a list")
         for triple in triples:
-            if len(triple) != 3:
+            if not isinstance(triple, list) or len(triple) != 3:
                 raise InputError(f"{path}: expected [target, source, coeff] triples")
             tgt, src, coeff = triple
+            if not (_is_int_list(tgt) and _is_int_list(src)):
+                raise InputError(f"{path}: simplex labels in {triple} must be "
+                                 "lists of integer vertex ids")
+            if not _is_int(coeff):
+                raise InputError(f"{path}: coefficient {coeff!r} in {triple} "
+                                 "is not an integer")
             src = tuple(src)
             tgt = tuple(tgt)
             if src not in source_chains.degree_of:
@@ -77,7 +98,7 @@ def load_chain_map(path, source_chains, target_chains):
                 raise InputError(
                     f"{path}: triple {triple} filed under degree {degree}")
             comps.setdefault(src, {})
-            comps[src][tgt] = comps[src].get(tgt, 0) + int(coeff)
+            comps[src][tgt] = comps[src].get(tgt, 0) + coeff
     try:
         return GradedMap(source_chains, target_chains, 0, comps)
     except ValueError as exc:

@@ -18,8 +18,8 @@ import itertools
 from dataclasses import dataclass
 
 from .chains import (Chain, GradedMap, TensorChain, _add_into, _terms,
-                     chain_map_from_vertex_map, homology, HomologyClasses,
-                     in_column_span, induced_components, simplex_degree,
+                     chain_map_from_vertex_map, HomologyClasses,
+                     induced_components, integer_solver, simplex_degree,
                      unnormalized_chains)
 from .simplicial import (OrderedComplex, VertexMap, adjoin, coface,
                          codegeneracy, epi_mono_factor, identity_map,
@@ -609,33 +609,26 @@ def homology_square(g, verdict, X, Y, i_max):
             route2 = chat.apply(jX.apply(z))
             if HCY.class_coords(route1) != HCY.class_coords(route2):
                 return HomologySquareReport(False, f"square fails in degree {i}")
-        for (N, C, j) in ((NX, CX, jX), (NY, CY, jY)):
-            if not _inclusion_is_iso(N, C, j, i):
-                return HomologySquareReport(False,
-                                            f"inclusion not iso in degree {i}")
+        if not (_inclusion_is_iso(HX, HomologyClasses(CX, i), jX) and
+                _inclusion_is_iso(HomologyClasses(NY, i), HCY, jY)):
+            return HomologySquareReport(False,
+                                        f"inclusion not iso in degree {i}")
     return HomologySquareReport(True, "square commutes")
 
 
-def _inclusion_is_iso(N, C, j, i):
+def _inclusion_is_iso(HN, HC, j):
     """H_i(j) bijective: equal invariants plus surjectivity (f.g. abelian
     groups are Hopfian, so a surjection between isomorphic groups is iso)."""
-    hn = homology(N, up_to=i)[i]
-    hc = homology(C, up_to=i)[i]
-    if (hn.betti, tuple(sorted(map(abs, hn.torsion)))) != \
-       (hc.betti, tuple(sorted(map(abs, hc.torsion)))):
+    if HN.group() != HC.group():
         return False
-    HN = HomologyClasses(N, i)
-    HC = HomologyClasses(C, i)
-    labels = HC.labels
+    C, labels = HC.C, HC.labels
     cols = []
     for z in HN.generators():
         img = j.apply(z).as_dict()
         cols.append([img.get(lb, 0) for lb in labels])
-    bnd = C.boundary_matrix(i + 1)
-    for jj in range(C.rank(i + 1)):
+    bnd = C.boundary_matrix(HC.n + 1)
+    for jj in range(C.rank(HC.n + 1)):
         cols.append([bnd[r][jj] for r in range(len(labels))])
-    M = [[col[r] for col in cols] for r in range(len(labels))]
-    for kcol in HC.K:
-        if not in_column_span(M, list(kcol)):
-            return False
-    return True
+    solve = integer_solver([[col[r] for col in cols]
+                            for r in range(len(labels))])
+    return all(solve(list(kcol)) is not None for kcol in HC.K)

@@ -134,12 +134,12 @@ def build_complex(facets):
     closed = set()
     for facet in facets:
         facet = tuple(facet)
+        if not all(type(v) is int for v in facet):  # bool is not a vertex id
+            raise InvalidComplexError(f"facet {facet} has non-integer vertex ids")
         if len(set(facet)) != len(facet):
             raise InvalidComplexError(f"facet {facet} has duplicate vertices")
         if any(a >= b for a, b in zip(facet, facet[1:])):
             raise InvalidComplexError(f"facet {facet} is not strictly increasing")
-        if not all(isinstance(v, int) for v in facet):
-            raise InvalidComplexError(f"facet {facet} has non-integer vertex ids")
         for r in range(1, len(facet) + 1):
             closed.update(itertools.combinations(facet, r))
     if not closed:

@@ -359,27 +359,28 @@ def naturality_holds(vmap, max_i=None):
 # ---------------------------------------------------------------------------
 # GF(2) vectors are int bitmasks over the simplex list of one dimension.
 
-def _rref_bits(rows):
-    """Reduced row echelon form of GF(2) row vectors (bitmask ints)."""
-    basis = []  # (pivot_bit, row)
-    for r in rows:
-        for pivot, b in basis:
-            if r & pivot:
-                r ^= b
-        if r:
-            pivot = 1 << (r.bit_length() - 1)
-            for idx, (p2, b2) in enumerate(basis):
-                if b2 & pivot:
-                    basis[idx] = (p2, b2 ^ r)
-            basis.append((pivot, r))
-    return basis
+class _Echelon:
+    """Incremental GF(2) row echelon of bitmask vectors.
 
+    Each row carries a tag bitmask that records which inputs it is the sum
+    of.  Rows are stored already reduced against the earlier rows, so
+    reduce() leaves a vector zero at every pivot: its normal form modulo
+    the span, which does not depend on the order the rows came in.
+    """
 
-def _reduce_bits(basis, r):
-    for pivot, b in basis:
-        if r & pivot:
-            r ^= b
-    return r
+    def __init__(self, rows=()):
+        self.rows = list(rows)  # (pivot bit, vector, tag)
+
+    def reduce(self, vec, tag=0):
+        for pivot, row, row_tag in self.rows:
+            if vec & pivot:
+                vec ^= row
+                tag ^= row_tag
+        return vec, tag
+
+    def add(self, vec, tag):
+        """Store a nonzero vector returned by reduce()."""
+        self.rows.append((1 << (vec.bit_length() - 1), vec, tag))
 
 
 class Mod2Cohomology:
@@ -387,66 +388,49 @@ class Mod2Cohomology:
 
     Cochains in degree j are bitmask ints over simplices_of_dim(j); exposes a
     basis of H^j by cocycle representatives and canonical class coordinates.
+    Each degree keeps one echelon: the coboundary image, then each
+    representative tagged with its own bit.
     """
 
     def __init__(self, X):
         self.X = X
         self.simplices = {j: list(X.simplices_of_dim(j)) for j in range(X.dim + 1)}
-        self.index = {j: {s: i for i, s in enumerate(self.simplices[j])}
-                      for j in self.simplices}
-        self._cob_basis = {}   # rref of coboundary image in degree j
+        self._unit_cob = {}    # coboundaries of the unit cochains of degree j
+        self._echelon = {}
         self._reps = {}        # H^j representatives (bitmasks)
+        image = _Echelon()     # the coboundary image in degree j
         for j in range(X.dim + 1):
-            self._cob_basis[j] = _rref_bits([self._coboundary(u, j - 1)
-                                             for u in self._unit_cochains(j - 1)])
-            cocycles = self._cocycle_basis(j)
+            index = {s: i for i, s in enumerate(self.simplices[j])}
+            units = self._unit_cob[j] = [0] * len(index)
+            for i, s in enumerate(self.simplices.get(j + 1, ())):
+                for p in range(len(s)):
+                    units[index[s[:p] + s[p + 1:]]] ^= 1 << i
+            # kernel of delta_j: tag each unit cochain with its own bit
+            solver = _Echelon()
+            kernel = []
+            for i, cob in enumerate(units):
+                img, src = solver.reduce(cob, 1 << i)
+                if img:
+                    solver.add(img, src)
+                else:
+                    kernel.append(src)
             reps = []
-            span = [b for _, b in self._cob_basis[j]]
-            ref = _rref_bits(span)
-            for z in cocycles:
-                red = _reduce_bits(ref, z)
+            for z in kernel:
+                red, _ = image.reduce(z)
                 if red:
+                    image.add(red, 1 << len(reps))
                     reps.append(red)
-                    ref = _rref_bits(span + reps)
+            self._echelon[j] = image
             self._reps[j] = reps
-
-    def _unit_cochains(self, j):
-        return [1 << i for i in range(len(self.simplices.get(j, [])))] if j >= 0 else []
+            image = _Echelon((p, row, 0) for p, row, _ in solver.rows)
 
     def _coboundary(self, u, j):
         """delta: C^j -> C^(j+1), (delta u)(s) = sum u(d_i s)."""
         out = 0
-        for i, s in enumerate(self.simplices.get(j + 1, [])):
-            val = 0
-            for p in range(len(s)):
-                face = s[:p] + s[p + 1:]
-                if u >> self.index[j][face] & 1:
-                    val ^= 1
-            if val:
-                out |= 1 << i
+        for i, img in enumerate(self._unit_cob.get(j, ())):
+            if u >> i & 1:
+                out ^= img
         return out
-
-    def _cocycle_basis(self, j):
-        n = len(self.simplices.get(j, []))
-        if n == 0:
-            return []
-        if j == self.X.dim:
-            return [1 << i for i in range(n)]
-        # kernel of delta_j by elimination on (image, source) pairs
-        pairs = [(self._coboundary(1 << i, j), 1 << i) for i in range(n)]
-        kernel = []
-        basis = []
-        for img, src in pairs:
-            for pimg, pb, psrc in basis:
-                if img & pimg:
-                    img ^= pb
-                    src ^= psrc
-            if img:
-                pivot = 1 << (img.bit_length() - 1)
-                basis.append((pivot, img, src))
-            else:
-                kernel.append(src)
-        return kernel
 
     def betti(self, j):
         return len(self._reps.get(j, []))
@@ -458,28 +442,10 @@ class Mod2Cohomology:
         """Coordinates of the class [u] in the chosen H^j basis."""
         if self._coboundary(u, j):
             raise ValueError("cochain is not a cocycle")
-        reps = self._reps.get(j, [])
-        span = [b for _, b in self._cob_basis[j]]
-        # solve u = sum x_r reps[r] (mod coboundaries) by elimination
-        pairs = [(r, 1 << idx) for idx, r in enumerate(reps)] + \
-                [(b, 0) for b in span]
-        basis = []
-        for vec, tag in pairs:
-            for pvec, pb, ptag in basis:
-                if vec & pvec:
-                    vec ^= pb
-                    tag ^= ptag
-            if vec:
-                basis.append((1 << (vec.bit_length() - 1), vec, tag))
-        tag = 0
-        vec = u
-        for pvec, pb, ptag in basis:
-            if vec & pvec:
-                vec ^= pb
-                tag ^= ptag
+        vec, tag = self._echelon[j].reduce(u)
         if vec:
             raise ValueError("cocycle not reducible to the chosen basis")
-        return tuple((tag >> r) & 1 for r in range(len(reps)))
+        return tuple((tag >> r) & 1 for r in range(len(self._reps[j])))
 
     def cochain_from_bits(self, u, j):
         return {s for i, s in enumerate(self.simplices[j]) if u >> i & 1}

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cupi.chains import (Chain, GradedMap, TensorChain, hom_differential,
-                         homology, kernel_basis, koszul_tensor, matrix_rank,
-                         normalized_chains, smith_normal_form, solve_integer,
-                         tensor_complex, unnormalized_chains)
+                         homology, integer_solver, kernel_basis, koszul_tensor,
+                         matrix_rank, normalized_chains, smith_normal_form,
+                         solve_integer, tensor_complex, unnormalized_chains)
 from cupi.simplicial import adjoin, build_complex, standard_simplex
 
 import oracles
@@ -248,6 +248,37 @@ class TestSmithNormalForm:
         assert len(K) == 1
         col = K[0]
         assert [sum(r * v for r, v in zip(row, col)) for row in M] == [0, 0]
+
+
+small_matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1,
+    max_size=5))
+
+
+def _apply(M, x):
+    return [sum(a * v for a, v in zip(row, x)) for row in M]
+
+
+@given(small_matrices, st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_factored_solver_is_exact(M, rng):
+    solve = integer_solver(M)
+    for _ in range(3):
+        b = _apply(M, [rng.randint(-5, 5) for _ in M[0]])
+        x = solve(b)
+        assert x is not None and _apply(M, x) == b
+    # every column of 2M is even, so no b with an odd entry is reachable
+    b = [2 * rng.randint(-5, 5) for _ in M]
+    b[rng.randrange(len(b))] += 1
+    assert integer_solver([[2 * a for a in row] for row in M])(b) is None
+
+
+@given(facet_lists)
+@settings(max_examples=40, deadline=None)
+def test_homology_against_naive_oracle_on_random_complexes(facets):
+    N = normalized_chains(build_complex(facets))
+    got = [(g.betti, tuple(sorted(map(abs, g.torsion)))) for g in homology(N)]
+    assert got == oracles.naive_homology(N)
 
 
 class TestHomology:

@@ -201,3 +201,41 @@ def test_negative_arguments_are_input_errors(files, capsys, argv):
         main([files.get(a, a) for a in argv])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_squares_basis_choice_is_pinned(tmp_path, capsys):
+    # squares matrices depend on the chosen H^j basis; RP^2 wedge a circle
+    path = tmp_path / "rp2_wedge_s1.json"
+    facets = [list(f) for f in RP2_FACETS] + [[1, 7], [7, 8], [1, 8]]
+    path.write_text(json.dumps({"facets": facets}))
+    assert run(capsys, "squares", str(path), "--i", "1") == (0, (
+        '{"i":1,"matrices":{"0":[[0],[0]],"1":[[0,1]],"2":[]}}\n'))
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("validate", {"facets": [[0, "a"]]}),
+    ("validate", {"facets": [[[0], 1]]}),
+    ("validate", {"facets": [[True, 2]]}),
+    ("validate", {"vertices": [0, 1, 2.0], "facets": [[0, 1]]}),
+    ("validate", {"vertices": 3, "facets": [[0, 1]]}),
+    ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]],
+                     "1": [[[0, 1], [0, 1], 1.7]]}),
+    ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]],
+                     "1": [[[0, 1], [0, 1], "x"]]}),
+    ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]],
+                     "1": [[[0, 1], [0, 1], True]]}),
+    ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]], "1": [5]}),
+    ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]], "1": 5}),
+    ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]],
+                     "1": [[[0, True], [0, 1], 1]]}),
+])
+def test_non_integer_input_is_input_error(files, tmp_path, capsys, command,
+                                          obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    argv = [command, str(path)] if command == "validate" else \
+        [command, files["d1.json"], files["d1.json"], str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cupi.chains import TensorChain, chain_map_from_vertex_map, normalized_chains
 from cupi.simplicial import VertexMap, build_complex, standard_simplex
@@ -14,6 +15,7 @@ from cupi.steenrod import (BarElement, Mod2Cohomology, SteenrodStructure,
 
 import oracles
 from conftest import circle, rp2, sphere
+from test_chains import facet_lists
 
 
 class TestBarResolution:
@@ -303,3 +305,25 @@ class TestSteenrodSquares:
     def test_mod2_betti_of_rp2(self):
         coh = Mod2Cohomology(rp2())
         assert [coh.betti(j) for j in range(3)] == [1, 1, 1]
+
+
+@given(facet_lists, st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_mod2_cohomology_against_integral_oracle(facets, rng):
+    X = build_complex(facets)
+    coh = Mod2Cohomology(X)
+    H = oracles.naive_homology(normalized_chains(X))
+
+    def even_torsion(j):
+        return sum(1 for d in H[j][1] if d % 2 == 0) if j >= 0 else 0
+
+    for j in range(X.dim + 1):
+        # universal coefficients: Hom(H_j, Z/2) + Ext(H_(j-1), Z/2)
+        assert coh.betti(j) == H[j][0] + even_torsion(j) + even_torsion(j - 1)
+        reps = coh.representatives(j)
+        n_below = len(coh.simplices.get(j - 1, ()))
+        for r, rep in enumerate(reps):
+            unit = tuple(int(c == r) for c in range(len(reps)))
+            assert coh.class_coords(rep, j) == unit
+            c = rng.getrandbits(n_below) if n_below else 0
+            assert coh.class_coords(rep ^ coh._coboundary(c, j - 1), j) == unit
