@@ -8,6 +8,7 @@ Signs follow the Koszul convention throughout:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -542,13 +543,67 @@ def _diagonal(D):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i]]
 
 
-def _invariants(M):
-    """The nonzero diagonal of the Smith normal form of M."""
-    return _diagonal(smith_normal_form(M)[0]) if M and M[0] else []
+def _invariants(columns):
+    """The nonzero diagonal of the Smith normal form of a sparse matrix,
+    given as an iterable of columns, each a dict row label -> int.
+
+    Each +-1 pivot splits off an invariant 1 by unimodular operations: the
+    pivot column is subtracted from every other column meeting its row, and
+    the row and column are dropped.  Short columns go first, and within a
+    column the unit in the shortest row, to limit fill-in.  What remains
+    when no +-1 entry is left goes to the dense smith_normal_form.
+    """
+    cols = {j: dict(c) for j, c in enumerate(columns) if c}
+    rows = {}  # row label -> the columns that meet it
+    for j, c in cols.items():
+        for r in c:
+            rows.setdefault(r, set()).add(j)
+    units = 0
+    queue = [(len(c), j) for j, c in cols.items()]
+    heapq.heapify(queue)
+    while queue:
+        size, j = heapq.heappop(queue)
+        col = cols.get(j)
+        if col is None or len(col) != size:
+            continue  # stale entry: the column was pivoted or changed
+        piv = min((r for r, v in col.items() if v in (1, -1)),
+                  key=lambda r: len(rows[r]), default=None)
+        if piv is None:
+            continue  # requeued if an elimination changes it
+        del cols[j]
+        for r in col:
+            rows[r].discard(j)
+        f = col.pop(piv)  # a unit is its own inverse
+        for k in rows.pop(piv):
+            other = cols[k]
+            q = other.pop(piv) * f
+            for r, v in col.items():
+                new = other.get(r, 0) - q * v
+                if new:
+                    if r not in other:
+                        rows[r].add(k)
+                    other[r] = new
+                else:
+                    del other[r]
+                    rows[r].discard(k)
+            if other:
+                heapq.heappush(queue, (len(other), k))
+            else:
+                del cols[k]
+        units += 1
+    if not cols:
+        return [1] * units
+    ridx = {r: i for i, r in enumerate(r for r, js in rows.items() if js)}
+    block = [[0] * len(cols) for _ in ridx]
+    for j, col in enumerate(cols.values()):
+        for r, v in col.items():
+            block[ridx[r]][j] = v
+    return [1] * units + _diagonal(smith_normal_form(block)[0])
 
 
-def matrix_rank(M):
-    return len(_invariants(M))
+def matrix_rank(columns):
+    """Rank of a sparse matrix given as columns, as _invariants takes it."""
+    return len(_invariants(columns))
 
 
 def integer_solver(M):
@@ -606,11 +661,11 @@ class HomologyGroup:
 
 
 def homology(C, up_to=None):
-    """Integral homology invariants per degree, via one Smith normal form
-    per boundary matrix: the invariants of d_(n+1) give the torsion of H_n
-    and the rank of the boundaries in degree n + 1."""
+    """Integral homology invariants per degree, from the invariant factors
+    of each boundary map d_(n+1), read off its sparse columns: they give the
+    torsion of H_n and the rank of the boundaries in degree n + 1."""
     top = C.top_degree if up_to is None else up_to
-    invariants = [[]] + [_invariants(C.boundary_matrix(n))
+    invariants = [[]] + [_invariants(map(C.boundary_of, C.basis.get(n, ())))
                          for n in range(1, top + 2)]  # of d_n
     out = []
     for n in range(top + 1):

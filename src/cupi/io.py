@@ -4,7 +4,8 @@ Complex files: {"vertices": [int, ...], "facets": [[int, ...], ...]};
 "vertices" is optional (inferred from facets).  Canonical output lists
 simplices sorted lexicographically by vertex list within dimension.
 
-Chain map files: an object mapping degree strings to lists of triples
+Chain map files: an object mapping degree strings ("0", "1", ...: the
+canonical decimal of a non-negative int) to lists of triples
 [target_label, source_label, coeff], labels being simplex vertex lists.
 
 Vertex ids and coefficients must be JSON integers; true and false are not.
@@ -28,6 +29,19 @@ def _is_int(v):
 
 def _is_int_list(v):
     return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _degree(path, key):
+    """A degree key: the canonical decimal of a non-negative int, so that
+    " +1 ", "0_1", "01" and non-ASCII digits are refused, not read as 1."""
+    try:
+        degree = int(key)
+    except ValueError:
+        degree = -1
+    if degree < 0 or str(degree) != key:
+        raise InputError(f"{path}: bad degree key {key!r}: expected a "
+                         "non-negative decimal integer")
+    return degree
 
 
 def load_complex(path):
@@ -71,10 +85,7 @@ def load_chain_map(path, source_chains, target_chains):
         raise InputError(f"{path}: expected an object of degree -> triples")
     comps = {}
     for deg_str, triples in data.items():
-        try:
-            degree = int(deg_str)
-        except ValueError as exc:
-            raise InputError(f"{path}: bad degree key {deg_str!r}") from exc
+        degree = _degree(path, deg_str)
         if not isinstance(triples, list):
             raise InputError(f"{path}: degree {deg_str} must map to a list")
         for triple in triples:

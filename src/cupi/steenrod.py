@@ -24,6 +24,7 @@ simplices by vertex position.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .chains import (Combination, TensorChain, _add_into, _add_scaled, _terms,
@@ -252,14 +253,24 @@ class SteenrodStructure:
         return out + TensorChain(2, degree, _terms(parts[1])).swap()
 
 
-_structure_cache = {}
+# Least recently used first.  verify_reconstruction(X, n) touches
+# Delta^0 ... Delta^n and X: n + 2 entries, six for reconstruct through
+# dimension 4, the most any command of the benchmark workloads uses.
+_STRUCTURE_CACHE_SIZE = 16
+_structure_cache = OrderedDict()
 
 
 def structure_for(X, max_i=None):
+    """The SteenrodStructure of X, shared through a bounded LRU cache keyed
+    on (X, max_i)."""
     key = (X, max_i)
-    if key not in _structure_cache:
-        _structure_cache[key] = SteenrodStructure(X, max_i=max_i)
-    return _structure_cache[key]
+    S = _structure_cache.pop(key, None)
+    if S is None:
+        S = SteenrodStructure(X, max_i=max_i)
+        if len(_structure_cache) >= _STRUCTURE_CACHE_SIZE:
+            _structure_cache.popitem(last=False)
+    _structure_cache[key] = S
+    return S
 
 
 # ---------------------------------------------------------------------------

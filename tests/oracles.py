@@ -122,7 +122,9 @@ def naive_invariant_factors(M):
         bad = next(((i, j) for i, row in enumerate(rest)
                     for j, x in enumerate(row) if x % pivot), None)
         if bad is not None:
-            A[bad[0] + 1] = [a + b for a, b in zip(A[bad[0] + 1], A[0])]
+            # the bad row goes into the pivot row, whose reduction then
+            # leaves a remainder smaller than the pivot
+            A[0] = [a + b for a, b in zip(A[0], A[bad[0] + 1])]
             return reduce_block(A)
         return [pivot] + reduce_block(rest)
 

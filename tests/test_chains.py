@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cupi.chains import (Chain, GradedMap, TensorChain, hom_differential,
-                         homology, integer_solver, kernel_basis, koszul_tensor,
+from cupi.chains import (Chain, FreeChainComplex, GradedMap, TensorChain,
+                         _invariants, hom_differential, homology,
+                         integer_solver, kernel_basis, koszul_tensor,
                          matrix_rank, normalized_chains, smith_normal_form,
                          solve_integer, tensor_complex, unnormalized_chains)
 from cupi.simplicial import adjoin, build_complex, standard_simplex
@@ -29,8 +30,8 @@ class TestNormalizedChains:
         assert [N.rank(n) for n in range(3)] == [6, 15, 10]
         # boundary ranks forced by H_2 = 0 (kernel of d_2 is trivial) and
         # betti_0 = 1; cross-checked with the Fraction elimination oracle
-        assert matrix_rank(N.boundary_matrix(2)) == 10
-        assert matrix_rank(N.boundary_matrix(1)) == 5
+        assert matrix_rank(map(N.boundary_of, N.basis[2])) == 10
+        assert matrix_rank(map(N.boundary_of, N.basis[1])) == 5
         assert oracles.rational_rank(N.boundary_matrix(2)) == 10
         assert oracles.rational_rank(N.boundary_matrix(1)) == 5
 
@@ -273,6 +274,29 @@ def test_factored_solver_is_exact(M, rng):
     assert integer_solver([[2 * a for a in row] for row in M])(b) is None
 
 
+def _columns(M):
+    """The sparse columns {row: entry} of a dense matrix."""
+    return [{i: row[j] for i, row in enumerate(M) if row[j]}
+            for j in range(len(M[0]))]
+
+
+sparse_matrices = st.tuples(st.integers(1, 7), st.integers(0, 7)).flatmap(
+    lambda mn: st.lists(st.lists(st.one_of(st.just(0), st.integers(-3, 3)),
+                                 min_size=mn[1], max_size=mn[1]),
+                        min_size=mn[0], max_size=mn[0]))
+
+
+@given(sparse_matrices, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sparse_invariants_against_naive_oracle(M, doubled):
+    # 2M has no unit entry, so all of it is left to the dense block
+    if doubled:
+        M = [[2 * a for a in row] for row in M]
+    assert [abs(d) for d in _invariants(_columns(M))] == \
+        oracles.naive_invariant_factors(M)
+    assert matrix_rank(_columns(M)) == oracles.rational_rank(M)
+
+
 @given(facet_lists)
 @settings(max_examples=40, deadline=None)
 def test_homology_against_naive_oracle_on_random_complexes(facets):
@@ -314,3 +338,10 @@ class TestHomology:
         N2 = FreeChainComplex(shuffled, N.diff)
         assert [(g.betti, g.torsion) for g in homology(N)] == \
                [(g.betti, g.torsion) for g in homology(N2)]
+
+    def test_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(self, n):
+            raise AssertionError("homology built a dense boundary matrix")
+        monkeypatch.setattr(FreeChainComplex, "boundary_matrix", refuse)
+        h = homology(normalized_chains(rp2()))
+        assert [(g.betti, g.torsion) for g in h] == [(1, ()), (0, (2,)), (0, ())]

@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import itertools
 import json
 
 import pytest
@@ -212,6 +213,35 @@ def test_squares_basis_choice_is_pinned(tmp_path, capsys):
         '{"i":1,"matrices":{"0":[[0],[0]],"1":[[0,1]],"2":[]}}\n'))
 
 
+def _barycentric(facets):
+    """Facets of the barycentric subdivision; a face's id orders faces by
+    (dimension, vertex list), so every flag is increasing."""
+    faces = sorted({c for f in facets for r in range(1, len(f) + 1)
+                    for c in itertools.combinations(f, r)},
+                   key=lambda s: (len(s), s))
+    ids = {s: i for i, s in enumerate(faces)}
+    return sorted({tuple(ids[tuple(sorted(p[:j + 1]))] for j in range(len(p)))
+                   for f in facets for p in itertools.permutations(f)})
+
+
+@pytest.mark.parametrize("facets, stdout", [
+    # sd^1 RP^2: the torsion 2 is left to the dense block after the units
+    (_barycentric(RP2_FACETS),
+     '{"H":[{"betti":1,"degree":0,"torsion":[]},'
+     '{"betti":0,"degree":1,"torsion":[2]},'
+     '{"betti":0,"degree":2,"torsion":[]}]}\n'),
+    # the 2-skeleton of the simplex on 10 vertices: unit pivots only
+    (list(itertools.combinations(range(10), 3)),
+     '{"H":[{"betti":1,"degree":0,"torsion":[]},'
+     '{"betti":0,"degree":1,"torsion":[]},'
+     '{"betti":84,"degree":2,"torsion":[]}]}\n'),
+])
+def test_homology_output_is_pinned(tmp_path, capsys, facets, stdout):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"facets": [list(f) for f in facets]}))
+    assert run(capsys, "homology", str(path)) == (0, stdout)
+
+
 @pytest.mark.parametrize("command, obj", [
     ("validate", {"facets": [[0, "a"]]}),
     ("validate", {"facets": [[[0], 1]]}),
@@ -228,6 +258,14 @@ def test_squares_basis_choice_is_pinned(tmp_path, capsys):
     ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]], "1": 5}),
     ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]],
                      "1": [[[0, True], [0, 1], 1]]}),
+    ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]],
+                     " +1 ": [[[0, 1], [0, 1], 1]]}),
+    ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]],
+                     "0_1": [[[0, 1], [0, 1], 1]]}),
+    ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]],
+                     "\uff11": [[[0, 1], [0, 1], 1]]}),
+    ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]],
+                     "1": [[[0, 1], [0, 1], 1]], "-1": []}),
 ])
 def test_non_integer_input_is_input_error(files, tmp_path, capsys, command,
                                           obj):

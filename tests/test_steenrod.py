@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cupi.chains import TensorChain, chain_map_from_vertex_map, normalized_chains
 from cupi.simplicial import VertexMap, build_complex, standard_simplex
+from cupi import steenrod
 from cupi.steenrod import (BarElement, Mod2Cohomology, SteenrodStructure,
                            aw_diagonal, bar_augmentation, bar_boundary,
                            cup_table, eta, higher_diagonal, naturality_holds,
@@ -327,3 +328,18 @@ def test_mod2_cohomology_against_integral_oracle(facets, rng):
             assert coh.class_coords(rep, j) == unit
             c = rng.getrandbits(n_below) if n_below else 0
             assert coh.class_coords(rep ^ coh._coboundary(c, j - 1), j) == unit
+
+
+def test_structure_cache_is_a_bounded_lru():
+    size = steenrod._STRUCTURE_CACHE_SIZE
+    paths = [build_complex([(0, k)]) for k in range(1, size + 4)]
+    structures = [structure_for(X) for X in paths]
+    assert len(steenrod._structure_cache) <= size
+    assert structure_for(paths[-1]) is structures[-1]
+    assert (paths[0], None) not in steenrod._structure_cache
+    # a hit makes an entry the most recent: the next miss evicts another
+    oldest = paths[-size]
+    assert structure_for(oldest) is structures[-size]
+    structure_for(build_complex([(0, size + 4)]))
+    assert (oldest, None) in steenrod._structure_cache
+    assert (paths[-size + 1], None) not in steenrod._structure_cache
