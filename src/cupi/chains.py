@@ -138,9 +138,6 @@ class FreeChainComplex:
     def rank(self, n):
         return len(self.basis.get(n, ()))
 
-    def zero(self, degree):
-        return Chain(degree, ())
-
     def generator(self, label):
         return Chain.from_dict(self.degree_of[label], {label: 1})
 
@@ -252,14 +249,6 @@ class ChainMap(GradedMap):
         bad = self.first_commutator_witness()
         if bad is not None:
             raise ValueError(f"not a chain map: fails in degree {bad}")
-
-
-def hom_differential(f):
-    """Differential of the Hom-complex: df = f d - (-1)^deg(f) d f.
-
-    A degree-0 map is a chain map exactly when this vanishes.
-    """
-    return f.commutator_with_boundary()
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +620,6 @@ def integer_solver(M):
     return solve
 
 
-def solve_integer(M, b):
-    """One integer solution x of M x = b, or None.  M dense, b a list."""
-    return integer_solver(M)(b)
-
-
 def kernel_basis(M):
     """Columns forming a Z-basis of ker M (unimodular V columns past the rank)."""
     m = len(M)
@@ -691,11 +675,10 @@ class HomologyClasses:
         self.K = kernel_basis(dn)  # list of kernel columns
         self._cycle_coords = integer_solver(
             [[col[i] for col in self.K] for i in range(len(self.labels))])
-        bnd = C.boundary_matrix(n + 1)
         cols = []
-        for j in range(C.rank(n + 1)):
-            b = [bnd[i][j] for i in range(len(self.labels))]
-            coords = self._cycle_coords(b)
+        for lb in C.basis.get(n + 1, ()):
+            bd = C.boundary_of(lb)
+            coords = self._cycle_coords([bd.get(x, 0) for x in self.labels])
             if coords is None:
                 raise ValueError("boundary not in cycle lattice")
             cols.append(coords)

@@ -9,6 +9,7 @@ canonical decimal of a non-negative int) to lists of triples
 [target_label, source_label, coeff], labels being simplex vertex lists.
 
 Vertex ids and coefficients must be JSON integers; true and false are not.
+A key given twice in one object is an input error in either format.
 """
 
 from __future__ import annotations
@@ -44,12 +45,26 @@ def _degree(path, key):
     return degree
 
 
-def load_complex(path):
+def _read_json(path):
+    """The JSON value in a file; a key given twice in one object is refused,
+    where json.load would silently keep the last one."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def load_complex(path):
+    data = _read_json(path)
     if not isinstance(data, dict) or "facets" not in data:
         raise InputError(f"{path}: expected an object with a 'facets' list")
     facets = data["facets"]
@@ -76,11 +91,7 @@ def load_complex(path):
 
 def load_chain_map(path, source_chains, target_chains):
     """Read a degree-indexed triple list into a graded map of degree 0."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected an object of degree -> triples")
     comps = {}

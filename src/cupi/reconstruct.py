@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
-from .chains import (Chain, GradedMap, TensorChain, _add_into, _terms,
-                     chain_map_from_vertex_map, HomologyClasses,
-                     induced_components, integer_solver, simplex_degree,
-                     unnormalized_chains)
+from .chains import (Chain, GradedMap, TensorChain, _add_into, _invariants,
+                     _terms, chain_map_from_vertex_map, HomologyClasses,
+                     induced_components, simplex_degree, unnormalized_chains)
 from .simplicial import (OrderedComplex, VertexMap, adjoin, coface,
                          codegeneracy, epi_mono_factor, identity_map,
                          simplicial_maps, standard_simplex)
@@ -28,78 +28,42 @@ from .steenrod import BarElement, eta, structure_for
 
 
 class BruteForceLimitError(ValueError):
-    """Brute search refused: instance exceeds the configured size caps."""
+    """Enumeration refused before any work: the instance exceeds a size cap,
+    one of brute search's caps or the output cap of guided enumeration."""
 
 
 BRUTE_MAX_SOURCE_VERTICES = 4
 BRUTE_MAX_TARGET_VERTICES = 6
 BRUTE_MAX_VECTORS_PER_DEGREE = 2_000_000
+# Guided enumeration and reconstruction: the most morphisms one call may
+# produce.  The largest benchmark command, reconstruct on sd^1 RP^2 through
+# dimension 3, produces 904.
+GUIDED_MAX_MORPHISMS = 20_000
+
+
+def _refuse_oversized_output(X, dims):
+    """Raise before any work when the morphisms out of n-simplex chains for
+    n in dims, one per n-simplex of the degeneracy completion of X
+    (sum over k of C(n, k) f_k), are more than GUIDED_MAX_MORPHISMS."""
+    total = 0
+    for n in dims:
+        total += sum(comb(n, k) * len(X.simplices_of_dim(k))
+                     for k in range(X.dim + 1))
+        if total > GUIDED_MAX_MORPHISMS:
+            raise BruteForceLimitError(
+                f"more than {GUIDED_MAX_MORPHISMS} morphisms to enumerate")
 
 
 # ---------------------------------------------------------------------------
 # iterated structure maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class XiImage:
-    """Truncated product of tensor powers: components of arities 1..K.
-
-    components[0] is the arity-1 chain itself; components[k-1] has arity k.
-    """
-
-    m: int
-    K: int
-    components: tuple
-
-    def component(self, arity):
-        return self.components[arity - 1]
-
-
-class AlphaHandle:
-    """Evaluation form of the adjoint structure map of a chain.
-
-    at(b) returns xi(b (x) c); at_nested(b_1, ..., b_{n-1}) evaluates the
-    n-fold iterate: level j applies xi under the first j-1 coordinates.
-    """
-
-    def __init__(self, struct, chain):
-        self.struct = struct
-        self.chain = chain
-
-    def at(self, bar):
-        return self.struct.xi(bar, self.chain)
-
-    def at_nested(self, *bars):
-        return self._nested(self.chain, list(bars))
-
-    def _nested(self, chain, bars):
-        first = self.struct.xi(bars[0], chain)
-        if len(bars) == 1:
-            return first
-        rest = bars[1:]
-        arity = len(bars) + 1
-        deg = chain.degree + sum(sum(n for (_, n), _ in b.coeffs) for b in bars)
-        out = {}
-        cache = {}
-        for (a, b), c in first.coeffs:
-            if a not in cache:
-                cache[a] = self._nested(self.struct.chains.generator(a), rest)
-            for key, v in cache[a].coeffs:
-                _add_into(out, key + (b,), v * c)
-        return TensorChain(arity, deg, _terms(out))
-
-
-def adjoint_alpha(struct, chain):
-    """Handle evaluating the adjoint structure map of `chain` on bar inputs."""
-    return AlphaHandle(struct, chain)
-
-
 def xi_iterate(struct, chain, K=3):
     """Evaluate the iterated structure maps of a homogeneous chain on rho_m.
 
-    Returns the XiImage with components (c, ...) of arities 1 through K; a
-    simplex generator yields exactly (c, c (x) c, ..., c^(x K)).  Computed as
-    a left fold: each step expands the leftmost tensor factor through xi.
+    Returns the tuple of its K components, of arities 1 through K; a simplex
+    generator yields exactly (c, c (x) c, ..., c^(x K)).  Computed as a left
+    fold: each step expands the leftmost tensor factor through xi.
     """
     if K < 2:
         raise ValueError("truncation K must be at least 2")
@@ -119,11 +83,8 @@ def xi_iterate(struct, chain, K=3):
                 _add_into(out, (a, b) + key[1:], c * v)
         current = TensorChain(k, deg, _terms(out))
         comps.append(current)
-    # component k carries the rho coefficient eta_m^(k-1)
-    scaled = [comps[0]]
-    for k in range(2, K + 1):
-        scaled.append(comps[k - 1].scale(eta(m) ** (k - 1)))
-    return XiImage(m=m, K=K, components=tuple(scaled))
+    # the arity-k component carries the rho coefficient eta_m^(k-1)
+    return tuple(c.scale(eta(m) ** k) for k, c in enumerate(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +193,17 @@ class MorphismSimplex:
         return self.surjection == identity_map(len(self.surjection) - 1)
 
 
-def _classify(vmap):
-    values = tuple(vmap(i) for i in sorted(vmap.as_dict()))
-    surj, image = epi_mono_factor(values)
-    return surj, image
+def image_pair(vmap, pair):
+    """vmap applied to a (surjection, simplex) pair: the vertices
+    simplex[surjection[t]], mapped by vmap and epi-mono factored into the
+    (surjection, simplex) pair of the image.  On the pair (identity,
+    identity) of the standard n-simplex it classifies vmap itself."""
+    m = vmap.as_dict()
+    theta, tau = pair
+    return epi_mono_factor(tuple(m[tau[t]] for t in theta))
 
 
-def enumerate_morphisms(n, X, mode="guided", bound=2, verify=True):
+def enumerate_morphisms(n, X, mode="guided", bound=2):
     """All diagonal-structure morphisms N(standard n-simplex) -> N(X).
 
     guided: induce graded maps from the weakly order-preserving vertex maps
@@ -250,26 +215,27 @@ def enumerate_morphisms(n, X, mode="guided", bound=2, verify=True):
     degree (degree-0 candidates are pre-filtered by the (e_0, vertex) square
     and augmentation, which every morphism must satisfy; all other degrees
     are exhausted against the chain-map law alone) and filter through the
-    same decision procedure.  Refused above the configured size caps.
+    same decision procedure.  Both modes refuse inputs above their size
+    caps.
     """
-    source = standard_simplex(n)
-    if mode == "guided":
-        out = []
-        NA = structure_for(source).chains
-        NB = structure_for(X).chains
-        for vmap in simplicial_maps(n, X):
-            f = GradedMap(NA, NB, 0, induced_components(vmap))
-            if verify:
-                verdict = is_steenrod_morphism(f, source, X)
-                if not verdict.ok:
-                    raise AssertionError(
-                        f"induced map failed verification: {verdict}")
-            out.append(MorphismSimplex(f, vmap, *_classify(vmap)))
-        out.sort(key=lambda ms: (ms.simplex, ms.surjection))
-        return out
     if mode == "brute":
         return _enumerate_brute(n, X, bound)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode != "guided":
+        raise ValueError(f"unknown mode {mode!r}")
+    _refuse_oversized_output(X, (n,))
+    source = standard_simplex(n)
+    ident = identity_map(n)
+    NA = structure_for(source).chains
+    NB = structure_for(X).chains
+    out = []
+    for vmap in simplicial_maps(n, X):
+        f = GradedMap(NA, NB, 0, induced_components(vmap))
+        verdict = is_steenrod_morphism(f, source, X)
+        if not verdict.ok:
+            raise AssertionError(f"induced map failed verification: {verdict}")
+        out.append(MorphismSimplex(f, vmap, *image_pair(vmap, (ident, ident))))
+    out.sort(key=lambda ms: (ms.simplex, ms.surjection))
+    return out
 
 
 def _bounded_vectors(length, bound):
@@ -277,11 +243,12 @@ def _bounded_vectors(length, bound):
 
 
 def _enumerate_brute(n, X, bound):
-    source = standard_simplex(n)
-    if len(source.vertices) > BRUTE_MAX_SOURCE_VERTICES:
-        raise BruteForceLimitError(f"source has {len(source.vertices)} vertices")
+    if n + 1 > BRUTE_MAX_SOURCE_VERTICES:
+        raise BruteForceLimitError(f"source has {n + 1} vertices")
     if len(X.vertices) > BRUTE_MAX_TARGET_VERTICES:
         raise BruteForceLimitError(f"target has {len(X.vertices)} vertices")
+    source = standard_simplex(n)
+    ident = identity_map(n)
     NA = structure_for(source).chains
     NB = structure_for(X).chains
     S_tgt = structure_for(X)
@@ -340,11 +307,9 @@ def _enumerate_brute(n, X, bound):
                 if key not in seen:
                     seen.add(key)
                     vm = verdict.certificate
-                    if vm is not None:
-                        surj, image = _classify(vm)
-                    else:
-                        surj, image = None, None
-                    results.append(MorphismSimplex(f, vm, surj, image))
+                    pair = (None, None) if vm is None else \
+                        image_pair(vm, (ident, ident))
+                    results.append(MorphismSimplex(f, vm, *pair))
             return
         if d == 0:
             for assignment in itertools.product(vertex_candidates,
@@ -393,6 +358,7 @@ class ShomSimplicialSet:
     """
 
     def __init__(self, X, up_to):
+        _refuse_oversized_output(X, range(up_to + 1))
         self.complex = X
         self.up_to = up_to
         self.levels = {n: enumerate_morphisms(n, X, mode="guided")
@@ -414,7 +380,8 @@ class ShomSimplicialSet:
             self._operators[(n, values)] = chain_map_from_vertex_map(
                 vm, structure_for(small).chains, structure_for(big).chains)
         composite = ms.chain_map.compose(self._operators[(n, values)])
-        stored = self._by_pair[dim].get(_pair_of_composite(ms, values))
+        stored = self._by_pair[dim].get(
+            image_pair(ms.vertex_map, (values, identity_map(n))))
         if stored is None or not stored.chain_map.equals(composite):
             return None
         return stored
@@ -426,20 +393,6 @@ class ShomSimplicialSet:
     def degeneracy(self, ms, i):
         n = len(ms.surjection) - 1
         return self._precompose(ms, codegeneracy(i, n), n + 1)
-
-
-def s_functor(X, up_to):
-    """The reconstruction functor on a complex: morphism simplices through
-    dimension up_to, with operators by precomposition."""
-    return ShomSimplicialSet(X, up_to)
-
-
-def _pair_of_composite(ms, op_values):
-    """Classification pair of ms.chain_map precomposed with the chain map of
-    the monotone map given by op_values."""
-    values = tuple(ms.vertex_map(v) for v in op_values)
-    surj, image = epi_mono_factor(values)
-    return surj, image
 
 
 @dataclass(frozen=True)
@@ -463,7 +416,7 @@ def verify_reconstruction(X, up_to):
     degeneracy operator, and the canonical inclusion of X must land exactly
     on the nondegenerate simplices.
     """
-    shom = s_functor(X, up_to)
+    shom = ShomSimplicialSet(X, up_to)
     levels = shom.levels
     df = adjoin(X.to_delta())
     counts = []
@@ -514,11 +467,6 @@ class LiftedMap:
     target: OrderedComplex
     vertex_map: VertexMap
 
-    def apply_pair(self, pair):
-        theta, tau = pair
-        values = tuple(self.vertex_map(tau[t]) for t in theta)
-        return epi_mono_factor(values)
-
     def recovered_bijection(self):
         """When the underlying morphism is an isomorphism, the vertex map is
         a bijection exhibiting source = target as ordered complexes."""
@@ -536,26 +484,14 @@ def lift_morphism(g, verdict, X, Y):
     """Lift a verified morphism N(X) -> N(Y) to the induced simplicial map.
 
     Refuses unverified input.  The lift acts on morphism-simplices by
-    postcomposition; on (surjection, simplex) pairs this is vertex-map
-    composition followed by epi-mono factorization.
+    postcomposition; on (surjection, simplex) pairs this is
+    image_pair(vertex_map, pair).
     """
     if verdict is None or not verdict.ok:
         raise ValueError("refusing to lift an unverified morphism")
     if verdict.certificate is None:
         raise ValueError("verified morphism lacks a vertex-map certificate")
     return LiftedMap(source=X, target=Y, vertex_map=verdict.certificate)
-
-
-def lifted_on_morphisms(lift, ms, X, Y):
-    """Direct route: postcompose a morphism-simplex with g and reclassify."""
-    g = chain_map_from_vertex_map(lift.vertex_map,
-                                  structure_for(X).chains,
-                                  structure_for(Y).chains)
-    composite = g.compose(ms.chain_map)
-    values = tuple(lift.vertex_map(ms.vertex_map(i))
-                   for i in sorted(ms.vertex_map.as_dict()))
-    surj, image = epi_mono_factor(values)
-    return composite, (surj, image)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +515,7 @@ def unnormalized_map_of_lift(lift, CX, CY):
     """C(g-hat): basis pairs go to their image pairs, coefficient 1."""
     comps = {}
     for pair in CX.degree_of:
-        comps[pair] = {lift.apply_pair(pair): 1}
+        comps[pair] = {image_pair(lift.vertex_map, pair): 1}
     return GradedMap(CX, CY, 0, comps)
 
 
@@ -617,18 +553,18 @@ def homology_square(g, verdict, X, Y, i_max):
 
 
 def _inclusion_is_iso(HN, HC, j):
-    """H_i(j) bijective: equal invariants plus surjectivity (f.g. abelian
-    groups are Hopfian, so a surjection between isomorphic groups is iso)."""
-    if HN.group() != HC.group():
+    """H_i(j) bijective: equal groups, and H_i(j) onto (f.g. abelian groups
+    are Hopfian, so a surjection between isomorphic groups is iso).
+
+    Onto is read off HC's class coordinates: the images of HN's generators,
+    with the relation d e_r of each torsion coordinate r, generate the whole
+    group exactly when their invariant factors are one 1 per coordinate.
+    """
+    group = HC.group()
+    if HN.group() != group:
         return False
-    C, labels = HC.C, HC.labels
-    cols = []
-    for z in HN.generators():
-        img = j.apply(z).as_dict()
-        cols.append([img.get(lb, 0) for lb in labels])
-    bnd = C.boundary_matrix(HC.n + 1)
-    for jj in range(C.rank(HC.n + 1)):
-        cols.append([bnd[r][jj] for r in range(len(labels))])
-    solve = integer_solver([[col[r] for col in cols]
-                            for r in range(len(labels))])
-    return all(solve(list(kcol)) is not None for kcol in HC.K)
+    cols = [{r: v for r, v in enumerate(HC.class_coords(j.apply(z))) if v}
+            for z in HN.generators()]
+    cols += [{r: d} for r, d in enumerate(group.torsion)]
+    units = sum(abs(d) == 1 for d in _invariants(cols))
+    return units == len(group.torsion) + group.betti

@@ -36,7 +36,12 @@ def is_surjection_onto(values, n):
     return is_weakly_monotone(values) and set(values) == set(range(n + 1))
 
 
-@lru_cache(maxsize=None)
+# Keys are (m, n) with n <= m, so a command reaching dimension M uses at
+# most (M + 1)(M + 2) / 2 of them; a benchmark workload command uses 12.
+_SURJECTIONS_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_SURJECTIONS_CACHE_SIZE)
 def surjections(m, n):
     """All order-preserving surjections m -> n as value tuples, sorted.
 
@@ -225,13 +230,13 @@ class DeltaComplex:
             cell = self.face(cell, v)
         return cell
 
-    def same_as(self, other, strict_order=True):
-        """Exact equality of cell sets and face operators."""
+    def same_as(self, other):
+        """Exact equality of cell lists (in order) and face operators."""
         if set(self.cells) != set(other.cells):
             return False
         for n in self.cells:
-            a, b = self.cells[n], other.cells[n]
-            if (tuple(a) != tuple(b)) if strict_order else (set(a) != set(b)):
+            a = self.cells[n]
+            if tuple(a) != tuple(other.cells[n]):
                 return False
             if n > 0 and any(self.faces[c] != other.faces[c] for c in a):
                 return False

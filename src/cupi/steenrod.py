@@ -342,7 +342,7 @@ def verify_structure(S):
     return StructureReport(True)
 
 
-def naturality_holds(vmap, max_i=None):
+def naturality_holds(vmap):
     """C5 across complexes: for an order-preserving injection theta: X -> Y,
     (N(theta) (x) N(theta)) . xi_X = xi_Y . (1 (x) N(theta))."""
     from .chains import chain_map_from_vertex_map
@@ -351,7 +351,7 @@ def naturality_holds(vmap, max_i=None):
         raise ValueError("expected an order-preserving simplicial map")
     if len(set(vmap.as_dict().values())) != len(vmap.as_dict()):
         raise ValueError("expected an injection")
-    bound = 2 * max(X.dim, Y.dim) if max_i is None else max_i
+    bound = 2 * max(X.dim, Y.dim)
     SX = structure_for(X, max_i=bound)
     SY = structure_for(Y, max_i=bound)
     f = chain_map_from_vertex_map(vmap, SX.chains, SY.chains)

@@ -7,11 +7,15 @@
 - a degree-by-degree GF(2) equivariant-extension solver certifying that a
   mod-2 diagonal structure with the pinned top classes exists, and
   re-deriving the mod-2 chain-map equations from scratch;
-- the textbook front/back cochain cup product for the Sq^1 cross-check.
+- the textbook front/back cochain cup product for the Sq^1 cross-check;
+- the iterated structure map by nested recursion, against the left fold
+  inside xi_iterate.
 """
 
 import itertools
 from fractions import Fraction
+
+from cupi.chains import TensorChain
 
 
 # ---------------------------------------------------------------------------
@@ -307,3 +311,26 @@ def mod2_cocycle_in_coboundaries(X, two_cochain):
         if target & (1 << (pb.bit_length() - 1)):
             target ^= pb
     return target == 0
+
+
+# ---------------------------------------------------------------------------
+# the iterated structure map by nested evaluation
+# ---------------------------------------------------------------------------
+
+def nested_xi(struct, chain, bars):
+    """The n-fold iterate of xi on a chain, on bar inputs b_1, ..., b_(n-1):
+    level j applies xi under the first j - 1 tensor coordinates, by
+    recursion on each first factor (xi_iterate folds from the left)."""
+    first = struct.xi(bars[0], chain)
+    if len(bars) == 1:
+        return first
+    rest = bars[1:]
+    degree = chain.degree + sum(n for b in bars for (_, n), _ in b.coeffs)
+    out = {}
+    cache = {}
+    for (a, b), c in first.coeffs:
+        if a not in cache:
+            cache[a] = nested_xi(struct, struct.chains.generator(a), rest)
+        for key, v in cache[a].coeffs:
+            out[key + (b,)] = out.get(key + (b,), 0) + v * c
+    return TensorChain.from_dict(len(bars) + 1, degree, out)

@@ -277,3 +277,46 @@ def test_non_integer_input_is_input_error(files, tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(path) in captured.err
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("validate", '{"facets": [[0, 1]], "facets": [[0, 1, 2]]}', "facets"),
+    # the identity in degree 0, the sign-flipped edge and then the edge
+    ("is-morphism", '{"0": [[[0], [0], 1], [[1], [1], 1]], '
+                    '"1": [[[0, 1], [0, 1], -1]], "1": [[[0, 1], [0, 1], 1]]}',
+     "1"),
+], ids=["complex", "chain-map"])
+def test_duplicate_keys_are_input_errors(files, tmp_path, capsys, command,
+                                         text, key):
+    # raw text: json.dumps cannot write a key twice
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [command, str(path)] if command == "validate" else \
+        [command, files["d1.json"], files["d1.json"], str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err and repr(key) in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # sum over k of C(n, k) f_k on the triangle: 20503 morphisms at n = 200
+    (["enumerate", "tri.json", "--n", "200"], "more than 20000 morphisms"),
+    # and 41663 summed over n <= 60
+    (["reconstruct", "tri.json", "--up-to", "60"], "more than 20000 morphisms"),
+    (["enumerate", "tri.json", "--n", "200", "--mode", "brute"],
+     "source has 201 vertices"),
+], ids=["enumerate", "reconstruct", "brute"])
+def test_size_caps_refuse_before_enumerating(files, capsys, monkeypatch, argv,
+                                             message):
+    from cupi import reconstruct
+
+    def started(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(reconstruct, "standard_simplex", started)
+    monkeypatch.setattr(reconstruct, "simplicial_maps", started)
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
