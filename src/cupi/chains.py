@@ -1,9 +1,9 @@
-"""Free integer chain complexes, chain maps, tensor products, and homology.
+"""Free integer chain complexes, chain maps, tensor chains, and homology.
 
 Everything is exact over the integers: sparse coefficient dicts keyed by
 basis labels, and Smith normal form on Python ints (no overflow, no floats).
 Signs follow the Koszul convention throughout:
-(f (x) g)(a (x) b) = (-1)^(deg g * deg a) f(a) (x) g(b).
+d(a (x) b) = da (x) b + (-1)^(deg a) a (x) db.
 """
 
 from __future__ import annotations
@@ -313,54 +313,6 @@ def chain_map_from_vertex_map(vmap, NA=None, NB=None):
 
 
 # ---------------------------------------------------------------------------
-# tensor complexes and Koszul signs
-# ---------------------------------------------------------------------------
-
-def tensor_complex(A, B):
-    """A (x) B with pair labels and Koszul boundary
-    d(a (x) b) = da (x) b + (-1)^deg(a) a (x) db."""
-    basis = {}
-    for na, als in A.basis.items():
-        for nb, bls in B.basis.items():
-            basis.setdefault(na + nb, [])
-            basis[na + nb].extend((a, b) for a in als for b in bls)
-    diff = {}
-    for n, labels in basis.items():
-        for (a, b) in labels:
-            acc = {}
-            for fa, c in A.boundary_of(a).items():
-                _add_into(acc, (fa, b), c)
-            sgn = (-1) ** A.degree_of[a]
-            for fb, c in B.boundary_of(b).items():
-                _add_into(acc, (a, fb), sgn * c)
-            if acc:
-                diff[(a, b)] = acc
-    basis = {n: tuple(sorted(ls)) for n, ls in basis.items()}
-    return FreeChainComplex(basis, diff)
-
-
-def koszul_tensor(f, g, source=None, target=None):
-    """f (x) g on tensor complexes, with the Koszul sign
-    (-1)^(deg g * deg a) on each source generator a (x) b."""
-    source = source if source is not None else tensor_complex(f.source, g.source)
-    target = target if target is not None else tensor_complex(f.target, g.target)
-    comps = {}
-    for (a, b) in source.degree_of:
-        fa = f.apply_label(a)
-        gb = g.apply_label(b)
-        if not fa or not gb:
-            continue
-        sgn = (-1) ** (g.shift * f.source.degree_of[a])
-        acc = {}
-        for ta, ca in fa.items():
-            for tb, cb in gb.items():
-                _add_into(acc, (ta, tb), sgn * ca * cb)
-        if acc:
-            comps[(a, b)] = acc
-    return GradedMap(source, target, f.shift + g.shift, comps)
-
-
-# ---------------------------------------------------------------------------
 # tensor chains over normalized simplex bases
 # ---------------------------------------------------------------------------
 
@@ -532,22 +484,26 @@ def _diagonal(D):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i]]
 
 
-def _invariants(columns):
-    """The nonzero diagonal of the Smith normal form of a sparse matrix,
-    given as an iterable of columns, each a dict row label -> int.
+def _eliminate(columns):
+    """Unit-pivot elimination of a sparse matrix, given as an iterable of
+    columns, each a dict row label -> int.
 
-    Each +-1 pivot splits off an invariant 1 by unimodular operations: the
-    pivot column is subtracted from every other column meeting its row, and
-    the row and column are dropped.  Short columns go first, and within a
-    column the unit in the shortest row, to limit fill-in.  What remains
-    when no +-1 entry is left goes to the dense smith_normal_form.
+    Each +-1 pivot is cleared from its row by unimodular column operations:
+    the pivot column is subtracted from every other column meeting its row,
+    and the pivot column leaves the matrix.  Short columns go first, and
+    within a column the unit in the shortest row, to limit fill-in.
+
+    Returns (pivots, rest).  pivots lists (row, unit, column) in order, the
+    column without its pivot row; no pivot column meets an earlier pivot's
+    row.  rest holds the columns left when no +-1 entry is left; they meet
+    no pivot row, and with the pivots they span the lattice of the input.
     """
     cols = {j: dict(c) for j, c in enumerate(columns) if c}
     rows = {}  # row label -> the columns that meet it
     for j, c in cols.items():
         for r in c:
             rows.setdefault(r, set()).add(j)
-    units = 0
+    pivots = []
     queue = [(len(c), j) for j, c in cols.items()]
     heapq.heapify(queue)
     while queue:
@@ -579,45 +535,34 @@ def _invariants(columns):
                 heapq.heappush(queue, (len(other), k))
             else:
                 del cols[k]
-        units += 1
-    if not cols:
-        return [1] * units
-    ridx = {r: i for i, r in enumerate(r for r, js in rows.items() if js)}
-    block = [[0] * len(cols) for _ in ridx]
-    for j, col in enumerate(cols.values()):
+        pivots.append((piv, f, col))
+    return pivots, list(cols.values())
+
+
+def _dense_block(rest):
+    """The row labels met by sparse columns, and the dense matrix of the
+    columns on those rows."""
+    labels = list(dict.fromkeys(r for col in rest for r in col))
+    ridx = {r: i for i, r in enumerate(labels)}
+    block = [[0] * len(rest) for _ in labels]
+    for j, col in enumerate(rest):
         for r, v in col.items():
             block[ridx[r]][j] = v
-    return [1] * units + _diagonal(smith_normal_form(block)[0])
+    return labels, block
+
+
+def _invariants(columns):
+    """The nonzero diagonal of the Smith normal form of a sparse matrix,
+    given as _eliminate takes it: one 1 per unit pivot, then the dense
+    smith_normal_form of the leftover block."""
+    pivots, rest = _eliminate(columns)
+    return [1] * len(pivots) + _diagonal(
+        smith_normal_form(_dense_block(rest)[1])[0])
 
 
 def matrix_rank(columns):
     """Rank of a sparse matrix given as columns, as _invariants takes it."""
     return len(_invariants(columns))
-
-
-def integer_solver(M):
-    """Factor M once; return solve(b), one integer solution x of M x = b or
-    None.  M dense, b a list."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if m == 0:
-        return lambda b: [0] * n
-    D, U, V = smith_normal_form(M)
-    diag = _diagonal(D)
-    r = len(diag)
-
-    def solve(b):
-        c = [sum(u * x for u, x in zip(row, b)) for row in U]
-        if any(c[r:]):
-            return None
-        y = [0] * n
-        for i, d in enumerate(diag):
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        return [sum(v * x for v, x in zip(row, y)) for row in V]
-
-    return solve
 
 
 def kernel_basis(M):
@@ -660,57 +605,58 @@ def homology(C, up_to=None):
 
 
 class HomologyClasses:
-    """Cycle/boundary data of one degree, with canonical class coordinates.
+    """Homology classes of one degree, with canonical class coordinates.
 
-    Exposes a Z-basis of cycles, a presentation of H_n = Z^k / im(boundaries
-    in cycle coordinates) via SNF, and the reduction of any cycle to a
-    canonical coordinate tuple, so induced maps can be compared exactly.
+    One _eliminate of the sparse columns of d_(n+1) presents C_n / B_n:
+    clearing the pivot rows of a chain leaves its rows off the pivots, and
+    the leftover block relates only those.  Two cycles are homologous
+    exactly when their class coordinates agree.
     """
 
     def __init__(self, C, n):
         self.C = C
         self.n = n
         self.labels = C.basis.get(n, ())
-        dn = C.boundary_matrix(n) if n > 0 else [[0] * len(self.labels)]
-        self.K = kernel_basis(dn)  # list of kernel columns
-        self._cycle_coords = integer_solver(
-            [[col[i] for col in self.K] for i in range(len(self.labels))])
-        cols = []
-        for lb in C.basis.get(n + 1, ()):
-            bd = C.boundary_of(lb)
-            coords = self._cycle_coords([bd.get(x, 0) for x in self.labels])
-            if coords is None:
-                raise ValueError("boundary not in cycle lattice")
-            cols.append(coords)
-        pres = [[col[i] for col in cols] for i in range(len(self.K))]
-        D, self.U, _ = smith_normal_form(pres)
+        self.pivots, rest = _eliminate(map(C.boundary_of,
+                                           C.basis.get(n + 1, ())))
+        self.block_rows, block = _dense_block(rest)
+        D, self.U, _ = smith_normal_form(block)
         self.invariants = _diagonal(D)
+        touched = {r for r, _, _ in self.pivots} | set(self.block_rows)
+        self.free_rows = [lb for lb in self.labels if lb not in touched]
 
     def group(self):
-        """H_n read off the presentation: betti number and torsion."""
-        return HomologyGroup(self.n, len(self.K) - len(self.invariants),
+        """H_n: the ranks of d_n and d_(n+1), and the torsion of the
+        leftover block."""
+        rank_dn = matrix_rank(map(self.C.boundary_of, self.labels))
+        betti = (len(self.labels) - rank_dn - len(self.pivots)
+                 - len(self.invariants))
+        return HomologyGroup(self.n, betti,
                              tuple(d for d in self.invariants if abs(d) > 1))
 
     def generators(self):
-        """Cycle chains generating H_n (images of the kernel basis)."""
-        gens = []
-        for col in self.K:
-            gens.append(Chain.from_dict(
-                self.n, {lb: col[i] for i, lb in enumerate(self.labels) if col[i]}))
-        return gens
+        """Cycle chains generating H_n: a kernel basis of the dense d_n."""
+        dn = (self.C.boundary_matrix(self.n) if self.n > 0
+              else [[0] * len(self.labels)])
+        return [Chain.from_dict(self.n, {lb: c for lb, c in zip(self.labels, col)
+                                         if c})
+                for col in kernel_basis(dn)]
 
     def class_coords(self, cycle):
-        """Canonical coordinates of [cycle]: free part exact, torsion reduced."""
-        vec = [cycle.as_dict().get(lb, 0) for lb in self.labels]
-        a = self._cycle_coords(vec)
-        if a is None:
+        """Coordinates of [cycle] in C_n / B_n: the leftover rows through U,
+        torsion first and reduced, then free; then the untouched rows."""
+        if not self.C.boundary(cycle).is_zero():
             raise ValueError("chain is not a cycle")
-        k = len(self.K)
-        w = [sum(self.U[i][j] * a[j] for j in range(k)) for i in range(k)]
+        v = cycle.as_dict()
+        for r, f, col in self.pivots:
+            q = v.pop(r, 0) * f
+            for s, c in col.items():
+                _add_into(v, s, -q * c)
+        y = [v.get(r, 0) for r in self.block_rows]
         out = []
-        for i in range(k):
-            d = abs(self.invariants[i]) if i < len(self.invariants) else 0
-            if d == 1:
-                continue  # killed coordinate
-            out.append(w[i] % d if d else w[i])
-        return tuple(out)
+        for i, row in enumerate(self.U):
+            d = self.invariants[i] if i < len(self.invariants) else 0
+            if d != 1:
+                w = sum(u * x for u, x in zip(row, y))
+                out.append(w % d if d else w)
+        return tuple(out + [v.get(lb, 0) for lb in self.free_rows])

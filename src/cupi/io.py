@@ -47,7 +47,8 @@ def _degree(path, key):
 
 def _read_json(path):
     """The JSON value in a file; a key given twice in one object is refused,
-    where json.load would silently keep the last one."""
+    where json.load would silently keep the last one, and so is nesting too
+    deep for the parser."""
     def unique_keys(pairs):
         obj = {}
         for key, value in pairs:
@@ -61,6 +62,8 @@ def _read_json(path):
             return json.load(fh, object_pairs_hook=unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
 def load_complex(path):

@@ -556,9 +556,11 @@ def _inclusion_is_iso(HN, HC, j):
     """H_i(j) bijective: equal groups, and H_i(j) onto (f.g. abelian groups
     are Hopfian, so a surjection between isomorphic groups is iso).
 
-    Onto is read off HC's class coordinates: the images of HN's generators,
-    with the relation d e_r of each torsion coordinate r, generate the whole
-    group exactly when their invariant factors are one 1 per coordinate.
+    Onto is read off HC's class coordinates in C_i / B_i: the images of
+    HN's generators, with the relation d e_r of each torsion coordinate r,
+    generate the preimage of H_i exactly when their invariant factors are
+    one 1 per torsion coordinate and per Betti number.  That preimage is
+    saturated, because C_i / Z_i, a copy of B_(i-1), is free.
     """
     group = HC.group()
     if HN.group() != group:

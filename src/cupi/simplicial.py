@@ -388,9 +388,6 @@ class VertexMap:
     def as_dict(self):
         return dict(self.mapping)
 
-    def __call__(self, v):
-        return dict(self.mapping)[v]
-
     def apply_simplex(self, simplex):
         """Image vertex set of a simplex, as a sorted tuple (no repeats)."""
         m = self.as_dict()

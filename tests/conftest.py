@@ -6,6 +6,7 @@ plus 50 seeded random face-closed complexes on at most 6 vertices (facet
 size capped at 4 to keep exhaustive checks affordable).
 """
 
+import itertools
 import random
 
 import pytest
@@ -34,6 +35,17 @@ def circle():
 
 def sphere():
     return build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def barycentric(facets):
+    """Facets of the barycentric subdivision; a face's id orders faces by
+    (dimension, vertex list), so every flag is increasing."""
+    faces = sorted({c for f in facets for r in range(1, len(f) + 1)
+                    for c in itertools.combinations(f, r)},
+                   key=lambda s: (len(s), s))
+    ids = {s: i for i, s in enumerate(faces)}
+    return sorted({tuple(ids[tuple(sorted(p[:j + 1]))] for j in range(len(p)))
+                   for f in facets for p in itertools.permutations(f)})
 
 
 def named_corpus():

@@ -5,10 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cupi.chains import (Chain, FreeChainComplex, GradedMap, TensorChain,
-                         _invariants, homology, integer_solver, kernel_basis,
-                         koszul_tensor, matrix_rank, normalized_chains,
-                         smith_normal_form, tensor_complex,
+from cupi.chains import (Chain, FreeChainComplex, GradedMap, HomologyClasses,
+                         TensorChain, _invariants, homology, kernel_basis,
+                         matrix_rank, normalized_chains, smith_normal_form,
                          unnormalized_chains)
 from cupi.simplicial import adjoin, build_complex, standard_simplex
 
@@ -65,64 +64,6 @@ class TestUnnormalizedChains:
                 want = ((hn[i].betti, hn[i].torsion) if i < len(hn)
                         else (0, ()))
                 assert (hc[i].betti, hc[i].torsion) == want
-
-
-class TestKoszul:
-    def test_identity_tensor_identity(self):
-        N = normalized_chains(standard_simplex(1))
-        T = tensor_complex(N, N)
-        idm = GradedMap.identity(N)
-        assert koszul_tensor(idm, idm, T, T).equals(GradedMap.identity(T))
-
-    def test_composite_sign_rule(self):
-        # (f1 (x) g1)(f2 (x) g2) = (-1)^(deg f2 deg g1) (f1 f2 (x) g1 g2)
-        # over random sparse maps of every degree pair up to 3
-        rng = random.Random(7)
-        N = normalized_chains(standard_simplex(3))
-
-        def random_map(shift):
-            comps = {}
-            for lb, n in N.degree_of.items():
-                tgt_basis = N.basis.get(n + shift, ())
-                img = {t: rng.randint(-2, 2) for t in tgt_basis
-                       if rng.random() < 0.4}
-                if img:
-                    comps[lb] = img
-            return GradedMap(N, N, shift, comps)
-
-        for deg_f2 in range(4):
-            for deg_g1 in range(4):
-                for _ in range(2):
-                    f1, g1 = random_map(1), random_map(deg_g1)
-                    f2, g2 = random_map(deg_f2), random_map(1)
-                    lhs = koszul_tensor(f1, g1).compose(koszul_tensor(f2, g2))
-                    sign = (-1) ** (deg_f2 * deg_g1)
-                    rhs_inner = koszul_tensor(f1.compose(f2), g1.compose(g2))
-                    rhs = GradedMap(rhs_inner.source, rhs_inner.target,
-                                    rhs_inner.shift,
-                                    {lb: {t: sign * c for t, c in d.items()}
-                                     for lb, d in rhs_inner.comps.items()})
-                    assert lhs.equals(rhs)
-
-    def test_tensor_boundary_squares_to_zero(self):
-        # (d (x) 1 + 1 (x) d) with Koszul signs, squared, as a matrix product
-        N = normalized_chains(standard_simplex(2))
-        T = tensor_complex(N, N)
-        idm = GradedMap.identity(N)
-        d = GradedMap(N, N, -1, {lb: N.boundary_of(lb) for lb in N.degree_of})
-        total = None
-        for part in (koszul_tensor(d, idm, T, T), koszul_tensor(idm, d, T, T)):
-            total = part if total is None else GradedMap(
-                T, T, -1, {lb: {k: part.apply_label(lb).get(k, 0) +
-                                total.apply_label(lb).get(k, 0)
-                                for k in set(part.apply_label(lb))
-                                | set(total.apply_label(lb))}
-                           for lb in T.degree_of})
-        squared = total.compose(total)
-        assert not squared.comps
-        # and it is the boundary the tensor complex was built with
-        for lb in T.degree_of:
-            assert total.apply_label(lb) == T.boundary_of(lb)
 
 
 class TestHomDifferential:
@@ -241,38 +182,10 @@ class TestSmithNormalForm:
 
     def test_solve_and_kernel(self):
         M = [[2, 0, 4], [0, 3, 6]]
-        solve = integer_solver(M)
-        x = solve([6, 9])
-        assert x is not None
-        assert [sum(r * v for r, v in zip(row, x)) for row in M] == [6, 9]
-        assert solve([1, 0]) is None
         K = kernel_basis(M)
         assert len(K) == 1
         col = K[0]
         assert [sum(r * v for r, v in zip(row, col)) for row in M] == [0, 0]
-
-
-small_matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1,
-    max_size=5))
-
-
-def _apply(M, x):
-    return [sum(a * v for a, v in zip(row, x)) for row in M]
-
-
-@given(small_matrices, st.randoms(use_true_random=False))
-@settings(max_examples=60, deadline=None)
-def test_factored_solver_is_exact(M, rng):
-    solve = integer_solver(M)
-    for _ in range(3):
-        b = _apply(M, [rng.randint(-5, 5) for _ in M[0]])
-        x = solve(b)
-        assert x is not None and _apply(M, x) == b
-    # every column of 2M is even, so no b with an odd entry is reachable
-    b = [2 * rng.randint(-5, 5) for _ in M]
-    b[rng.randrange(len(b))] += 1
-    assert integer_solver([[2 * a for a in row] for row in M])(b) is None
 
 
 def _columns(M):
@@ -304,6 +217,77 @@ def test_homology_against_naive_oracle_on_random_complexes(facets):
     N = normalized_chains(build_complex(facets))
     got = [(g.betti, tuple(sorted(map(abs, g.torsion)))) for g in homology(N)]
     assert got == oracles.naive_homology(N)
+
+
+def _in_boundary_lattice(C, n, z):
+    """Whether z lies in the lattice spanned by the columns of d_(n+1):
+    adding z as a column leaves the naive invariant factors unchanged."""
+    d = C.boundary_matrix(n + 1)
+    coeffs = z.as_dict()
+    with_z = [row + [coeffs.get(lb, 0)] for row, lb in zip(d, C.basis[n])]
+    return oracles.naive_invariant_factors(with_z) == \
+        oracles.naive_invariant_factors(d)
+
+
+def _check_homology_classes(C, top, rng):
+    """HomologyClasses of C through degree top against the naive oracles:
+    the group, class coordinates constant on z + dc and zero exactly on
+    the boundary lattice, and non-cycles refused."""
+    want = oracles.naive_homology(C, up_to=top)
+    for n in range(top + 1):
+        H = HomologyClasses(C, n)
+        got = H.group()
+        assert (got.betti, tuple(sorted(got.torsion))) == want[n]
+        d = C.boundary_matrix(n) if n > 0 else [[0] * C.rank(n)]
+        cycles = [Chain.from_dict(n, dict(zip(C.basis[n], col)))
+                  for col in kernel_basis(d)]
+        if not cycles:
+            continue
+
+        def combination(chains):
+            out = Chain(n, ())
+            for c in chains:
+                out += c.scale(rng.randint(-2, 2))
+            return out
+
+        for _ in range(2):
+            z = combination(cycles)
+            dc = C.boundary(combination(map(C.generator,
+                                            C.basis.get(n + 1, ()))))
+            assert H.class_coords(z + dc) == H.class_coords(z)
+            for y in (z, dc, z.scale(2) + dc):
+                assert (not any(H.class_coords(y))) == \
+                    _in_boundary_lattice(C, n, y)
+        if n > 0:
+            chain = combination(map(C.generator, C.basis[n]))
+            if not C.boundary(chain).is_zero():
+                with pytest.raises(ValueError):
+                    H.class_coords(chain)
+
+
+@given(facet_lists, st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_homology_classes_against_naive_oracle(facets, unnormalized, rng):
+    # unnormalized chains truncated at degree 3 have exact homology through
+    # degree 2
+    X = build_complex(facets)
+    if unnormalized:
+        _check_homology_classes(unnormalized_chains(adjoin(X.to_delta()), 3),
+                                2, rng)
+    else:
+        C = normalized_chains(X)
+        _check_homology_classes(C, C.top_degree, rng)
+
+
+@pytest.mark.parametrize("unnormalized", [False, True])
+def test_homology_classes_with_torsion(unnormalized):
+    # H_1(RP^2) = Z/2 puts a torsion coordinate in degree 1
+    rng = random.Random(13)
+    if unnormalized:
+        _check_homology_classes(unnormalized_chains(adjoin(rp2().to_delta()),
+                                                    3), 2, rng)
+    else:
+        _check_homology_classes(normalized_chains(rp2()), 2, rng)
 
 
 class TestHomology:

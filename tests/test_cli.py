@@ -7,7 +7,7 @@ import pytest
 
 from cupi.cli import main
 
-from conftest import RP2_FACETS
+from conftest import RP2_FACETS, barycentric
 
 
 @pytest.fixture()
@@ -213,20 +213,9 @@ def test_squares_basis_choice_is_pinned(tmp_path, capsys):
         '{"i":1,"matrices":{"0":[[0],[0]],"1":[[0,1]],"2":[]}}\n'))
 
 
-def _barycentric(facets):
-    """Facets of the barycentric subdivision; a face's id orders faces by
-    (dimension, vertex list), so every flag is increasing."""
-    faces = sorted({c for f in facets for r in range(1, len(f) + 1)
-                    for c in itertools.combinations(f, r)},
-                   key=lambda s: (len(s), s))
-    ids = {s: i for i, s in enumerate(faces)}
-    return sorted({tuple(ids[tuple(sorted(p[:j + 1]))] for j in range(len(p)))
-                   for f in facets for p in itertools.permutations(f)})
-
-
 @pytest.mark.parametrize("facets, stdout", [
     # sd^1 RP^2: the torsion 2 is left to the dense block after the units
-    (_barycentric(RP2_FACETS),
+    (barycentric(RP2_FACETS),
      '{"H":[{"betti":1,"degree":0,"torsion":[]},'
      '{"betti":0,"degree":1,"torsion":[2]},'
      '{"betti":0,"degree":2,"torsion":[]}]}\n'),
@@ -240,6 +229,22 @@ def test_homology_output_is_pinned(tmp_path, capsys, facets, stdout):
     path = tmp_path / "complex.json"
     path.write_text(json.dumps({"facets": [list(f) for f in facets]}))
     assert run(capsys, "homology", str(path)) == (0, stdout)
+
+
+def test_homology_square_output_is_pinned(tmp_path, capsys):
+    # sd^1 RP^2 with its identity map: a nonempty leftover block in degree 1
+    facets = barycentric(RP2_FACETS)
+    faces = {c for f in facets for r in range(1, len(f) + 1)
+             for c in itertools.combinations(f, r)}
+    identity = {}
+    for s in sorted(faces):
+        identity.setdefault(str(len(s) - 1), []).append([list(s), list(s), 1])
+    cx, mp = tmp_path / "sd1rp2.json", tmp_path / "identity.json"
+    cx.write_text(json.dumps({"facets": [list(f) for f in facets]}))
+    mp.write_text(json.dumps(identity))
+    assert run(capsys, "homology-square", str(cx), str(cx), str(mp),
+               "--i-max", "2") == \
+        (0, '{"detail":"square commutes","status":"pass"}\n')
 
 
 @pytest.mark.parametrize("command, obj", [
@@ -277,6 +282,20 @@ def test_non_integer_input_is_input_error(files, tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(path) in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "is-morphism"])
+def test_deeply_nested_input_is_input_error(files, tmp_path, capsys, command):
+    # raw text: json.dumps cannot write a list nested 3000 deep either
+    path = tmp_path / "input.json"
+    key = "facets" if command == "validate" else "0"
+    path.write_text(f'{{"{key}": ' + "[" * 3000 + "]" * 3000 + "}")
+    argv = [command, str(path)] if command == "validate" else \
+        [command, files["d1.json"], files["d1.json"], str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err and "nested too deeply" in captured.err
 
 
 @pytest.mark.parametrize("command, text, key", [

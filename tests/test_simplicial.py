@@ -242,7 +242,7 @@ class TestSimplicialMaps:
     def test_against_direct_enumeration(self, corpus):
         for X in corpus.values():
             for n in range(3):
-                got = {tuple(vm(i) for i in range(n + 1))
+                got = {tuple(vm.as_dict()[i] for i in range(n + 1))
                        for vm in simplicial_maps(n, X)}
                 want = set(oracles.monotone_spanning_maps(n, X))
                 assert got == want
