@@ -1,8 +1,10 @@
 """JSON file formats for complexes and chain maps.
 
 Complex files: {"vertices": [int, ...], "facets": [[int, ...], ...]};
-"vertices" is optional (inferred from facets).  Canonical output lists
-simplices sorted lexicographically by vertex list within dimension.
+"vertices" is optional (inferred from facets), no other key is allowed, and
+every facet has at least one vertex ({"facets": []} is the empty complex).
+Canonical output lists simplices sorted lexicographically by vertex list
+within dimension.
 
 Chain map files: an object mapping degree strings ("0", "1", ...: the
 canonical decimal of a non-negative int) to lists of triples
@@ -70,13 +72,19 @@ def load_complex(path):
     data = _read_json(path)
     if not isinstance(data, dict) or "facets" not in data:
         raise InputError(f"{path}: expected an object with a 'facets' list")
+    unknown = sorted(set(data) - {"facets", "vertices"})
+    if unknown:
+        raise InputError(f"{path}: unknown keys {unknown}: expected only "
+                         "'facets' and 'vertices'")
     facets = data["facets"]
     if not isinstance(facets, list) or not all(map(_is_int_list, facets)):
         raise InputError(
             f"{path}: 'facets' must be a list of lists of integer vertex ids")
-    declared = data.get("vertices")
+    if [] in facets:
+        raise InputError(f"{path}: a facet must have at least one vertex")
     all_facets = [tuple(f) for f in facets]
-    if declared is not None:
+    if "vertices" in data:
+        declared = data["vertices"]
         if not _is_int_list(declared):
             raise InputError(
                 f"{path}: 'vertices' must be a list of integer vertex ids")

@@ -39,19 +39,31 @@ BRUTE_MAX_VECTORS_PER_DEGREE = 2_000_000
 # produce.  The largest benchmark command, reconstruct on sd^1 RP^2 through
 # dimension 3, produces 904.
 GUIDED_MAX_MORPHISMS = 20_000
+# ... and the most (morphism, face of the n-simplex) pairs its verification
+# may walk.  The largest benchmark command, enumerate on sd^1 RP^2 at n = 4,
+# walks 23 281.
+GUIDED_MAX_FACE_CHECKS = 50_000
 
 
 def _refuse_oversized_output(X, dims):
     """Raise before any work when the morphisms out of n-simplex chains for
     n in dims, one per n-simplex of the degeneracy completion of X
-    (sum over k of C(n, k) f_k), are more than GUIDED_MAX_MORPHISMS."""
-    total = 0
+    (sum over k of C(n, k) f_k), are more than GUIDED_MAX_MORPHISMS, or
+    when those morphisms times the 2^(n+1) - 1 faces of the n-simplex that
+    verifying each one reads are more than GUIDED_MAX_FACE_CHECKS."""
+    total = checks = 0
     for n in dims:
-        total += sum(comb(n, k) * len(X.simplices_of_dim(k))
-                     for k in range(X.dim + 1))
+        count = sum(comb(n, k) * len(X.simplices_of_dim(k))
+                    for k in range(X.dim + 1))
+        total += count
+        checks += count * (2 ** (n + 1) - 1)
         if total > GUIDED_MAX_MORPHISMS:
             raise BruteForceLimitError(
                 f"more than {GUIDED_MAX_MORPHISMS} morphisms to enumerate")
+    if checks > GUIDED_MAX_FACE_CHECKS:
+        raise BruteForceLimitError(
+            f"more than {GUIDED_MAX_FACE_CHECKS} (morphism, face) pairs "
+            "to verify")
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +162,7 @@ def is_steenrod_morphism(f, source, target):
         k = simplex_degree(s)
         # for j > k both sides vanish: f keeps degrees, Delta_j is 0 there
         for j in range(min(k, max(bound - k, 0)) + 1):
-            left = S_src.table[(j, s)].map_factors(f)
+            left = S_src.delta(j, s).map_factors(f)
             right = S_tgt.xi(BarElement.e(j), f.apply(NA.generator(s)))
             if left != right:
                 return MorphismVerdict("not_morphism", witness=(j, s))

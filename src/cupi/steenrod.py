@@ -116,20 +116,14 @@ _TABLES = {(0, 0): _aw_table(0)}
 _LEVEL_BUILT = 0
 
 
-def _table(i, k):
-    if i < 0 or i > k:
-        return TensorChain.zero(2, i + k)
-    return _TABLES[(i, k)]
-
-
 def _rhs(i, k):
     """Right side of the chain-map law for the level-(i, k) table."""
     top = tuple(range(k + 1))
-    prev = _table(i - 1, k)
+    prev = _TABLES[(i - 1, k)]
     out = prev.as_dict()
     _add_scaled(out, prev.swap(), (-1) ** i)
     if i <= k - 1:
-        lower = _table(i, k - 1)
+        lower = _TABLES[(i, k - 1)]
         for j in range(k + 1):
             _add_scaled(out, lower.relabel(top[:j] + top[j + 1:]),
                         (-1) ** (i + j))
@@ -168,16 +162,6 @@ def ensure_tables(k):
         _build_level(_LEVEL_BUILT)
 
 
-def cup_table(i, k):
-    """Universal table of Delta_i on the standard k-simplex (positions)."""
-    if i < 0:
-        raise ValueError("negative cup index")
-    if i > k:
-        return {}
-    ensure_tables(k)
-    return _TABLES[(i, k)].as_dict()
-
-
 # ---------------------------------------------------------------------------
 # diagonals on concrete simplices
 # ---------------------------------------------------------------------------
@@ -190,12 +174,15 @@ def aw_diagonal(simplex):
 
 
 def higher_diagonal(i, simplex):
-    """Delta_i(simplex) = xi(e_i (x) simplex); zero when i exceeds the dimension."""
+    """Delta_i(simplex) = xi(e_i (x) simplex); zero when i exceeds the
+    dimension.  Delta_0 is Alexander-Whitney and builds no table level."""
     if i < 0:
         raise ValueError("negative cup index")
     k = simplex_degree(simplex)
     if i > k:
         return TensorChain.zero(2, i + k)
+    if i == 0:
+        return aw_diagonal(simplex)
     ensure_tables(k)
     return _TABLES[(i, k)].relabel(simplex)
 
@@ -205,34 +192,39 @@ def higher_diagonal(i, simplex):
 # ---------------------------------------------------------------------------
 
 class SteenrodStructure:
-    """The table {(i, simplex) -> Delta_i(simplex)} presenting xi on N(X).
+    """xi on N(X), presented by the entries Delta_i(simplex).
 
-    Built eagerly through max_i (default 2 * dim X); immutable once built.
+    An entry is the universal table transported to the simplex on its first
+    read, and table keeps it for i <= dim simplex; above that it is zero and
+    nothing is stored.  max_i (default 2 * dim X) is only the span of bar
+    degrees that xi-dump and verify_structure cover.
     """
 
     def __init__(self, X, max_i=None, _table=None):
         self.complex = X
         self.chains = normalized_chains(X) if X.simplices else None
         self.max_i = 2 * X.dim if max_i is None else max_i
-        if _table is not None:
-            self.table = dict(_table)
-        else:
-            self.table = {}
-            for s in X.all_simplices():
-                for i in range(self.max_i + 1):
-                    self.table[(i, s)] = higher_diagonal(i, s)
+        self.explicit = _table is not None
+        self.table = dict(_table) if self.explicit else {}
 
     @classmethod
     def from_table(cls, X, max_i, table):
-        """Wrap an explicit (possibly tampered) table; no checks run."""
+        """Wrap an explicit (possibly tampered) table, read as given; no
+        checks run."""
         return cls(X, max_i=max_i, _table=table)
 
     def delta(self, i, simplex):
         if i < 0:
             raise ValueError("negative cup index")
-        if i > self.max_i:
-            raise KeyError(f"structure built through max_i={self.max_i}")
-        return self.table[(i, simplex)]
+        key = (i, simplex)
+        if self.explicit or key in self.table:
+            return self.table[key]
+        if self.chains is None or simplex not in self.chains.degree_of:
+            raise KeyError(f"{simplex} is not a simplex of the complex")
+        entry = higher_diagonal(i, simplex)
+        if i < len(simplex):
+            self.table[key] = entry
+        return entry
 
     def xi(self, bar, chain):
         """xi(b (x) c) for b in W and c a chain of this complex.
@@ -260,16 +252,14 @@ _STRUCTURE_CACHE_SIZE = 16
 _structure_cache = OrderedDict()
 
 
-def structure_for(X, max_i=None):
-    """The SteenrodStructure of X, shared through a bounded LRU cache keyed
-    on (X, max_i)."""
-    key = (X, max_i)
-    S = _structure_cache.pop(key, None)
+def structure_for(X):
+    """The SteenrodStructure of X, shared through a bounded LRU cache."""
+    S = _structure_cache.pop(X, None)
     if S is None:
-        S = SteenrodStructure(X, max_i=max_i)
+        S = SteenrodStructure(X)
         if len(_structure_cache) >= _STRUCTURE_CACHE_SIZE:
             _structure_cache.popitem(last=False)
-    _structure_cache[key] = S
+    _structure_cache[X] = S
     return S
 
 
@@ -299,36 +289,40 @@ def verify_structure(S):
     """Exhaustive check of C1-C5 and completeness through max_i.
 
     Returns the first violation found (as re-checkable data) or success.
+    Simplices are scanned by dimension, so when the C1/C2 loop on s stops
+    at dim s + 1, s and its faces have passed the vanishing check: above
+    that both sides of C1 and C2 are zero.
     """
     X = S.complex
-    for s in X.all_simplices():
-        for i in range(S.max_i + 1):
-            if (i, s) not in S.table:
-                return _fail("completeness", i, s)
+    if S.explicit:  # entries read on demand are never missing
+        for s in X.all_simplices():
+            for i in range(S.max_i + 1):
+                if (i, s) not in S.table:
+                    return _fail("completeness", i, s)
     for s in X.all_simplices():
         k = simplex_degree(s)
         # C3: base case is Alexander-Whitney
-        if S.table[(0, s)] != aw_diagonal(s):
+        if S.delta(0, s) != aw_diagonal(s):
             return _fail("C3", 0, s)
         # C4: top identity with the eta sign
         want = TensorChain.from_dict(2, 2 * k, {(s, s): eta(k)})
-        if k <= S.max_i and S.table[(k, s)] != want:
+        if k <= S.max_i and S.delta(k, s) != want:
             return _fail("C4", k, s)
         # vanishing above the dimension
         for i in range(k + 1, S.max_i + 1):
-            if not S.table[(i, s)].is_zero():
+            if not S.delta(i, s).is_zero():
                 return _fail("vanishing", i, s)
         ds = S.chains.boundary(S.chains.generator(s))
-        for i in range(S.max_i + 1):
+        for i in range(min(S.max_i, k + 1) + 1):
             # C1: boundary of the table entry matches the chain-map law
             rhs = {}
             if i >= 1:
-                prev = S.table[(i - 1, s)]
+                prev = S.delta(i - 1, s)
                 _add_scaled(rhs, prev)
                 _add_scaled(rhs, prev.swap(), (-1) ** i)
             for face, c in ds.coeffs:
-                _add_scaled(rhs, S.table[(i, face)], c * (-1) ** i)
-            lhs = S.table[(i, s)].boundary()
+                _add_scaled(rhs, S.delta(i, face), c * (-1) ** i)
+            lhs = S.delta(i, s).boundary()
             if lhs != TensorChain(2, i + k - 1, _terms(rhs)):
                 return _fail("C1", i, s)
             # C2: T acts by the Koszul-signed swap
@@ -337,7 +331,7 @@ def verify_structure(S):
                 return _fail("C2", i, s)
         # C5: the table is the transport of the universal one
         for i in range(min(k, S.max_i) + 1):
-            if S.table[(i, s)] != higher_diagonal(i, s):
+            if S.delta(i, s) != higher_diagonal(i, s):
                 return _fail("C5", i, s)
     return StructureReport(True)
 
@@ -351,13 +345,13 @@ def naturality_holds(vmap):
         raise ValueError("expected an order-preserving simplicial map")
     if len(set(vmap.as_dict().values())) != len(vmap.as_dict()):
         raise ValueError("expected an injection")
-    bound = 2 * max(X.dim, Y.dim)
-    SX = structure_for(X, max_i=bound)
-    SY = structure_for(Y, max_i=bound)
+    SX = structure_for(X)
+    SY = structure_for(Y)
     f = chain_map_from_vertex_map(vmap, SX.chains, SY.chains)
     for s in X.all_simplices():
         image = vmap.apply_simplex(s)
-        for i in range(bound + 1):
+        # both sides vanish above dim s, which theta keeps
+        for i in range(simplex_degree(s) + 1):
             left = SX.xi(BarElement.e(i), SX.chains.generator(s)).map_factors(f)
             right = SY.xi(BarElement.e(i), SY.chains.generator(image))
             if left != right:
@@ -471,14 +465,14 @@ def cup_product_value(struct, m, u_set, v_set, simplex, p, q):
     return total
 
 
-def steenrod_square_matrix(X, i, j, coh=None, struct=None):
+def steenrod_square_matrix(X, i, j, coh=None):
     """Matrix of Sq^i : H^j -> H^(j+i) over GF(2).
 
     Column c lists the target coordinates of Sq^i of the c-th basis class,
     computed as u cup_(j-i) u on cocycle representatives.
     """
     coh = coh or Mod2Cohomology(X)
-    struct = struct or structure_for(X)
+    struct = structure_for(X)
     source = coh.representatives(j)
     rows = coh.betti(j + i)
     matrix = [[0] * len(source) for _ in range(rows)]
@@ -499,6 +493,5 @@ def steenrod_square_matrix(X, i, j, coh=None, struct=None):
 def steenrod_squares(X, i):
     """Sq^i on all of H*(X; Z/2): {j: matrix of Sq^i on H^j}."""
     coh = Mod2Cohomology(X)
-    struct = structure_for(X)
-    return {j: steenrod_square_matrix(X, i, j, coh=coh, struct=struct)
+    return {j: steenrod_square_matrix(X, i, j, coh=coh)
             for j in range(X.dim + 1)}

@@ -24,6 +24,7 @@ def files(tmp_path):
     write("delta3.json", {"facets": [[0, 1, 2, 3]]})
     write("circle.json", {"facets": [[0, 1], [0, 2], [1, 2]]})
     write("d1.json", {"facets": [[0, 1]]})
+    write("point.json", {"facets": [[0]]})
     write("id_d1.json", {"0": [[[0], [0], 1], [[1], [1], 1]],
                          "1": [[[0, 1], [0, 1], 1]]})
     write("flip_d1.json", {"0": [[[0], [0], 1], [[1], [1], 1]],
@@ -63,6 +64,12 @@ class TestValidate:
     def test_undeclared_vertex_rejected(self, files, capsys):
         code, _ = run(capsys, "validate", files["undeclared.json"])
         assert code == 2
+
+    def test_no_facets_is_the_empty_complex(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"facets": []}))
+        assert run(capsys, "validate", str(path)) == \
+            (0, '{"dim":-1,"f_vector":[],"ok":true}\n')
 
 
 class TestChains:
@@ -271,6 +278,9 @@ def test_homology_square_output_is_pinned(tmp_path, capsys):
                      "\uff11": [[[0, 1], [0, 1], 1]]}),
     ("is-morphism", {"0": [[[0], [0], 1], [[1], [1], 1]],
                      "1": [[[0, 1], [0, 1], 1]], "-1": []}),
+    ("validate", {"facets": [[]]}),
+    ("validate", {"facets": [[0, 1]], "x": 1}),
+    ("validate", {"vertices": None, "facets": [[0, 1]]}),
 ])
 def test_non_integer_input_is_input_error(files, tmp_path, capsys, command,
                                           obj):
@@ -325,7 +335,10 @@ def test_duplicate_keys_are_input_errors(files, tmp_path, capsys, command,
     (["reconstruct", "tri.json", "--up-to", "60"], "more than 20000 morphisms"),
     (["enumerate", "tri.json", "--n", "200", "--mode", "brute"],
      "source has 201 vertices"),
-], ids=["enumerate", "reconstruct", "brute"])
+    # one morphism, verified on the 2^17 - 1 = 131071 faces of Delta^16
+    (["enumerate", "point.json", "--n", "16"],
+     "more than 50000 (morphism, face) pairs"),
+], ids=["enumerate", "reconstruct", "brute", "enumerate-work"])
 def test_size_caps_refuse_before_enumerating(files, capsys, monkeypatch, argv,
                                              message):
     from cupi import reconstruct

@@ -248,6 +248,18 @@ class TestEnumerate:
         with pytest.raises(BruteForceLimitError):
             enumerate_morphisms(4, standard_simplex(4), mode="brute")
 
+    def test_into_a_point_builds_no_table_level(self, monkeypatch):
+        # into a point only Delta_0, Alexander-Whitney, is ever read
+        from cupi import steenrod
+
+        def built(k):
+            raise AssertionError(f"table level {k} built")
+
+        monkeypatch.setattr(steenrod, "ensure_tables", built)
+        found = enumerate_morphisms(12, standard_simplex(0))
+        assert [ms.vertex_map.as_dict() for ms in found] == [{v: 0 for v in
+                                                             range(13)}]
+
 
 class TestSFunctor:
     def test_point_tower(self):

@@ -10,7 +10,7 @@ from cupi.simplicial import VertexMap, build_complex, standard_simplex
 from cupi import steenrod
 from cupi.steenrod import (BarElement, Mod2Cohomology, SteenrodStructure,
                            aw_diagonal, bar_augmentation, bar_boundary,
-                           cup_table, eta, higher_diagonal, naturality_holds,
+                           eta, higher_diagonal, naturality_holds,
                            steenrod_square_matrix, steenrod_squares,
                            structure_for, verify_structure)
 
@@ -111,7 +111,8 @@ class TestHigherDiagonal:
     def test_unit_coefficients(self):
         for k in range(6):
             for i in range(k + 1):
-                assert set(map(abs, cup_table(i, k).values())) <= {1}
+                table = higher_diagonal(i, tuple(range(k + 1))).as_dict()
+                assert set(map(abs, table.values())) <= {1}
 
     def test_integrity_checks_raise_with_level(self, monkeypatch):
         # a broken contraction must stop a fresh build, also under python -O
@@ -135,7 +136,8 @@ class TestHigherDiagonal:
             top = tuple(range(k + 1))
             assert solved[(k, k)] == {(top, top)}
         assert oracles.mod2_law_holds(
-            lambda i, k: {p for p, c in cup_table(i, k).items() if c % 2}, KMAX)
+            lambda i, k: {p for p, c in higher_diagonal(i, tuple(range(k + 1)))
+                          .coeffs if c % 2}, KMAX)
         assert oracles.mod2_law_holds(lambda i, k: solved[(i, k)], KMAX)
 
 
@@ -159,7 +161,7 @@ class TestXi:
         # d xi(e_j (x) s) = xi(d e_j (x) s) + (-1)^j xi(e_j (x) ds)
         # for all j + deg(s) <= 6
         X = standard_simplex(3)
-        S = structure_for(X, max_i=6)
+        S = structure_for(X)
         for s in X.all_simplices():
             k = len(s) - 1
             gen = S.chains.generator(s)
@@ -187,6 +189,12 @@ class TestXi:
             S.xi(BarElement.e(0) + BarElement.e(1), S.chains.generator((0, 1)))
 
 
+def full_table(S):
+    """Every entry of S through its max_i, as an explicit dict."""
+    return {(i, s): S.delta(i, s) for s in S.complex.all_simplices()
+            for i in range(S.max_i + 1)}
+
+
 class TestVerifyStructure:
     def test_reference_structure_passes(self):
         S = SteenrodStructure(standard_simplex(3), max_i=6)
@@ -196,26 +204,43 @@ class TestVerifyStructure:
         for X in corpus.values():
             assert verify_structure(structure_for(X)).ok
 
+    def test_large_max_i_stores_nothing_above_dimension(self):
+        S = SteenrodStructure(build_complex([(0,)]), max_i=10 ** 5)
+        assert verify_structure(S).ok
+        assert all(i <= len(s) - 1 for i, s in S.table)
+        with pytest.raises(KeyError):
+            S.delta(0, (1,))
+        with pytest.raises(ValueError):
+            S.delta(-1, (0,))
+
     def test_sign_flip_detected(self):
         X = standard_simplex(2)
         S = structure_for(X)
-        table = dict(S.table)
-        table[(1, (0, 1))] = table[(1, (0, 1))].scale(-1)
-        bad = SteenrodStructure.from_table(X, S.max_i, table)
-        report = verify_structure(bad)
-        assert not report.ok
-        assert report.check in ("C1", "C4")
-        assert report.witness[1] == (0, 1)
+        # the flipped top entry of an edge in place, and moved to
+        # i = dim s + 2, where the C1/C2 loop has stopped
+        for key, checks in [((1, (0, 1)), ("C1", "C4")),
+                            ((3, (0, 1)), ("vanishing",))]:
+            table = full_table(S)
+            table[key] = table[(1, (0, 1))].scale(-1)
+            bad = SteenrodStructure.from_table(X, S.max_i, table)
+            report = verify_structure(bad)
+            assert not report.ok
+            assert report.check in checks
+            assert report.witness[1] == (0, 1)
+        assert report.witness == (3, (0, 1))
 
     def test_truncated_table_fails_completeness(self):
         X = standard_simplex(2)
         S = structure_for(X)
-        table = dict(S.table)
+        table = full_table(S)
         del table[(3, (0, 1, 2))]
         bad = SteenrodStructure.from_table(X, S.max_i, table)
         report = verify_structure(bad)
         assert not report.ok
         assert report.check == "completeness"
+        # an explicit table is read as given: nothing fills the gap
+        with pytest.raises(KeyError):
+            bad.delta(3, (0, 1, 2))
 
 
 class TestNaturality:
@@ -336,10 +361,10 @@ def test_structure_cache_is_a_bounded_lru():
     structures = [structure_for(X) for X in paths]
     assert len(steenrod._structure_cache) <= size
     assert structure_for(paths[-1]) is structures[-1]
-    assert (paths[0], None) not in steenrod._structure_cache
+    assert paths[0] not in steenrod._structure_cache
     # a hit makes an entry the most recent: the next miss evicts another
     oldest = paths[-size]
     assert structure_for(oldest) is structures[-size]
     structure_for(build_complex([(0, size + 4)]))
-    assert (oldest, None) in steenrod._structure_cache
-    assert (paths[-size + 1], None) not in steenrod._structure_cache
+    assert oldest in steenrod._structure_cache
+    assert paths[-size + 1] not in steenrod._structure_cache
