@@ -392,15 +392,24 @@ class TensorChain(Combination):
     def relabel(self, verts):
         """Replace each vertex v of every factor by verts[v].
 
-        v -> verts[v] must be strictly increasing on every factor, as a
-        simplex's vertex list is on positions: relabeling a table on
-        positions by a simplex gives its value on that simplex.
+        verts must be strictly increasing, as a simplex's vertex list is on
+        positions: then relabeling keeps the labels distinct and in order,
+        and relabeling a table on positions by a simplex gives its value on
+        that simplex.
         """
-        out = {}
-        for key, c in self.coeffs:
-            _add_into(out, tuple(tuple(map(verts.__getitem__, s))
-                                 for s in key), c)
-        return self._with(self._grade(), out)
+        if any(a >= b for a, b in zip(verts, verts[1:])):
+            raise ValueError("relabeling needs an increasing vertex list")
+        image = {}
+
+        def factor(s):
+            t = image.get(s)
+            if t is None:
+                t = image[s] = tuple(map(verts.__getitem__, s))
+            return t
+
+        return type(self)(self.arity, self.degree,
+                          tuple((tuple(map(factor, key)), c)
+                                for key, c in self.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +633,7 @@ class HomologyClasses:
         self.invariants = _diagonal(D)
         touched = {r for r, _, _ in self.pivots} | set(self.block_rows)
         self.free_rows = [lb for lb in self.labels if lb not in touched]
+        self._generators = None
 
     def group(self):
         """H_n: the ranks of d_n and d_(n+1), and the torsion of the
@@ -635,12 +645,16 @@ class HomologyClasses:
                              tuple(d for d in self.invariants if abs(d) > 1))
 
     def generators(self):
-        """Cycle chains generating H_n: a kernel basis of the dense d_n."""
-        dn = (self.C.boundary_matrix(self.n) if self.n > 0
-              else [[0] * len(self.labels)])
-        return [Chain.from_dict(self.n, {lb: c for lb, c in zip(self.labels, col)
-                                         if c})
-                for col in kernel_basis(dn)]
+        """Cycle chains generating H_n: a kernel basis of the dense d_n,
+        computed on the first call."""
+        if self._generators is None:
+            dn = (self.C.boundary_matrix(self.n) if self.n > 0
+                  else [[0] * len(self.labels)])
+            self._generators = tuple(
+                Chain.from_dict(self.n, {lb: c for lb, c
+                                         in zip(self.labels, col) if c})
+                for col in kernel_basis(dn))
+        return self._generators
 
     def class_coords(self, cycle):
         """Coordinates of [cycle] in C_n / B_n: the leftover rows through U,

@@ -50,13 +50,17 @@ def _refuse_oversized_output(X, dims):
     n in dims, one per n-simplex of the degeneracy completion of X
     (sum over k of C(n, k) f_k), are more than GUIDED_MAX_MORPHISMS, or
     when those morphisms times the 2^(n+1) - 1 faces of the n-simplex that
-    verifying each one reads are more than GUIDED_MAX_FACE_CHECKS."""
+    verifying each one reads are more than GUIDED_MAX_FACE_CHECKS.  Each n
+    is charged at least one morphism, since even with none it builds the
+    n-simplex, so the scan ends within GUIDED_MAX_MORPHISMS + 1 values of
+    n also on the empty complex."""
     total = checks = 0
     for n in dims:
-        count = sum(comb(n, k) * len(X.simplices_of_dim(k))
-                    for k in range(X.dim + 1))
+        count = max(1, sum(comb(n, k) * len(X.simplices_of_dim(k))
+                           for k in range(X.dim + 1)))
         total += count
-        checks += count * (2 ** (n + 1) - 1)
+        if checks <= GUIDED_MAX_FACE_CHECKS:  # past the cap, its sum is moot
+            checks += count * (2 ** (n + 1) - 1)
         if total > GUIDED_MAX_MORPHISMS:
             raise BruteForceLimitError(
                 f"more than {GUIDED_MAX_MORPHISMS} morphisms to enumerate")

@@ -9,13 +9,16 @@
   re-deriving the mod-2 chain-map equations from scratch;
 - the textbook front/back cochain cup product for the Sq^1 cross-check;
 - the iterated structure map by nested recursion, against the left fold
-  inside xi_iterate.
+  inside xi_iterate;
+- the exhaustive per-simplex check of C1-C5 and completeness, against
+  verify_structure's check on the universal tables.
 """
 
 import itertools
 from fractions import Fraction
 
 from cupi.chains import TensorChain
+from cupi.steenrod import BarElement, aw_diagonal, eta, higher_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +337,53 @@ def nested_xi(struct, chain, bars):
         for key, v in cache[a].coeffs:
             out[key + (b,)] = out.get(key + (b,), 0) + v * c
     return TensorChain.from_dict(len(bars) + 1, degree, out)
+
+
+# ---------------------------------------------------------------------------
+# the structure checks, simplex by simplex
+# ---------------------------------------------------------------------------
+
+def scan_structure(S):
+    """(ok, check, witness) of the first violation of completeness or
+    C1-C5 through S.max_i, found by reading every entry of every simplex.
+
+    Simplices are scanned by dimension, so when the C1/C2 loop on s stops
+    at dim s + 1, s and its faces have passed the vanishing check: above
+    that both sides of C1 and C2 are zero.
+    """
+    X = S.complex
+    if S.explicit:
+        for s in X.all_simplices():
+            for i in range(S.max_i + 1):
+                if (i, s) not in S.table:
+                    return False, "completeness", (i, s)
+    for s in X.all_simplices():
+        k = len(s) - 1
+        if S.delta(0, s) != aw_diagonal(s):
+            return False, "C3", (0, s)
+        want = TensorChain.from_dict(2, 2 * k, {(s, s): eta(k)})
+        if k <= S.max_i and S.delta(k, s) != want:
+            return False, "C4", (k, s)
+        for i in range(k + 1, S.max_i + 1):
+            if not S.delta(i, s).is_zero():
+                return False, "vanishing", (i, s)
+        gen = S.chains.generator(s)
+        ds = S.chains.boundary(gen)
+        for i in range(min(S.max_i, k + 1) + 1):
+            rhs = {}
+            if i >= 1:
+                prev = S.delta(i - 1, s)
+                for key, c in (prev + prev.swap().scale((-1) ** i)).coeffs:
+                    rhs[key] = rhs.get(key, 0) + c
+            for face, c in ds.coeffs:
+                for key, v in S.delta(i, face).coeffs:
+                    rhs[key] = rhs.get(key, 0) + c * (-1) ** i * v
+            rhs = tuple(sorted((key, c) for key, c in rhs.items() if c))
+            if S.delta(i, s).boundary() != TensorChain(2, i + k - 1, rhs):
+                return False, "C1", (i, s)
+            if S.xi(BarElement.te(i), gen) != S.xi(BarElement.e(i), gen).swap():
+                return False, "C2", (i, s)
+        for i in range(min(k, S.max_i) + 1):
+            if S.delta(i, s) != higher_diagonal(i, s):
+                return False, "C5", (i, s)
+    return True, "", ()

@@ -133,6 +133,11 @@ class TestTensorChain:
         t = TensorChain.from_dict(2, 2, {((0, 1), (1, 2)): 3, ((0,), (0, 1, 2)): -1})
         assert t.relabel((4, 7, 9)).as_dict() == \
             {((4, 7), (7, 9)): 3, ((4,), (4, 7, 9)): -1}
+        # the labels of a relabeled chain stay sorted only under an
+        # increasing vertex list
+        for verts in [(4, 9, 7), (4, 4, 9)]:
+            with pytest.raises(ValueError):
+                t.relabel(verts)
 
 
 facet_lists = st.lists(
@@ -288,6 +293,21 @@ def test_homology_classes_with_torsion(unnormalized):
                                                     3), 2, rng)
     else:
         _check_homology_classes(normalized_chains(rp2()), 2, rng)
+
+
+def test_homology_generators_are_computed_once(monkeypatch):
+    from cupi import chains
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return kernel_basis(M)
+
+    monkeypatch.setattr(chains, "kernel_basis", counted)
+    H = HomologyClasses(normalized_chains(rp2()), 1)
+    first = H.generators()
+    assert H.generators() == first and len(calls) == 1
+    assert all(H.C.boundary(z).is_zero() for z in first)
 
 
 class TestHomology:

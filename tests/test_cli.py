@@ -25,6 +25,7 @@ def files(tmp_path):
     write("circle.json", {"facets": [[0, 1], [0, 2], [1, 2]]})
     write("d1.json", {"facets": [[0, 1]]})
     write("point.json", {"facets": [[0]]})
+    write("empty.json", {"facets": []})
     write("id_d1.json", {"0": [[[0], [0], 1], [[1], [1], 1]],
                          "1": [[[0, 1], [0, 1], 1]]})
     write("flip_d1.json", {"0": [[[0], [0], 1], [[1], [1], 1]],
@@ -184,6 +185,12 @@ class TestReconstruct:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+    def test_empty_complex(self, files, capsys):
+        assert run(capsys, "reconstruct", files["empty.json"],
+                   "--up-to", "3") == \
+            (0, '{"counts":[[0,0,0],[1,0,0],[2,0,0],[3,0,0]],'
+                '"detail":"isomorphism verified","status":"pass"}\n')
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, files, capsys):
@@ -338,7 +345,11 @@ def test_duplicate_keys_are_input_errors(files, tmp_path, capsys, command,
     # one morphism, verified on the 2^17 - 1 = 131071 faces of Delta^16
     (["enumerate", "point.json", "--n", "16"],
      "more than 50000 (morphism, face) pairs"),
-], ids=["enumerate", "reconstruct", "brute", "enumerate-work"])
+    # no morphisms at all, but each n is charged one: refused at n = 20000
+    (["reconstruct", "empty.json", "--up-to", "1000000000"],
+     "more than 20000 morphisms"),
+], ids=["enumerate", "reconstruct", "brute", "enumerate-work",
+        "reconstruct-empty"])
 def test_size_caps_refuse_before_enumerating(files, capsys, monkeypatch, argv,
                                              message):
     from cupi import reconstruct

@@ -1,5 +1,6 @@
 """The bar resolution, cup-i diagonals, structure contracts, and squares."""
 
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from cupi.steenrod import (BarElement, Mod2Cohomology, SteenrodStructure,
                            structure_for, verify_structure)
 
 import oracles
-from conftest import circle, rp2, sphere
+from conftest import circle, named_corpus, rp2, sphere
 from test_chains import facet_lists
 
 
@@ -203,6 +204,10 @@ class TestVerifyStructure:
     def test_passes_on_corpus(self, corpus):
         for X in corpus.values():
             assert verify_structure(structure_for(X)).ok
+            for max_i in sorted({0, 1, X.dim, 2 * X.dim + 3}):
+                got = verify_structure(SteenrodStructure(X, max_i=max_i))
+                want = oracles.scan_structure(SteenrodStructure(X, max_i=max_i))
+                assert report_of(got) == want == (True, "", ())
 
     def test_large_max_i_stores_nothing_above_dimension(self):
         S = SteenrodStructure(build_complex([(0,)]), max_i=10 ** 5)
@@ -241,6 +246,86 @@ class TestVerifyStructure:
         # an explicit table is read as given: nothing fills the gap
         with pytest.raises(KeyError):
             bad.delta(3, (0, 1, 2))
+
+    def test_on_demand_check_reads_nothing_above_dimension(self, monkeypatch):
+        X = build_complex(list(itertools.combinations(range(6), 3)))
+        excess = []
+        delta = SteenrodStructure.delta
+
+        def spy(self, i, s):
+            excess.append(i - (len(s) - 1))
+            return delta(self, i, s)
+
+        monkeypatch.setattr(SteenrodStructure, "delta", spy)
+        assert verify_structure(SteenrodStructure(X, max_i=10 ** 6)).ok
+        assert excess and max(excess) <= 0
+
+    @pytest.mark.parametrize("key", [(1, 2), (1, 3), (2, 3)])
+    def test_negated_universal_table_fails_c1_through_the_scan(
+            self, monkeypatch, key):
+        X = standard_simplex(3)
+        steenrod.ensure_tables(X.dim)
+        monkeypatch.setitem(steenrod._TABLES, key,
+                            steenrod._TABLES[key].scale(-1))
+        assert not steenrod._holds(SteenrodStructure(X))
+        report = verify_structure(SteenrodStructure(X))
+        assert report.check == "C1"
+        assert report_of(report) == oracles.scan_structure(SteenrodStructure(X))
+
+
+def report_of(report):
+    return report.ok, report.check, report.witness
+
+
+complexes = st.one_of(st.sampled_from(list(named_corpus().values())),
+                      facet_lists.map(build_complex))
+
+
+@given(complexes, st.integers(min_value=0, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_verify_structure_agrees_with_the_scan(X, max_i):
+    got = verify_structure(SteenrodStructure(X, max_i=max_i))
+    assert report_of(got) == oracles.scan_structure(
+        SteenrodStructure(X, max_i=max_i))
+
+
+def tamper(table, kind, key):
+    """The explicit table with one entry changed: its sign flipped, its
+    first term dropped, copied to i = dim s + 1 (where it should be zero),
+    or missing."""
+    table = dict(table)
+    i, s = key
+    entry = table[key]
+    if kind == "flip":
+        table[key] = entry.scale(-1)
+    elif kind == "drop":
+        table[key] = TensorChain(2, entry.degree, entry.coeffs[1:])
+    elif kind == "move":
+        table[(len(s), s)] = entry
+    else:
+        del table[key]
+    return table
+
+
+@given(complexes, st.integers(min_value=0, max_value=8),
+       st.sampled_from(["flip", "drop", "move", "missing"]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_verify_structure_agrees_with_the_scan_on_tampered_tables(
+        X, max_i, kind, data):
+    table = full_table(SteenrodStructure(X, max_i=max_i))
+    if kind == "move":  # an entry that is not zero, and room above dim s
+        keys = [(i, s) for i, s in table if i < len(s) <= max_i]
+    elif kind == "missing":
+        keys = list(table)
+    else:
+        keys = [(i, s) for i, s in table if i < len(s)]
+    key = data.draw(st.sampled_from(sorted(keys, key=repr)) if keys
+                    else st.nothing())
+    bad = tamper(table, kind, key)
+    got = verify_structure(SteenrodStructure.from_table(X, max_i, bad))
+    want = oracles.scan_structure(SteenrodStructure.from_table(X, max_i, bad))
+    assert report_of(got) == want
+    assert not got.ok
 
 
 class TestNaturality:
