@@ -39,9 +39,9 @@ BRUTE_MAX_VECTORS_PER_DEGREE = 2_000_000
 # produce.  The largest benchmark command, reconstruct on sd^1 RP^2 through
 # dimension 3, produces 904.
 GUIDED_MAX_MORPHISMS = 20_000
-# ... and the most (morphism, face of the n-simplex) pairs its verification
-# may walk.  The largest benchmark command, enumerate on sd^1 RP^2 at n = 4,
-# walks 23 281.
+# ... and the most (morphism, face of the n-simplex) pairs it may walk:
+# induced_components reads every face once per morphism.  The largest
+# benchmark command, enumerate on sd^1 RP^2 at n = 4, walks 23 281.
 GUIDED_MAX_FACE_CHECKS = 50_000
 
 
@@ -50,10 +50,10 @@ def _refuse_oversized_output(X, dims):
     n in dims, one per n-simplex of the degeneracy completion of X
     (sum over k of C(n, k) f_k), are more than GUIDED_MAX_MORPHISMS, or
     when those morphisms times the 2^(n+1) - 1 faces of the n-simplex that
-    verifying each one reads are more than GUIDED_MAX_FACE_CHECKS.  Each n
-    is charged at least one morphism, since even with none it builds the
-    n-simplex, so the scan ends within GUIDED_MAX_MORPHISMS + 1 values of
-    n also on the empty complex."""
+    building each one's chain map reads are more than
+    GUIDED_MAX_FACE_CHECKS.  Each n is charged at least one morphism, so
+    the scan ends within GUIDED_MAX_MORPHISMS + 1 values of n also on the
+    empty complex."""
     total = checks = 0
     for n in dims:
         count = max(1, sum(comb(n, k) * len(X.simplices_of_dim(k))
@@ -224,8 +224,20 @@ def enumerate_morphisms(n, X, mode="guided", bound=2):
 
     guided: induce graded maps from the weakly order-preserving vertex maps
     whose image spans a simplex (non-injective ones collapse simplices to
-    zero), then verify each through the full decision procedure, which also
-    checks the chain-map law.
+    zero).  Each such map factors as a codegeneracy theta of the n-simplex
+    onto the k-simplex followed by the inclusion of a k-simplex tau of X
+    (image_pair), and the full decision procedure, chain-map law included,
+    runs once per theta, on N(theta) into the standard k-simplex; N(tau .
+    theta) is then built for every tau with no second check.  That is
+    sound: Delta_j(t) is the universal table relabeled by t on both
+    structures, and relabeling by tau is injective and commutes with
+    map_factors, the boundary and the augmentation, so each square, the
+    chain law and the augmentation of N(tau . theta) are those of N(theta)
+    relabeled by tau.  The bound 2 dim X in place of 2k only adds pairs
+    whose two sides are zero, being of degree above 2k.  Each theta is
+    checked where simplicial_maps first yields it, so a failing theta
+    raises at the first failing vertex map, with that map's verdict: the
+    witness lies on the same source.
 
     brute: exhaust chain maps with coefficients in [-bound, bound] degree by
     degree (degree-0 candidates are pre-filtered by the (e_0, vertex) square
@@ -239,17 +251,28 @@ def enumerate_morphisms(n, X, mode="guided", bound=2):
     if mode != "guided":
         raise ValueError(f"unknown mode {mode!r}")
     _refuse_oversized_output(X, (n,))
+    if not X.simplices:
+        return []
     source = standard_simplex(n)
     ident = identity_map(n)
     NA = structure_for(source).chains
     NB = structure_for(X).chains
+    verified = set()
     out = []
     for vmap in simplicial_maps(n, X):
+        theta, tau = image_pair(vmap, (ident, ident))
+        if theta not in verified:
+            target = standard_simplex(len(tau) - 1)
+            f = GradedMap(NA, structure_for(target).chains, 0,
+                          induced_components(VertexMap.from_dict(
+                              source, target, dict(enumerate(theta)))))
+            verdict = is_steenrod_morphism(f, source, target)
+            if not verdict.ok:
+                raise AssertionError(
+                    f"induced map failed verification: {verdict}")
+            verified.add(theta)
         f = GradedMap(NA, NB, 0, induced_components(vmap))
-        verdict = is_steenrod_morphism(f, source, X)
-        if not verdict.ok:
-            raise AssertionError(f"induced map failed verification: {verdict}")
-        out.append(MorphismSimplex(f, vmap, *image_pair(vmap, (ident, ident))))
+        out.append(MorphismSimplex(f, vmap, theta, tau))
     out.sort(key=lambda ms: (ms.simplex, ms.surjection))
     return out
 

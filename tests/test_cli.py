@@ -342,7 +342,8 @@ def test_duplicate_keys_are_input_errors(files, tmp_path, capsys, command,
     (["reconstruct", "tri.json", "--up-to", "60"], "more than 20000 morphisms"),
     (["enumerate", "tri.json", "--n", "200", "--mode", "brute"],
      "source has 201 vertices"),
-    # one morphism, verified on the 2^17 - 1 = 131071 faces of Delta^16
+    # one morphism, whose chain map reads the 2^17 - 1 = 131071 faces of
+    # Delta^16
     (["enumerate", "point.json", "--n", "16"],
      "more than 50000 (morphism, face) pairs"),
     # no morphisms at all, but each n is charged one: refused at n = 20000

@@ -2,11 +2,13 @@
 lifting, and the homology square."""
 
 import random
+from collections import OrderedDict
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cupi.chains import (Chain, GradedMap, HomologyClasses,
+from cupi.chains import (Chain, GradedMap, HomologyClasses, TensorChain,
                          chain_map_from_vertex_map)
 from cupi.simplicial import (VertexMap, adjoin, build_complex,
                              epi_mono_factor, identity_map, standard_simplex)
@@ -21,6 +23,7 @@ from cupi.reconstruct import (BruteForceLimitError, MorphismVerdict,
 
 import oracles
 from conftest import RP2_FACETS, barycentric, circle, rp2
+from test_steenrod import complexes
 
 
 def _as_key(f):
@@ -259,6 +262,50 @@ class TestEnumerate:
         found = enumerate_morphisms(12, standard_simplex(0))
         assert [ms.vertex_map.as_dict() for ms in found] == [{v: 0 for v in
                                                              range(13)}]
+
+    def test_empty_complex_builds_no_standard_simplex(self, monkeypatch):
+        from cupi import reconstruct, simplicial
+
+        def built(n):
+            raise AssertionError(f"standard {n}-simplex built")
+
+        monkeypatch.setattr(reconstruct, "standard_simplex", built)
+        monkeypatch.setattr(simplicial, "standard_simplex", built)
+        assert enumerate_morphisms(13, build_complex([])) == []
+
+    def test_tampered_table_fails_the_codegeneracy_check(self, monkeypatch):
+        # the extra term of Delta_1 on the 3-simplex survives the
+        # codegeneracy (0, 1, 2, 2) onto the 2-simplex, which kills the
+        # 3-simplex itself: the first failing vertex map's verdict
+        from cupi import steenrod
+        steenrod.ensure_tables(3)
+        extra = TensorChain.from_dict(2, 4, {((0, 1, 2), (0, 1, 3)): 1})
+        monkeypatch.setitem(steenrod._TABLES, (1, 3),
+                            steenrod._TABLES[(1, 3)] + extra)
+        # structures made before the tampering hold the true entries
+        monkeypatch.setattr(steenrod, "_structure_cache", OrderedDict())
+        with pytest.raises(AssertionError) as err:
+            enumerate_morphisms(3, standard_simplex(2))
+        assert str(err.value) == (
+            "induced map failed verification: MorphismVerdict("
+            "status='not_morphism', witness=(1, (0, 1, 2, 3)), "
+            "certificate=None)")
+
+
+@given(complexes, st.integers(min_value=0, max_value=3))
+@settings(max_examples=30, deadline=None)
+def test_guided_morphisms_pass_the_per_map_check(X, n):
+    # oracle for the one check per codegeneracy: every guided morphism
+    # passes the full decision procedure on its own, certified by its
+    # vertex map, and there is one per n-simplex of adjoin(X)
+    source = standard_simplex(n)
+    found = enumerate_morphisms(n, X)
+    for ms in found:
+        verdict = is_steenrod_morphism(ms.chain_map, source, X)
+        assert verdict.ok
+        assert verdict.certificate == ms.vertex_map
+    assert len(found) == sum(comb(n, k) * len(X.simplices_of_dim(k))
+                             for k in range(X.dim + 1))
 
 
 class TestSFunctor:
