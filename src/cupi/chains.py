@@ -399,17 +399,17 @@ class TensorChain(Combination):
         """
         if any(a >= b for a, b in zip(verts, verts[1:])):
             raise ValueError("relabeling needs an increasing vertex list")
-        image = {}
-
-        def factor(s):
-            t = image.get(s)
-            if t is None:
-                t = image[s] = tuple(map(verts.__getitem__, s))
-            return t
-
-        return type(self)(self.arity, self.degree,
-                          tuple((tuple(map(factor, key)), c)
-                                for key, c in self.coeffs))
+        image = {}  # each distinct factor is relabeled once
+        coeffs = []
+        for key, c in self.coeffs:
+            new = []
+            for s in key:
+                t = image.get(s)
+                if t is None:
+                    t = image[s] = tuple([verts[v] for v in s])
+                new.append(t)
+            coeffs.append((tuple(new), c))
+        return type(self)(self.arity, self.degree, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ universal tables on standard simplices.  Table level (i, k) is produced by
 degree-by-degree extension with the explicit cone contraction of
 N(Delta^k) (x) N(Delta^k) (prepend vertex 0), then the top coefficient is
 pinned to eta_k = (-1)^(k(k+1)/2) by an even cycle correction one level
-down.  The construction satisfies, exactly over Z:
+down.  Each level is built on position bitmasks and stored as TensorChains;
+verify_structure checks the stored tables with TensorChain algebra, which
+shares no kernel with the build.  The construction satisfies, exactly over
+Z:
 
   C1  chain map:      d xi(e_i (x) s) = xi(d e_i (x) s) + (-1)^i xi(e_i (x) ds)
   C2  equivariance:   xi(T b (x) s) = Tswap xi(b (x) s)
@@ -94,6 +97,11 @@ def bar_augmentation(b):
 # Table entries are TensorChains of (A, B) pairs, where A, B are increasing
 # tuples of positions in {0..k}; relabeling them by a simplex's vertex list
 # gives the value on any simplex of any complex (naturality is built in).
+#
+# A level is built on position bitmasks: a face of Delta^k is the int with
+# bit p set for each position p in it, and a table is a dict from (A, B)
+# mask pairs to coefficients.  Only the finished level is written back to
+# _TABLES, as sorted TensorChains.
 
 def _aw_table(k):
     top = tuple(range(k + 1))
@@ -101,65 +109,119 @@ def _aw_table(k):
                                      for p in range(k + 1)}))
 
 
-def _contract(t):
-    """Tensor-square cone contraction H = h (x) 1 + e (x) h, h = prepend 0."""
-    out = {}
-    for (a, b), c in t.coeffs:
-        if a[0] != 0:
-            _add_into(out, ((0,) + a, b), c)
-        if len(a) == 1 and b[0] != 0:
-            _add_into(out, ((0,), (0,) + b), c)
-    return TensorChain(2, t.degree + 1, _terms(out))
-
-
 _TABLES = {(0, 0): _aw_table(0)}
 _LEVEL_BUILT = 0
 
 
-def _rhs(i, k):
-    """Right side of the chain-map law for the level-(i, k) table."""
-    top = tuple(range(k + 1))
-    prev = _TABLES[(i - 1, k)]
-    out = prev.as_dict()
-    _add_scaled(out, prev.swap(), (-1) ** i)
-    if i <= k - 1:
-        lower = _TABLES[(i, k - 1)]
+def _faces(m):
+    """The faces of the face m, each with its sign: the j-th set bit from
+    the lowest is dropped with sign (-1)^j.  A vertex has none."""
+    out = []
+    if m & (m - 1):
+        sign = 1
+        rest = m
+        while rest:
+            low = rest & -rest
+            out.append((m ^ low, sign))
+            sign = -sign
+            rest ^= low
+    return out
+
+
+def _mask_boundary(t):
+    """Koszul alternating-face boundary of a mask table."""
+    out = {}
+    get = out.get
+    faces = {}
+    for (a, b), c in t.items():
+        if a not in faces:
+            faces[a] = _faces(a)
+        if b not in faces:
+            faces[b] = _faces(b)
+        for f, s in faces[a]:
+            key = (f, b)
+            out[key] = get(key, 0) + s * c
+        if not a.bit_count() & 1:  # deg A odd
+            c = -c
+        for f, s in faces[b]:
+            key = (a, f)
+            out[key] = get(key, 0) + s * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _mask_contract(t):
+    """Tensor-square cone contraction H = h (x) 1 + e (x) h, where h sets
+    bit 0 (prepends position 0) and e is the augmentation.  It only meets
+    right sides, of degree >= k, where e (x) h vanishes: a term v (x) B of
+    that degree has B = top, which holds position 0."""
+    return {(a | 1, b): c for (a, b), c in t.items() if not a & 1}
+
+
+def _mask_rhs(level, lower, i, k):
+    """Right side of the chain-map law for the level-(i, k) table: the
+    entries (i - 1, k) and (i, k - 1) are level[i - 1] and lower[i]."""
+    prev = level[i - 1]
+    out = dict(prev)
+    sign = (-1) ** i
+    for (a, b), c in prev.items():
+        # the swap, with sign (-1)^(deg A * deg B): -1 when both are odd
+        both_odd = not (a.bit_count() & 1 or b.bit_count() & 1)
+        _add_into(out, (b, a), -sign * c if both_odd else sign * c)
+    if i < k:
         for j in range(k + 1):
-            _add_scaled(out, lower.relabel(top[:j] + top[j + 1:]),
-                        (-1) ** (i + j))
-    return TensorChain(2, i + k - 1, _terms(out))
+            # the face d_j: top[:j] + top[j+1:] on masks
+            lo = (1 << j) - 1
+            sign = (-1) ** (i + j)
+            for (a, b), c in lower[i].items():
+                _add_into(out, ((a & lo) | ((a & ~lo) << 1),
+                                (b & lo) | ((b & ~lo) << 1)), sign * c)
+    return out
 
 
 def _build_level(k):
-    top = tuple(range(k + 1))
-    _TABLES[(0, k)] = _aw_table(k)
+    """Tables (0, k) ... (k, k) from level k - 1: each (i, k) contracts the
+    right side of the chain-map law, and (k - 1, k) is corrected by an even
+    cycle so that (k, k) is eta_k top (x) top."""
+    def masks(table):
+        return {(sum(1 << p for p in a), sum(1 << p for p in b)): c
+                for (a, b), c in table.coeffs}
+
+    top = (1 << (k + 1)) - 1
+    lower = [masks(_TABLES[(i, k - 1)]) for i in range(k)]
+    level = [masks(_aw_table(k))]
     for i in range(1, k + 1):
-        R = _rhs(i, k)
-        if not R.boundary().is_zero():
+        R = _mask_rhs(level, lower, i, k)
+        if _mask_boundary(R):
             raise RuntimeError(f"internal: rhs not a cycle at {(i, k)}")
-        D = _contract(R)
+        D = _mask_contract(R)
         if i == k:
-            want = TensorChain(2, 2 * k, (((top, top), eta(k)),))
-            lam = D.as_dict().get((top, top), 0)
+            lam = D.get((top, top), 0)
             if lam != eta(k):
                 # realign the top coefficient with an even cycle correction
                 mu = (eta(k) - lam) // 2
-                corr = TensorChain(2, 2 * k, (((top, top), 1),)).boundary()
-                _TABLES[(k - 1, k)] = _TABLES[(k - 1, k)] + corr.scale(mu)
-                R = _rhs(i, k)
-                D = _contract(R)
-            if D != want:
+                for key, c in _mask_boundary({(top, top): 1}).items():
+                    _add_into(level[k - 1], key, mu * c)
+                R = _mask_rhs(level, lower, i, k)
+                D = _mask_contract(R)
+            if D != {(top, top): eta(k)}:
                 raise RuntimeError(f"internal: top identity at {(i, k)}")
-        if D.boundary() != R:
+        if _mask_boundary(D) != R:
             raise RuntimeError(f"internal: chain-map law at {(i, k)}")
-        _TABLES[(i, k)] = D
+        level.append(D)
+    positions = {m: tuple(p for p in range(k + 1) if m >> p & 1)
+                 for t in level for key in t for m in key}
+    for i, t in enumerate(level):
+        _TABLES[(i, k)] = TensorChain(2, i + k, _terms(
+            {(positions[a], positions[b]): c for (a, b), c in t.items()}))
 
 
 def ensure_tables(k):
+    """Build the table levels through k; a level counts as built only once
+    all of it is written."""
     global _LEVEL_BUILT
     while _LEVEL_BUILT < k:
+        _build_level(_LEVEL_BUILT + 1)
         _LEVEL_BUILT += 1
-        _build_level(_LEVEL_BUILT)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +399,9 @@ def _holds(S):
 def _level_holds(S, k):
     """C1-C4 and vanishing on the universal tables of level k, as they
     stand.  C1 takes the faces top[:j] + top[j+1:] of the top simplex, with
-    sign (-1)^j, and is written apart from _rhs, so that a slip there
-    cannot hide.  C2 is a property of xi, read on one k-simplex of X."""
+    sign (-1)^j, in TensorChain algebra, which the mask build does not
+    use, so that a slip there cannot hide.  C2 is a property of xi, read on
+    one k-simplex of X."""
     top = tuple(range(k + 1))
     if _TABLES[(0, k)] != aw_diagonal(top):  # C3
         return False

@@ -7,6 +7,8 @@
 - a degree-by-degree GF(2) equivariant-extension solver certifying that a
   mod-2 diagonal structure with the pinned top classes exists, and
   re-deriving the mod-2 chain-map equations from scratch;
+- the integral cup-i tables built with TensorChain algebra on vertex
+  tuples, against the package's build on position bitmasks;
 - the textbook front/back cochain cup product for the Sq^1 cross-check;
 - the iterated structure map by nested recursion, against the left fold
   inside xi_iterate;
@@ -265,6 +267,65 @@ def mod2_law_holds(table_getter, kmax):
             if _mod2_boundary(table_getter(i, k), k) != rhs:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the integral tables with TensorChain algebra
+# ---------------------------------------------------------------------------
+
+def _contract(t):
+    """Tensor-square cone contraction H = h (x) 1 + e (x) h, h = prepend 0."""
+    out = {}
+    for (a, b), c in t.coeffs:
+        if a[0] != 0:
+            out[((0,) + a, b)] = out.get(((0,) + a, b), 0) + c
+        if len(a) == 1 and b[0] != 0:
+            out[((0,), (0,) + b)] = out.get(((0,), (0,) + b), 0) + c
+    return TensorChain.from_dict(2, t.degree + 1, out)
+
+
+def _rhs(tables, i, k):
+    """Right side of the chain-map law for the level-(i, k) table."""
+    top = tuple(range(k + 1))
+    prev = tables[(i - 1, k)]
+    out = prev + prev.swap().scale((-1) ** i)
+    if i <= k - 1:
+        lower = tables[(i, k - 1)]
+        for j in range(k + 1):
+            out = out + lower.relabel(top[:j] + top[j + 1:]).scale(
+                (-1) ** (i + j))
+    return out
+
+
+def build_tables(kmax):
+    """The universal tables {(i, k): TensorChain} through level kmax: each
+    (i, k) contracts the right side of the chain-map law on vertex tuples,
+    and (k - 1, k) takes the even cycle correction that pins (k, k) to
+    eta_k top (x) top.  Raises AssertionError on a failed check."""
+    tables = {(0, 0): aw_diagonal((0,))}
+    for k in range(1, kmax + 1):
+        top = tuple(range(k + 1))
+        tables[(0, k)] = aw_diagonal(top)
+        for i in range(1, k + 1):
+            R = _rhs(tables, i, k)
+            if not R.boundary().is_zero():
+                raise AssertionError(f"rhs not a cycle at {(i, k)}")
+            D = _contract(R)
+            if i == k:
+                want = TensorChain(2, 2 * k, (((top, top), eta(k)),))
+                lam = D.as_dict().get((top, top), 0)
+                if lam != eta(k):
+                    mu = (eta(k) - lam) // 2
+                    corr = TensorChain(2, 2 * k, (((top, top), 1),)).boundary()
+                    tables[(k - 1, k)] = tables[(k - 1, k)] + corr.scale(mu)
+                    R = _rhs(tables, i, k)
+                    D = _contract(R)
+                if D != want:
+                    raise AssertionError(f"top identity at {(i, k)}")
+            if D.boundary() != R:
+                raise AssertionError(f"chain-map law at {(i, k)}")
+            tables[(i, k)] = D
+    return tables
 
 
 # ---------------------------------------------------------------------------

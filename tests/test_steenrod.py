@@ -20,6 +20,14 @@ from conftest import circle, named_corpus, rp2, sphere
 from test_chains import facet_lists
 
 
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """No table level built: the next ensure_tables builds from level 0."""
+    monkeypatch.setattr(steenrod, "_TABLES",
+                        {(0, 0): steenrod._TABLES[(0, 0)]})
+    monkeypatch.setattr(steenrod, "_LEVEL_BUILT", 0)
+
+
 class TestBarResolution:
     def test_e0_is_a_cycle(self):
         assert bar_boundary(BarElement.e(0)).is_zero()
@@ -115,17 +123,61 @@ class TestHigherDiagonal:
                 table = higher_diagonal(i, tuple(range(k + 1))).as_dict()
                 assert set(map(abs, table.values())) <= {1}
 
-    def test_integrity_checks_raise_with_level(self, monkeypatch):
+    def test_integrity_checks_raise_with_level(self, cold_tables,
+                                               monkeypatch):
         # a broken contraction must stop a fresh build, also under python -O
-        from cupi import steenrod
-        monkeypatch.setattr(steenrod, "_TABLES",
-                            {(0, 0): steenrod._TABLES[(0, 0)]})
-        monkeypatch.setattr(steenrod, "_LEVEL_BUILT", 0)
-        contract = steenrod._contract
-        monkeypatch.setattr(steenrod, "_contract",
-                            lambda t: contract(t).scale(2))
+        contract = steenrod._mask_contract
+        monkeypatch.setattr(steenrod, "_mask_contract",
+                            lambda t: {key: 2 * c
+                                       for key, c in contract(t).items()})
         with pytest.raises(RuntimeError, match=r"\(1, 1\)"):
             steenrod.ensure_tables(1)
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("table", r"rhs not a cycle at \(1, 2\)"),
+        ("top", r"top identity at \(2, 2\)"),
+        ("extra", r"chain-map law at \(1, 2\)"),
+    ])
+    def test_each_build_check_raises_with_its_level(
+            self, cold_tables, monkeypatch, tamper, message):
+        # level 1 builds as it should; then level 2 reads a doubled (1, 1)
+        # table, or a contraction that doubles its (A, A) terms or adds
+        # the term (0, 1) (x) (0)
+        steenrod.ensure_tables(1)
+        contract = steenrod._mask_contract
+        if tamper == "table":
+            steenrod._TABLES[(1, 1)] = steenrod._TABLES[(1, 1)].scale(2)
+        elif tamper == "top":
+            monkeypatch.setattr(steenrod, "_mask_contract", lambda t: {
+                (a, b): 2 * c if a == b else c
+                for (a, b), c in contract(t).items()})
+        else:
+            monkeypatch.setattr(steenrod, "_mask_contract",
+                                lambda t: {**contract(t), (0b11, 0b1): 1})
+        with pytest.raises(RuntimeError, match=message):
+            steenrod.ensure_tables(2)
+
+    def test_a_failed_build_leaves_its_level_unbuilt(self, cold_tables,
+                                                     monkeypatch):
+        contract = steenrod._mask_contract
+        with monkeypatch.context() as m:
+            m.setattr(steenrod, "_mask_contract",
+                      lambda t: {key: 2 * c for key, c in contract(t).items()})
+            with pytest.raises(RuntimeError, match=r"top identity"):
+                steenrod.ensure_tables(1)
+        assert steenrod._LEVEL_BUILT == 0
+        assert set(steenrod._TABLES) == {(0, 0)}
+        steenrod.ensure_tables(1)
+        assert higher_diagonal(1, (0, 1)).as_dict() == {((0, 1), (0, 1)): -1}
+
+    def test_tables_equal_the_tensor_chain_build(self, cold_tables):
+        steenrod.ensure_tables(9)
+        want = oracles.build_tables(9)
+        assert set(steenrod._TABLES) == set(want)
+        for key, table in want.items():
+            got = steenrod._TABLES[key]
+            assert (got.arity, got.degree, got.coeffs) == \
+                (table.arity, table.degree, table.coeffs), key
 
     def test_mod2_solver_certifies_contract(self):
         # independent GF(2) route: an equivariant extension with the pinned
