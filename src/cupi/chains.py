@@ -220,20 +220,34 @@ class GradedMap:
             return None
         return min(self.source.degree_of[lb] for lb in resid)
 
+    def _image_of(self, d):
+        """The image of the combination {label: coeff} d, zeros dropped."""
+        acc = {}
+        for mid, c in d.items():
+            for tgt, v in self.apply_label(mid).items():
+                _add_into(acc, tgt, c * v)
+        return acc
+
     def compose(self, inner):
         """self . inner (inner applied first)."""
-        comps = {}
-        for lb, d in inner.comps.items():
-            acc = {}
-            for mid, c in d.items():
-                for tgt, v in self.apply_label(mid).items():
-                    _add_into(acc, tgt, c * v)
-            if acc:
-                comps[lb] = acc
+        comps = {lb: self._image_of(d) for lb, d in inner.comps.items()}
         return GradedMap(inner.source, self.target, self.shift + inner.shift, comps)
 
     def equals(self, other):
         return (self.shift == other.shift and self.comps == other.comps)
+
+    def equals_composite(self, outer, inner):
+        """self == outer . inner, compared one source label at a time
+        without building the composite."""
+        if self.shift != outer.shift + inner.shift:
+            return False
+        hits = 0
+        for lb, d in inner.comps.items():
+            image = outer._image_of(d)
+            if image != self.comps.get(lb, {}):
+                return False
+            hits += bool(image)
+        return hits == len(self.comps)
 
     @classmethod
     def identity(cls, C):

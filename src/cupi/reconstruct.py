@@ -418,10 +418,10 @@ class ShomSimplicialSet:
             vm = VertexMap.from_dict(small, big, dict(enumerate(values)))
             self._operators[(n, values)] = chain_map_from_vertex_map(
                 vm, structure_for(small).chains, structure_for(big).chains)
-        composite = ms.chain_map.compose(self._operators[(n, values)])
         stored = self._by_pair[dim].get(
             image_pair(ms.vertex_map, (values, identity_map(n))))
-        if stored is None or not stored.chain_map.equals(composite):
+        if stored is None or not stored.chain_map.equals_composite(
+                ms.chain_map, self._operators[(n, values)]):
             return None
         return stored
 

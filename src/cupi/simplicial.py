@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class InvalidComplexError(ValueError):
@@ -117,9 +117,14 @@ class OrderedComplex:
         for level in self.simplices:
             yield from level
 
+    @cached_property
+    def _simplex_sets(self):
+        # not a field, so it stays out of __eq__ and __hash__
+        return tuple(frozenset(level) for level in self.simplices)
+
     def has_simplex(self, simplex):
         k = len(simplex) - 1
-        return simplex in set(self.simplices_of_dim(k))
+        return 0 <= k < len(self.simplices) and simplex in self._simplex_sets[k]
 
     def to_delta(self):
         """View as a delta-complex: cells are the simplices, d_i drops vertex i."""

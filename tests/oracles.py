@@ -13,7 +13,8 @@
 - the iterated structure map by nested recursion, against the left fold
   inside xi_iterate;
 - the exhaustive per-simplex check of C1-C5 and completeness, against
-  verify_structure's check on the universal tables.
+  verify_structure, which reads one simplex per dimension of a structure
+  read on demand.
 """
 
 import itertools

@@ -91,6 +91,33 @@ class TestHomDifferential:
         assert not f.is_chain_map()
 
 
+def test_equals_composite_agrees_with_compose():
+    # random degree-0 maps on N(Delta^2), sparse enough to leave labels
+    # with a zero image and composites that cancel
+    rng = random.Random(7)
+    N = normalized_chains(standard_simplex(2))
+
+    def random_map():
+        return GradedMap(N, N, 0, {
+            lb: {t: rng.choice([-1, 0, 0, 1]) for t in N.basis[n]}
+            for lb, n in N.degree_of.items()})
+
+    for _ in range(200):
+        f, g = random_map(), random_map()
+        fg = f.compose(g)
+        # fg with one label dropped, and with one label added
+        fewer = dict(list(fg.comps.items())[1:])
+        more = {lb: {lb: 1} for lb in N.degree_of if lb not in fg.comps}
+        more = {**dict(list(more.items())[:1]), **fg.comps}
+        for h in (fg, random_map(), GradedMap.identity(N),
+                  GradedMap(N, N, 0, fewer), GradedMap(N, N, 0, more)):
+            assert h.equals_composite(f, g) == h.equals(fg)
+        assert fg.equals_composite(f, g)
+    shifted = GradedMap(N, N, 1, {})
+    assert not shifted.equals_composite(GradedMap(N, N, 0, {}),
+                                        GradedMap(N, N, 0, {}))
+
+
 class TestTensorChain:
     def test_boundary_koszul_sign(self):
         t = TensorChain.from_dict(2, 2, {((0, 1), (0, 1)): 1})

@@ -312,6 +312,23 @@ class TestVerifyStructure:
         assert verify_structure(SteenrodStructure(X, max_i=10 ** 6)).ok
         assert excess and max(excess) <= 0
 
+    def test_on_demand_check_reads_one_simplex_per_dimension(
+            self, monkeypatch):
+        # the 2-skeleton of Delta^6: 7, 21 and 35 simplices per dimension
+        X = build_complex(list(itertools.combinations(range(7), 3)))
+        read = set()
+        delta = SteenrodStructure.delta
+
+        def spy(self, i, s):
+            read.add(s)
+            return delta(self, i, s)
+
+        monkeypatch.setattr(SteenrodStructure, "delta", spy)
+        assert verify_structure(SteenrodStructure(X)).ok
+        first = [level[0] for level in X.simplices]
+        faces = {s[:j] + s[j + 1:] for s in first[1:] for j in range(len(s))}
+        assert read == set(first) | faces
+
     @pytest.mark.parametrize("key", [(1, 2), (1, 3), (2, 3)])
     def test_negated_universal_table_fails_c1_through_the_scan(
             self, monkeypatch, key):
@@ -319,8 +336,8 @@ class TestVerifyStructure:
         steenrod.ensure_tables(X.dim)
         monkeypatch.setitem(steenrod._TABLES, key,
                             steenrod._TABLES[key].scale(-1))
-        assert not steenrod._holds(SteenrodStructure(X))
         report = verify_structure(SteenrodStructure(X))
+        assert not report.ok
         assert report.check == "C1"
         assert report_of(report) == oracles.scan_structure(SteenrodStructure(X))
 
@@ -378,6 +395,32 @@ def test_verify_structure_agrees_with_the_scan_on_tampered_tables(
     want = oracles.scan_structure(SteenrodStructure.from_table(X, max_i, bad))
     assert report_of(got) == want
     assert not got.ok
+
+
+@given(complexes.filter(lambda X: X.dim >= 1),
+       st.sampled_from(["flip", "drop", "double"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_on_demand_check_agrees_with_the_scan_on_tampered_universal_tables(
+        X, kind, data):
+    """One universal table (i, k) changed, 1 <= i <= k <= dim X: its sign
+    flipped, its first term dropped or doubled.  The on-demand check reads
+    one k-simplex; the oracle reads every one."""
+    steenrod.ensure_tables(X.dim)
+    key = data.draw(st.sampled_from(
+        [(i, k) for k in range(1, X.dim + 1) for i in range(1, k + 1)]))
+    max_i = data.draw(st.sampled_from([key[1] - 1, key[1], 2 * X.dim + 1]))
+    table = steenrod._TABLES[key]
+    if kind == "flip":
+        table = table.scale(-1)
+    elif kind == "drop":
+        table = TensorChain(2, table.degree, table.coeffs[1:])
+    else:
+        table = table.scale(2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(steenrod._TABLES, key, table)
+        got = verify_structure(SteenrodStructure(X, max_i=max_i))
+        want = oracles.scan_structure(SteenrodStructure(X, max_i=max_i))
+    assert report_of(got) == want
 
 
 class TestNaturality:
