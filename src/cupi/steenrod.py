@@ -450,27 +450,42 @@ def naturality_holds(vmap):
 # GF(2) vectors are int bitmasks over the simplex list of one dimension.
 
 class _Echelon:
-    """Incremental GF(2) row echelon of bitmask vectors.
+    """Incremental GF(2) row echelon of bitmask vectors, indexed by pivot.
 
     Each row carries a tag bitmask that records which inputs it is the sum
-    of.  Rows are stored already reduced against the earlier rows, so
-    reduce() leaves a vector zero at every pivot: its normal form modulo
-    the span, which does not depend on the order the rows came in.
+    of, and is stored under its pivot, its top bit; mask holds every pivot.
+    reduce() clears the highest set bit of vec & mask with the row stored
+    there, which leaves the higher bits alone, until vec is zero at every
+    pivot.  That is its normal form modulo the span, and the rows used are
+    the only combination that reaches it, so the vector and its tag do not
+    depend on the order the rows came in.
     """
 
     def __init__(self, rows=()):
-        self.rows = list(rows)  # (pivot bit, vector, tag)
+        self.pivots = {}  # pivot bit -> (vector, tag)
+        self.mask = 0
+        for vec, tag in rows:
+            self.add(vec, tag)
+
+    def rows(self):
+        """The stored (vector, tag) pairs, in the order they came in."""
+        return self.pivots.values()
 
     def reduce(self, vec, tag=0):
-        for pivot, row, row_tag in self.rows:
-            if vec & pivot:
-                vec ^= row
-                tag ^= row_tag
+        pivots, mask = self.pivots, self.mask
+        hit = vec & mask
+        while hit:
+            row, row_tag = pivots[1 << (hit.bit_length() - 1)]
+            vec ^= row
+            tag ^= row_tag
+            hit = vec & mask
         return vec, tag
 
     def add(self, vec, tag):
         """Store a nonzero vector returned by reduce()."""
-        self.rows.append((1 << (vec.bit_length() - 1), vec, tag))
+        pivot = 1 << (vec.bit_length() - 1)
+        self.pivots[pivot] = (vec, tag)
+        self.mask |= pivot
 
 
 class Mod2Cohomology:
@@ -478,8 +493,9 @@ class Mod2Cohomology:
 
     Cochains in degree j are bitmask ints over simplices_of_dim(j); exposes a
     basis of H^j by cocycle representatives and canonical class coordinates.
-    Each degree keeps one echelon: the coboundary image, then each
-    representative tagged with its own bit.
+    Each degree keeps one pivot-indexed echelon: the coboundary image, then
+    each representative tagged with its own bit.  A reduction takes one
+    step per row it uses, not one test per stored row.
     """
 
     def __init__(self, X):
@@ -512,7 +528,7 @@ class Mod2Cohomology:
                     reps.append(red)
             self._echelon[j] = image
             self._reps[j] = reps
-            image = _Echelon((p, row, 0) for p, row, _ in solver.rows)
+            image = _Echelon((row, 0) for row, _ in solver.rows())
 
     def _coboundary(self, u, j):
         """delta: C^j -> C^(j+1), (delta u)(s) = sum u(d_i s)."""
@@ -541,36 +557,48 @@ class Mod2Cohomology:
         return {s for i, s in enumerate(self.simplices[j]) if u >> i & 1}
 
 
-def cup_product_value(struct, m, u_set, v_set, simplex, p, q):
-    """(u cup_m v)(simplex) mod 2 for cochain supports u_set in C^p, v_set in C^q."""
-    total = 0
-    for (a, b), _ in struct.delta(m, simplex).coeffs:
-        if len(a) - 1 == p and len(b) - 1 == q and a in u_set and b in v_set:
-            total ^= 1
-    return total
-
-
 def steenrod_square_matrix(X, i, j, coh=None):
     """Matrix of Sq^i : H^j -> H^(j+i) over GF(2).
 
     Column c lists the target coordinates of Sq^i of the c-th basis class,
-    computed as u cup_(j-i) u on cocycle representatives.
+    computed as u cup_(j-i) u on cocycle representatives.  The matrix is
+    zero, with nothing computed, when j - i < 0, when j + i > dim X or when
+    either basis is empty.
+
+    Otherwise u cup_(j-i) u is evaluated in positions.  The (A, B) pairs of
+    Delta_(j-i) on the standard (j+i)-simplex with an odd coefficient and
+    |A| = |B| = j + 1 are read once, and each position face A is mapped to
+    the C^j bit of s[A] for every (j+i)-simplex s.  Then (u cup u)(s) is the
+    parity of the pairs with u(s[A]) = u(s[B]) = 1, for all s at once: the
+    XOR over the pairs of the AND of two bitmasks over the (j+i)-simplices.
+    No entry of structure_for(X) is read or stored; the call only builds
+    N(X) and runs its integrity checks, as every command does.
     """
     coh = coh or Mod2Cohomology(X)
-    struct = structure_for(X)
+    structure_for(X)
     source = coh.representatives(j)
-    rows = coh.betti(j + i)
+    target = j + i
+    rows = coh.betti(target)
     matrix = [[0] * len(source) for _ in range(rows)]
-    target_dim = j + i
+    if j - i < 0 or target > X.dim or not source or not rows:
+        return matrix
+    top = tuple(range(target + 1))
+    pairs = [(a, b) for (a, b), c in higher_diagonal(j - i, top).coeffs
+             if c % 2 and len(a) == len(b) == j + 1]
+    index = {s: n for n, s in enumerate(coh.simplices[j])}
+    # columns[p][n]: vertex p of the n-th simplex from the top, since int()
+    # reads the top bit first
+    columns = list(zip(*coh.simplices[target][::-1]))
+    faces = {f: [index[face] for face in zip(*(columns[p] for p in f))]
+             for f in {f for pair in pairs for f in pair}}
     for c, rep in enumerate(source):
-        u = coh.cochain_from_bits(rep, j)
+        bits = format(rep, "b").zfill(len(index))[::-1]  # bits[n]: u's bit n
+        on = {f: int("".join(map(bits.__getitem__, idx)), 2)
+              for f, idx in faces.items()}  # the s with u(s[f]) = 1
         out = 0
-        if 0 <= j - i and target_dim <= X.dim:
-            for idx, s in enumerate(coh.simplices[target_dim]):
-                if cup_product_value(struct, j - i, u, u, s, j, j):
-                    out |= 1 << idx
-        coords = coh.class_coords(out, target_dim) if target_dim <= X.dim else ()
-        for r, bit in enumerate(coords):
+        for a, b in pairs:
+            out ^= on[a] & on[b]
+        for r, bit in enumerate(coh.class_coords(out, target)):
             matrix[r][c] = bit
     return matrix
 

@@ -3,7 +3,8 @@
 Named complexes: standard simplices through dimension 3, the circle and
 2-sphere boundaries, the 6-vertex projective plane, a 7-vertex annulus;
 plus 50 seeded random face-closed complexes on at most 6 vertices (facet
-size capped at 4 to keep exhaustive checks affordable).
+size capped at 4 to keep exhaustive checks affordable).  rp(n) is a
+triangulation of real projective n-space for the checks at scale.
 """
 
 import itertools
@@ -48,6 +49,31 @@ def barycentric(facets):
                    for f in facets for p in itertools.permutations(f)})
 
 
+def rp(n):
+    """RP^n: the barycentric subdivision of the boundary of the
+    (n+1)-cross-polytope, divided by the antipodal map.
+
+    A face of the cross-polytope is a nonempty set of signed coordinates
+    +-1 ... +-(n+1) with no coordinate twice; a vertex of RP^n is a class
+    {F, -F}, numbered by (|F|, the smaller of the two sorted tuples), so
+    every flag F_1 < ... < F_(n+1) is increasing.  The facets are the
+    images of the (n+1)! 2^(n+1) maximal flags.
+    """
+    def canonical(face):
+        return min(tuple(sorted(face)), tuple(sorted(-x for x in face)))
+
+    coords = range(1, n + 2)
+    flags = [[s * c for s, c in zip(signs, perm)]
+             for perm in itertools.permutations(coords)
+             for signs in itertools.product((1, -1), repeat=n + 1)]
+    classes = sorted({canonical(f[:r]) for f in flags
+                      for r in range(1, n + 2)}, key=lambda F: (len(F), F))
+    ids = {F: v for v, F in enumerate(classes)}
+    return build_complex(sorted({tuple(ids[canonical(f[:r])]
+                                       for r in range(1, n + 2))
+                                 for f in flags}))
+
+
 def named_corpus():
     out = {f"delta{n}": standard_simplex(n) for n in range(4)}
     out["circle"] = circle()
@@ -82,6 +108,11 @@ def corpus():
 @pytest.fixture(scope="session")
 def random_corpus():
     return random_complexes()
+
+
+@pytest.fixture(scope="session")
+def projective_spaces():
+    return {n: rp(n) for n in (2, 3, 4)}
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,9 @@
 - the integral cup-i tables built with TensorChain algebra on vertex
   tuples, against the package's build on position bitmasks;
 - the textbook front/back cochain cup product for the Sq^1 cross-check;
+- the row-scanning GF(2) echelon and the cup-i product read simplex by
+  simplex through SteenrodStructure.delta, against the pivot-indexed
+  echelon and the positional evaluation of steenrod_square_matrix;
 - the iterated structure map by nested recursion, against the left fold
   inside xi_iterate;
 - the exhaustive per-simplex check of C1-C5 and completeness, against
@@ -19,7 +22,9 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
+from cupi import steenrod
 from cupi.chains import TensorChain
 from cupi.steenrod import BarElement, aw_diagonal, eta, higher_diagonal
 
@@ -376,6 +381,68 @@ def mod2_cocycle_in_coboundaries(X, two_cochain):
         if target & (1 << (pb.bit_length() - 1)):
             target ^= pb
     return target == 0
+
+
+class ScanEchelon:
+    """Incremental GF(2) row echelon that scans every stored row.
+
+    Each row is stored reduced against the earlier rows, so one pass in
+    insertion order leaves a vector zero at every pivot.
+    """
+
+    def __init__(self, rows=()):
+        self._rows = []  # (pivot bit, vector, tag)
+        for vec, tag in rows:
+            self.add(vec, tag)
+
+    def rows(self):
+        return [(vec, tag) for _, vec, tag in self._rows]
+
+    def reduce(self, vec, tag=0):
+        for pivot, row, row_tag in self._rows:
+            if vec & pivot:
+                vec ^= row
+                tag ^= row_tag
+        return vec, tag
+
+    def add(self, vec, tag):
+        self._rows.append((1 << (vec.bit_length() - 1), vec, tag))
+
+
+def cup_product_value(struct, m, u_set, v_set, simplex, p, q):
+    """(u cup_m v)(simplex) mod 2 for cochain supports u_set in C^p, v_set
+    in C^q, read off the entry struct.delta(m, simplex)."""
+    total = 0
+    for (a, b), _ in struct.delta(m, simplex).coeffs:
+        if len(a) - 1 == p and len(b) - 1 == q and a in u_set and b in v_set:
+            total ^= 1
+    return total
+
+
+def scan_squares(X, i):
+    """steenrod_squares(X, i) by the slow path: Mod2Cohomology on the
+    scanning echelon, and u cup_(j-i) u summed simplex by simplex over the
+    entries of a fresh SteenrodStructure."""
+    with mock.patch.object(steenrod, "_Echelon", ScanEchelon):
+        coh = steenrod.Mod2Cohomology(X)
+    struct = steenrod.SteenrodStructure(X)
+    out = {}
+    for j in range(X.dim + 1):
+        source = coh.representatives(j)
+        target = j + i
+        matrix = [[0] * len(source) for _ in range(coh.betti(target))]
+        for c, rep in enumerate(source):
+            u = coh.cochain_from_bits(rep, j)
+            value = 0
+            if 0 <= j - i and target <= X.dim:
+                for idx, s in enumerate(coh.simplices[target]):
+                    if cup_product_value(struct, j - i, u, u, s, j, j):
+                        value |= 1 << idx
+            if target <= X.dim:
+                for r, bit in enumerate(coh.class_coords(value, target)):
+                    matrix[r][c] = bit
+        out[j] = matrix
+    return out
 
 
 # ---------------------------------------------------------------------------
