@@ -24,7 +24,7 @@ from .chains import (Chain, GradedMap, TensorChain, _add_into, _invariants,
 from .simplicial import (OrderedComplex, VertexMap, adjoin, coface,
                          codegeneracy, epi_mono_factor, identity_map,
                          simplicial_maps, standard_simplex)
-from .steenrod import BarElement, eta, structure_for
+from .steenrod import BarElement, eta, higher_diagonal, structure_for
 
 
 class BruteForceLimitError(ValueError):
@@ -40,8 +40,9 @@ BRUTE_MAX_VECTORS_PER_DEGREE = 2_000_000
 # dimension 3, produces 904.
 GUIDED_MAX_MORPHISMS = 20_000
 # ... and the most (morphism, face of the n-simplex) pairs it may walk:
-# induced_components reads every face once per morphism.  The largest
-# benchmark command, enumerate on sd^1 RP^2 at n = 4, walks 23 281.
+# building a morphism relabels the components of its codegeneracy's chain
+# map, at most one per face.  The largest benchmark command, enumerate on
+# sd^1 RP^2 at n = 4, walks 23 281.
 GUIDED_MAX_FACE_CHECKS = 50_000
 
 
@@ -49,11 +50,11 @@ def _refuse_oversized_output(X, dims):
     """Raise before any work when the morphisms out of n-simplex chains for
     n in dims, one per n-simplex of the degeneracy completion of X
     (sum over k of C(n, k) f_k), are more than GUIDED_MAX_MORPHISMS, or
-    when those morphisms times the 2^(n+1) - 1 faces of the n-simplex that
-    building each one's chain map reads are more than
-    GUIDED_MAX_FACE_CHECKS.  Each n is charged at least one morphism, so
-    the scan ends within GUIDED_MAX_MORPHISMS + 1 values of n also on the
-    empty complex."""
+    when those morphisms times the 2^(n+1) - 1 faces of the n-simplex (a
+    bound on the components of N(theta) that building each one's chain map
+    relabels) are more than GUIDED_MAX_FACE_CHECKS.  Each n is charged at
+    least one morphism, so the scan ends within GUIDED_MAX_MORPHISMS + 1
+    values of n also on the empty complex."""
     total = checks = 0
     for n in dims:
         count = max(1, sum(comb(n, k) * len(X.simplices_of_dim(k))
@@ -137,14 +138,29 @@ def _vertex_image(f, v):
     return None
 
 
-def is_steenrod_morphism(f, source, target):
+def is_steenrod_morphism(f, source, target, types=None):
     """Decide whether a graded map N(source) -> N(target) is a morphism of
     the diagonal structures.
 
     Checks, in order: degree-0 shift and chain-map law; augmentation
-    preservation in degree 0; the structure square
+    preservation in degree 0; then the structure square
     (f (x) f) . xi_src = xi_tgt . (1 (x) f) on every pair (e_j, simplex) with
-    j + dim(simplex) <= 2 dim(target) (both sides vanish above that range).
+    j + dim(simplex) <= 2 dim(target) (both sides vanish above that range),
+    decided in one of two ways:
+
+    - f = N(phi) for an order-preserving simplicial vertex map phi (the
+      certificate, found right after the augmentation check): on a simplex s
+      write phi|s = tau . theta with theta: [n] ->> [k] a codegeneracy and
+      tau injective.  Delta_j(s) is the universal table relabeled by s on
+      both structures, and relabeling by tau is injective and commutes with
+      map_factors, so the square on s is the square of N(theta) on the top
+      simplex of the standard n-simplex, relabeled by tau.  Each local type
+      theta is decided once (_type_failure), and the witness is the first
+      simplex in scan order whose type fails, with that type's first failing
+      j: the pair the scan below would report.  types, when given, is a dict
+      from theta to that j (or None) shared by calls on the same tables.
+    - otherwise every pair is formed and compared, simplex by simplex.
+
     Returns a verdict whose witness re-checks by direct evaluation; positive
     verdicts carry the inducing vertex map as certificate.
     """
@@ -161,6 +177,12 @@ def is_steenrod_morphism(f, source, target):
     for (v,) in source.simplices_of_dim(0):
         if sum(f.apply_label((v,)).values()) != 1:
             return MorphismVerdict("not_morphism", witness=("augmentation", (v,)))
+    cert = _extract_vertex_map(f, source, target)
+    if cert is not None:
+        witness = _first_failing_type(cert, {} if types is None else types)
+        if witness is not None:
+            return MorphismVerdict("not_morphism", witness=witness)
+        return MorphismVerdict("morphism", certificate=cert)
     bound = 2 * target.dim
     for s in source.all_simplices():
         k = simplex_degree(s)
@@ -170,8 +192,57 @@ def is_steenrod_morphism(f, source, target):
             right = S_tgt.xi(BarElement.e(j), f.apply(NA.generator(s)))
             if left != right:
                 return MorphismVerdict("not_morphism", witness=(j, s))
-    cert = _extract_vertex_map(f, source, target)
-    return MorphismVerdict("morphism", certificate=cert)
+    return MorphismVerdict("morphism")
+
+
+class _OnPositions:
+    """N(theta) on the faces of a standard simplex, read as position tuples:
+    a face goes to its image when theta is injective on it, to zero
+    otherwise (the apply_label that map_factors reads)."""
+
+    def __init__(self, theta):
+        self.theta = theta
+
+    def apply_label(self, face):
+        image = tuple([self.theta[p] for p in face])
+        if face and all(a < b for a, b in zip(image, image[1:])):
+            return {image: 1}
+        return {}
+
+
+def _type_failure(theta):
+    """The first j at which the structure square of N(theta) fails on the
+    top simplex, for a codegeneracy theta: [n] ->> [k], or None.
+
+    Left: Delta_j of the top n-simplex with its factors mapped by theta.
+    Right: Delta_j of the top k-simplex when theta is the identity, zero
+    otherwise.  Both are read from higher_diagonal, as SteenrodStructure.delta
+    reads them.  For j > min(n, max(2k - n, 0)) both sides vanish: every
+    factor of a left term of degree j + n > 2k has dimension above k.
+    """
+    n, k = len(theta) - 1, theta[-1]
+    top = identity_map(n)
+    on_positions = _OnPositions(theta)
+    for j in range(min(n, max(2 * k - n, 0)) + 1):
+        left = higher_diagonal(j, top).map_factors(on_positions)
+        right = (higher_diagonal(j, top) if k == n
+                 else TensorChain.zero(2, j + n))
+        if left != right:
+            return j
+    return None
+
+
+def _first_failing_type(vmap, types):
+    """(j, s) for the first simplex s of vmap's source, in scan order, whose
+    local type fails its square at j, or None; types memoizes the types."""
+    m = vmap.as_dict()
+    for s in vmap.source.all_simplices():
+        theta, _ = epi_mono_factor([m[v] for v in s])
+        if theta not in types:
+            types[theta] = _type_failure(theta)
+        if types[theta] is not None:
+            return (types[theta], s)
+    return None
 
 
 def _extract_vertex_map(f, source, target):
@@ -227,17 +298,19 @@ def enumerate_morphisms(n, X, mode="guided", bound=2):
     zero).  Each such map factors as a codegeneracy theta of the n-simplex
     onto the k-simplex followed by the inclusion of a k-simplex tau of X
     (image_pair), and the full decision procedure, chain-map law included,
-    runs once per theta, on N(theta) into the standard k-simplex; N(tau .
-    theta) is then built for every tau with no second check.  That is
-    sound: Delta_j(t) is the universal table relabeled by t on both
-    structures, and relabeling by tau is injective and commutes with
-    map_factors, the boundary and the augmentation, so each square, the
-    chain law and the augmentation of N(tau . theta) are those of N(theta)
-    relabeled by tau.  The bound 2 dim X in place of 2k only adds pairs
-    whose two sides are zero, being of degree above 2k.  Each theta is
-    checked where simplicial_maps first yields it, so a failing theta
-    raises at the first failing vertex map, with that map's verdict: the
-    witness lies on the same source.
+    runs once per theta, on N(theta) into the standard k-simplex, with one
+    memo of local types for the whole call, so each face type of the
+    n-simplex is decided once.  N(tau . theta) is then N(theta)'s
+    components relabeled by tau, with no second check.  That is sound:
+    Delta_j(t) is the universal table relabeled by t on both structures, and
+    relabeling by tau is injective and commutes with map_factors, the
+    boundary and the augmentation, so each square, the chain law and the
+    augmentation of N(tau . theta) are those of N(theta) relabeled by tau.
+    The bound 2 dim X in place of 2k only adds pairs whose two sides are
+    zero, being of degree above 2k.  Each theta is checked where
+    simplicial_maps first yields it, so a failing theta raises at the first
+    failing vertex map, with that map's verdict: the witness lies on the
+    same source.
 
     brute: exhaust chain maps with coefficients in [-bound, bound] degree by
     degree (degree-0 candidates are pre-filtered by the (e_0, vertex) square
@@ -257,21 +330,25 @@ def enumerate_morphisms(n, X, mode="guided", bound=2):
     ident = identity_map(n)
     NA = structure_for(source).chains
     NB = structure_for(X).chains
-    verified = set()
+    types = {}       # local type -> its first failing j, for every theta
+    components = {}  # theta -> the verified components of N(theta)
     out = []
     for vmap in simplicial_maps(n, X):
         theta, tau = image_pair(vmap, (ident, ident))
-        if theta not in verified:
+        comps = components.get(theta)
+        if comps is None:
             target = standard_simplex(len(tau) - 1)
             f = GradedMap(NA, structure_for(target).chains, 0,
                           induced_components(VertexMap.from_dict(
                               source, target, dict(enumerate(theta)))))
-            verdict = is_steenrod_morphism(f, source, target)
+            verdict = is_steenrod_morphism(f, source, target, types)
             if not verdict.ok:
                 raise AssertionError(
                     f"induced map failed verification: {verdict}")
-            verified.add(theta)
-        f = GradedMap(NA, NB, 0, induced_components(vmap))
+            comps = components[theta] = f.comps
+        f = GradedMap(NA, NB, 0, {
+            s: {tuple([tau[p] for p in t]): c for t, c in image.items()}
+            for s, image in comps.items()})
         out.append(MorphismSimplex(f, vmap, theta, tau))
     out.sort(key=lambda ms: (ms.simplex, ms.surjection))
     return out

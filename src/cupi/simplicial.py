@@ -405,7 +405,8 @@ class VertexMap:
 
     def is_simplicial(self):
         """Every simplex image spans a simplex of the target."""
-        return all(self.target.has_simplex(self.apply_simplex(s))
+        m = self.as_dict()
+        return all(self.target.has_simplex(tuple(sorted({m[v] for v in s})))
                    for s in self.source.all_simplices())
 
 

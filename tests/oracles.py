@@ -17,7 +17,10 @@
   inside xi_iterate;
 - the exhaustive per-simplex check of C1-C5 and completeness, against
   verify_structure, which reads one simplex per dimension of a structure
-  read on demand.
+  read on demand;
+- the morphism decision with the structure square formed on every
+  (e_j, simplex) pair, against is_steenrod_morphism, which decides an
+  induced map once per local type.
 """
 
 import itertools
@@ -516,3 +519,37 @@ def scan_structure(S):
             if S.delta(i, s) != higher_diagonal(i, s):
                 return False, "C5", (i, s)
     return True, "", ()
+
+
+# ---------------------------------------------------------------------------
+# the morphism decision, pair by pair
+# ---------------------------------------------------------------------------
+
+def scan_morphism(f, source, target):
+    """is_steenrod_morphism by the full scan: the chain-map law and the
+    augmentation, then (f (x) f) . xi_src = xi_tgt . (1 (x) f) formed on
+    every (e_j, simplex) pair with j + dim(simplex) <= 2 dim(target), in
+    scan order; the inducing vertex map is looked for only after the
+    square holds everywhere."""
+    from cupi.reconstruct import MorphismVerdict, _extract_vertex_map
+    S_src = steenrod.structure_for(source)
+    S_tgt = steenrod.structure_for(target)
+    NA = S_src.chains
+    if f.shift != 0:
+        return MorphismVerdict("not_chain_map", witness=f.shift)
+    bad_deg = f.first_commutator_witness()
+    if bad_deg is not None:
+        return MorphismVerdict("not_chain_map", witness=bad_deg)
+    for (v,) in source.simplices_of_dim(0):
+        if sum(f.apply_label((v,)).values()) != 1:
+            return MorphismVerdict("not_morphism", witness=("augmentation", (v,)))
+    bound = 2 * target.dim
+    for s in source.all_simplices():
+        k = len(s) - 1
+        for j in range(min(k, max(bound - k, 0)) + 1):
+            left = S_src.delta(j, s).map_factors(f)
+            right = S_tgt.xi(BarElement.e(j), f.apply(NA.generator(s)))
+            if left != right:
+                return MorphismVerdict("not_morphism", witness=(j, s))
+    return MorphismVerdict("morphism",
+                           certificate=_extract_vertex_map(f, source, target))

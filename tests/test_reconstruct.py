@@ -1,6 +1,7 @@
 """Iterated diagonals, morphism decisions, enumeration, reconstruction,
 lifting, and the homology square."""
 
+import itertools
 import random
 from collections import OrderedDict
 from math import comb
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cupi.chains import (Chain, GradedMap, HomologyClasses, TensorChain,
-                         chain_map_from_vertex_map)
+                         chain_map_from_vertex_map, induced_components)
 from cupi.simplicial import (VertexMap, adjoin, build_complex,
-                             epi_mono_factor, identity_map, standard_simplex)
+                             epi_mono_factor, identity_map, standard_simplex,
+                             surjections)
+from cupi import reconstruct, steenrod
 from cupi.steenrod import (BarElement, aw_diagonal, eta, higher_diagonal,
                            structure_for)
 from cupi.reconstruct import (BruteForceLimitError, MorphismVerdict,
@@ -22,7 +25,9 @@ from cupi.reconstruct import (BruteForceLimitError, MorphismVerdict,
                               xi_iterate)
 
 import oracles
-from conftest import RP2_FACETS, barycentric, circle, rp2
+from conftest import (RP2_FACETS, barycentric, circle, named_corpus,
+                      random_complexes, rp, rp2)
+from test_chains import facet_lists
 from test_steenrod import complexes
 
 
@@ -189,6 +194,171 @@ class TestIsSteenrodMorphism:
         assert verdict.status == "not_morphism"
 
 
+def _shifted(X):
+    """X with every vertex v renamed 2v + 1, an order-preserving relabeling,
+    and the vertex map that does it."""
+    Y = build_complex([tuple(2 * v + 1 for v in s) for s in X.all_simplices()])
+    return Y, VertexMap.from_dict(X, Y, {v: 2 * v + 1 for v in X.vertices})
+
+
+@st.composite
+def maps(draw, complexes, changes=("none", "negate", "perturb", "cycle")):
+    """(f, X, Y, phi): N(phi) for an order-preserving simplicial vertex map phi
+    (a relabeling, a collapse onto a simplex of X, or a weakly monotone map
+    into a standard simplex), taken as is, negated, with one coefficient
+    perturbed, or with a cycle added to the image of a maximal simplex."""
+    X = draw(complexes)
+    kind = draw(st.sampled_from(["relabel", "collapse", "simplex"]))
+    if kind == "relabel":
+        Y, vm = _shifted(X)
+    else:
+        if kind == "collapse":
+            Y = X
+            onto = draw(st.sampled_from(list(X.all_simplices())))
+        else:
+            Y = standard_simplex(draw(st.integers(min_value=0, max_value=4)))
+            onto = Y.vertices
+        images = sorted(draw(st.lists(st.sampled_from(onto),
+                                      min_size=len(X.vertices),
+                                      max_size=len(X.vertices))))
+        vm = VertexMap.from_dict(X, Y, dict(zip(X.vertices, images)))
+    NA, NB = structure_for(X).chains, structure_for(Y).chains
+    comps = induced_components(vm)
+    change = draw(st.sampled_from(changes))
+    if change == "negate":
+        comps = {s: {t: -c for t, c in img.items()} for s, img in comps.items()}
+    elif change == "perturb":
+        s = draw(st.sampled_from(list(X.all_simplices())))
+        t = draw(st.sampled_from(Y.simplices_of_dim(len(s) - 1) or [None]))
+        if t is not None:
+            img = comps.setdefault(s, {})
+            img[t] = img.get(t, 0) + draw(st.sampled_from([-1, 1, 2]))
+    elif change == "cycle":
+        # d of a (d+1)-simplex added to the image of a d-simplex with no
+        # coface keeps the chain-map law and the augmentation
+        pairs = [(s, u) for s in X.all_simplices() if len(s) > 1
+                 and not any(set(s) < set(c)
+                             for c in X.simplices_of_dim(len(s)))
+                 for u in Y.simplices_of_dim(len(s))]
+        if pairs:
+            s, u = draw(st.sampled_from(pairs))
+            img = comps.setdefault(s, {})
+            for t, c in NB.boundary_of(u).items():
+                img[t] = img.get(t, 0) + c
+    return GradedMap(NA, NB, 0, comps), X, Y, vm
+
+
+@st.composite
+def codegeneracies(draw):
+    """(f, X, Y, phi): phi a codegeneracy of the n-simplex onto [k] with
+    2k - n >= 1, n <= 5, followed by an injection of [k] into [m], m <= 5."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    k = draw(st.integers(min_value=n // 2 + 1, max_value=n - 1))
+    theta = draw(st.sampled_from(surjections(n, k)))
+    m = draw(st.integers(min_value=k, max_value=5))
+    tau = sorted(draw(st.sets(st.integers(min_value=0, max_value=m),
+                              min_size=k + 1, max_size=k + 1)))
+    X, Y = standard_simplex(n), standard_simplex(m)
+    vm = VertexMap.from_dict(X, Y, {v: tau[t] for v, t in enumerate(theta)})
+    f = GradedMap(structure_for(X).chains, structure_for(Y).chains, 0,
+                  induced_components(vm))
+    return f, X, Y, vm
+
+
+corpus_complexes = st.one_of(
+    st.sampled_from(list(named_corpus().values()) + random_complexes()),
+    facet_lists.map(build_complex))
+
+
+@given(maps(corpus_complexes))
+@settings(max_examples=150, deadline=None)
+def test_per_type_decision_agrees_with_the_scan(case):
+    f, X, Y, _ = case
+    assert is_steenrod_morphism(f, X, Y) == oracles.scan_morphism(f, X, Y)
+
+
+@pytest.mark.parametrize("kind", ["flip", "drop", "double", "add"])
+@given(case=st.one_of(codegeneracies(),
+                      maps(corpus_complexes, ("none", "perturb", "cycle"))),
+       data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_per_type_decision_agrees_with_the_scan_on_tampered_tables(
+        kind, case, data):
+    """One universal table (i, k), 1 <= i <= k <= dim X, changed: its sign
+    flipped, its first term dropped, doubled, or one term of its degree
+    added; both decisions read fresh structures.  Only a local type theta:
+    [n] ->> [k] with k < n and 2k - n >= 1 can fail, by a term whose
+    factors theta keeps: the codegeneracies have such types."""
+    f, X, Y, vm = case
+    # the levels (i, n) that a local type theta: [n] ->> [k], k < n, of phi
+    # reads; a term whose factors theta keeps, added there, makes it fail
+    m = vm.as_dict()
+    read = [(i, len(s) - 1, theta) for s in X.all_simplices()
+            for theta in [epi_mono_factor([m[v] for v in s])[0]]
+            if theta[-1] < len(s) - 1
+            for i in range(1, 2 * theta[-1] - len(s) + 2)]
+    if kind == "add" and read:
+        i, k, theta = data.draw(st.sampled_from(read))
+    else:
+        levels = [(i, k) for k in range(1, X.dim + 1) for i in range(1, k + 1)]
+        i, k = data.draw(st.sampled_from(levels) if levels else st.nothing())
+        theta = identity_map(k)
+    key = (i, k)
+    # every level either side reads is built before the tampering, so no
+    # level is built from the tampered one
+    steenrod.ensure_tables(max(X.dim, Y.dim))
+    built = steenrod._LEVEL_BUILT
+    table = steenrod._TABLES[key]
+    if kind == "flip":
+        table = table.scale(-1)
+    elif kind == "drop":
+        table = TensorChain(2, table.degree, table.coeffs[1:])
+    elif kind == "double":
+        table = table.scale(2)
+    else:
+        faces = [c for r in range(1, k + 2)
+                 for c in itertools.combinations(range(k + 1), r)
+                 if len({theta[p] for p in c}) == r]
+        term = data.draw(st.sampled_from(
+            [(a, b) for a in faces for b in faces
+             if len(a) + len(b) - 2 == i + k]))
+        table = table + TensorChain.from_dict(2, i + k, {term: 1})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(steenrod._TABLES, key, table)
+        mp.setattr(steenrod, "_structure_cache", OrderedDict())
+        got = is_steenrod_morphism(f, X, Y)
+        mp.setattr(steenrod, "_structure_cache", OrderedDict())
+        want = oracles.scan_morphism(f, X, Y)
+    assert steenrod._LEVEL_BUILT == built
+    assert got == want
+
+
+def spy_on_type_decisions(monkeypatch):
+    """The list of local types is_steenrod_morphism decides, in order."""
+    decided = []
+    decide = reconstruct._type_failure
+
+    def spy(theta):
+        decided.append(theta)
+        return decide(theta)
+
+    monkeypatch.setattr(reconstruct, "_type_failure", spy)
+    return decided
+
+
+def test_relabeled_rp3_decides_one_type_per_dimension(monkeypatch):
+    # an order-preserving relabeling is injective on every simplex, so its
+    # local types are the identities of [0] ... [3]
+    X = rp(3)
+    Y, vm = _shifted(X)
+    decided = spy_on_type_decisions(monkeypatch)
+    f = chain_map_from_vertex_map(vm, structure_for(X).chains,
+                                  structure_for(Y).chains)
+    verdict = is_steenrod_morphism(f, X, Y)
+    assert verdict.ok and verdict.certificate == vm
+    assert len(decided) <= X.dim + 1
+
+
 class TestEnumerate:
     def test_point_to_point(self):
         X = standard_simplex(0)
@@ -272,6 +442,14 @@ class TestEnumerate:
         monkeypatch.setattr(reconstruct, "standard_simplex", built)
         monkeypatch.setattr(simplicial, "standard_simplex", built)
         assert enumerate_morphisms(13, build_complex([])) == []
+
+    def test_each_local_type_is_decided_once_per_call(self, monkeypatch):
+        # the codegeneracies of the 3-simplex onto [0], [1] and [2] share
+        # the local types of their faces
+        decided = spy_on_type_decisions(monkeypatch)
+        # C(3, 0) 3 + C(3, 1) 3 + C(3, 2) 1 vertex maps
+        assert len(enumerate_morphisms(3, standard_simplex(2))) == 15
+        assert len(decided) == len(set(decided))
 
     def test_tampered_table_fails_the_codegeneracy_check(self, monkeypatch):
         # the extra term of Delta_1 on the 3-simplex survives the
