@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+
+_EMPTY = {}  # the image or boundary of a label that has none; never written
 
 
 def _add_into(acc, key, coeff):
@@ -36,11 +38,17 @@ class Combination:
     chains, tensor chains and bar elements.
 
     coeffs is a sorted tuple of (label, coeff) pairs with no zeros.  A
-    subclass is a frozen dataclass whose fields are its grading, as returned
-    by _grade, followed by coeffs.  Gradings must agree for a sum, except
-    that the zero combination has no grading: it equals every zero of its
-    type.
+    subclass takes its grading, as returned by _grade, followed by coeffs as
+    its constructor arguments, and treats them as immutable.  Gradings must
+    agree for a sum, except that the zero combination has no grading: it
+    equals every zero of its type.
     """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def _grade(self):
         return ()
@@ -91,12 +99,13 @@ def _add_scaled(acc, combination, c=1):
         _add_into(acc, k, c * v)
 
 
-@dataclass(frozen=True, eq=False)
 class Chain(Combination):
     """Integer combination of basis labels in a single degree."""
 
-    degree: int
-    coeffs: tuple
+    __slots__ = ("degree", "coeffs")
+
+    def __init__(self, degree, coeffs):
+        self.degree, self.coeffs = degree, coeffs
 
     def _grade(self):
         return (self.degree,)
@@ -193,32 +202,39 @@ class GradedMap:
                 _add_into(out, tgt, c * v)
         return Chain.from_dict(chain.degree + self.shift, out)
 
+    def _residuals(self, labels):
+        """Yield (label, df(label)) over the given source labels, where
+        df = f . d_source - (-1)^shift d_target . f; the dicts may hold
+        zero coefficients."""
+        sgn = -((-1) ** self.shift)
+        image, d_src = self.comps.get, self.source.diff.get
+        d_tgt = self.target.diff.get
+        for label in labels:
+            acc = {}
+            for face, c in d_src(label, _EMPTY).items():
+                for tgt, v in image(face, _EMPTY).items():
+                    acc[tgt] = acc.get(tgt, 0) + c * v
+            for tgt, v in image(label, _EMPTY).items():
+                for face, c in d_tgt(tgt, _EMPTY).items():
+                    acc[face] = acc.get(face, 0) + sgn * v * c
+            yield label, acc
+
     def commutator_with_boundary(self):
         """The hom-complex differential of this map:
         df = f . d_source - (-1)^shift d_target . f."""
-        sgn = -((-1) ** self.shift)
-        comps = {}
-        for label in self.source.degree_of:
-            acc = {}
-            for face, c in self.source.boundary_of(label).items():
-                for tgt, v in self.apply_label(face).items():
-                    _add_into(acc, tgt, c * v)
-            for tgt, v in self.apply_label(label).items():
-                for face, c in self.target.boundary_of(tgt).items():
-                    _add_into(acc, face, sgn * v * c)
-            if acc:
-                comps[label] = acc
-        return GradedMap(self.source, self.target, self.shift - 1, comps)
+        return GradedMap(self.source, self.target, self.shift - 1,
+                         dict(self._residuals(self.source.degree_of)))
 
     def is_chain_map(self):
         return self.shift == 0 and not self.commutator_with_boundary().comps
 
     def first_commutator_witness(self):
-        """Smallest degree where f d != d f, or None."""
-        resid = self.commutator_with_boundary().comps
-        if not resid:
-            return None
-        return min(self.source.degree_of[lb] for lb in resid)
+        """Smallest degree where f d != d f, or None; stops at the first."""
+        for n in sorted(self.source.basis):
+            if any(any(r.values())
+                   for _, r in self._residuals(self.source.basis[n])):
+                return n
+        return None
 
     def _image_of(self, d):
         """The image of the combination {label: coeff} d, zeros dropped."""
@@ -334,7 +350,6 @@ def simplex_degree(s):
     return len(s) - 1
 
 
-@dataclass(frozen=True, eq=False)
 class TensorChain(Combination):
     """Integer combination of arity-k tuples of simplices.
 
@@ -343,9 +358,10 @@ class TensorChain(Combination):
     application time, never stored.
     """
 
-    arity: int
-    degree: int
-    coeffs: tuple
+    __slots__ = ("arity", "degree", "coeffs")
+
+    def __init__(self, arity, degree, coeffs):
+        self.arity, self.degree, self.coeffs = arity, degree, coeffs
 
     def _grade(self):
         return (self.arity, self.degree)
@@ -601,11 +617,8 @@ def kernel_basis(M):
     return [[V[i][j] for i in range(n)] for j in range(rank, n)]
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
-    degree: int
-    betti: int
-    torsion: tuple
+class HomologyGroup(namedtuple("HomologyGroup", "degree betti torsion")):
+    __slots__ = ()
 
     def as_json(self):
         return {"degree": self.degree, "betti": self.betti,

@@ -15,15 +15,15 @@ all degeneracies freely added.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .chains import (Chain, GradedMap, TensorChain, _add_into, _invariants,
                      _terms, chain_map_from_vertex_map, HomologyClasses,
                      induced_components, simplex_degree, unnormalized_chains)
-from .simplicial import (OrderedComplex, VertexMap, adjoin, coface,
-                         codegeneracy, epi_mono_factor, identity_map,
-                         simplicial_maps, standard_simplex)
+from .simplicial import (VertexMap, adjoin, coface, codegeneracy,
+                         epi_mono_factor, identity_map, simplicial_maps,
+                         standard_simplex)
 from .steenrod import BarElement, eta, higher_diagonal, structure_for
 
 
@@ -108,11 +108,11 @@ def xi_iterate(struct, chain, K=3):
 # the morphism decision procedure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MorphismVerdict:
-    status: str  # "morphism" | "not_morphism" | "not_chain_map"
-    witness: tuple = None
-    certificate: VertexMap = None
+class MorphismVerdict(namedtuple("MorphismVerdict",
+                                 "status witness certificate",
+                                 defaults=(None, None))):
+    # status is "morphism", "not_morphism" or "not_chain_map"
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -263,14 +263,13 @@ def _extract_vertex_map(f, source, target):
 # morphism enumeration: guided and brute
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MorphismSimplex:
-    """A verified morphism out of simplex chains, with its classification."""
+class MorphismSimplex(namedtuple("MorphismSimplex",
+                                 "chain_map vertex_map surjection simplex")):
+    """A verified morphism out of simplex chains, with its classification:
+    surjection is the order-preserving surjection onto simplex, the image
+    simplex of the target."""
 
-    chain_map: GradedMap
-    vertex_map: VertexMap
-    surjection: tuple   # order-preserving surjection onto the image simplex
-    simplex: tuple      # image simplex of the target
+    __slots__ = ()
 
     @property
     def pair(self):
@@ -511,11 +510,9 @@ class ShomSimplicialSet:
         return self._precompose(ms, codegeneracy(i, n), n + 1)
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
-    ok: bool
-    detail: str = ""
-    counts: tuple = ()
+class ReconstructionReport(namedtuple("ReconstructionReport",
+                                      "ok detail counts", defaults=("", ()))):
+    __slots__ = ()
 
     def as_json(self):
         return {"status": "pass" if self.ok else "fail",
@@ -574,20 +571,18 @@ def verify_reconstruction(X, up_to):
 # lifting morphisms to simplicial maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LiftedMap:
+class LiftedMap(namedtuple("LiftedMap", "source target vertex_map")):
     """The simplicial map between freely degenerate complexes induced by a
     verified morphism, in (surjection, simplex) coordinates."""
 
-    source: OrderedComplex
-    target: OrderedComplex
-    vertex_map: VertexMap
+    __slots__ = ()
 
     def recovered_bijection(self):
         """When the underlying morphism is an isomorphism, the vertex map is
         a bijection exhibiting source = target as ordered complexes."""
         m = self.vertex_map.as_dict()
-        if len(set(m.values())) != len(m):
+        image = set(m.values())
+        if len(image) != len(m) or image != set(self.target.vertices):
             return None
         inverse = VertexMap.from_dict(self.target, self.source,
                                       {w: v for v, w in m.items()})
@@ -635,10 +630,9 @@ def unnormalized_map_of_lift(lift, CX, CY):
     return GradedMap(CX, CY, 0, comps)
 
 
-@dataclass(frozen=True)
-class HomologySquareReport:
-    ok: bool
-    detail: str = ""
+class HomologySquareReport(namedtuple("HomologySquareReport", "ok detail",
+                                      defaults=("",))):
+    __slots__ = ()
 
     def as_json(self):
         return {"status": "pass" if self.ok else "fail", "detail": self.detail}

@@ -11,7 +11,7 @@ never materialized, every dimension is enumerated on demand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 
@@ -89,17 +89,26 @@ def epi_mono_factor(values):
 # ordered simplicial complexes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class OrderedComplex:
     """Finite ordered simplicial complex.
 
     `simplices[k]` lists the k-dimensional simplices as strictly increasing
     vertex tuples, sorted lexicographically.  Instances are immutable and
-    hashable; build one with :func:`build_complex`.
+    hashable, equal when their vertices and simplices are; build one with
+    :func:`build_complex`.
     """
 
-    vertices: tuple
-    simplices: tuple  # simplices[k] = tuple of (k+1)-vertex tuples
+    def __init__(self, vertices, simplices):
+        self.vertices, self.simplices = vertices, simplices
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.vertices == other.vertices
+                and self.simplices == other.simplices)
+
+    def __hash__(self):
+        return hash((self.vertices, self.simplices))
 
     @property
     def dim(self):
@@ -119,7 +128,7 @@ class OrderedComplex:
 
     @cached_property
     def _simplex_sets(self):
-        # not a field, so it stays out of __eq__ and __hash__
+        # derived from simplices, so it stays out of __eq__ and __hash__
         return tuple(frozenset(level) for level in self.simplices)
 
     def has_simplex(self, simplex):
@@ -170,7 +179,6 @@ def standard_simplex(n):
 # delta-complexes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class DeltaComplex:
     """Indexed cells with face operators d_0..d_n per n-cell.
 
@@ -179,8 +187,7 @@ class DeltaComplex:
     positive dimension.  Treated as immutable after construction.
     """
 
-    cells: dict
-    faces: dict
+    __slots__ = ("cells", "faces")
 
     def __eq__(self, other):
         if not isinstance(other, DeltaComplex):
@@ -190,7 +197,8 @@ class DeltaComplex:
     def __hash__(self):
         return hash(tuple(sorted((n, tuple(cs)) for n, cs in self.cells.items())))
 
-    def __post_init__(self):
+    def __init__(self, cells, faces):
+        self.cells, self.faces = cells, faces
         seen = set()
         for n, cs in self.cells.items():
             for c in cs:
@@ -252,8 +260,7 @@ class DeltaComplex:
 # degeneracy-free simplicial sets: the functor adding degeneracies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimplicialSetDF:
+class SimplicialSetDF(namedtuple("SimplicialSetDF", "core")):
     """Degeneracy-free simplicial set presented by its core delta-complex.
 
     m-simplices are pairs (theta, c) with theta an order-preserving
@@ -261,7 +268,7 @@ class SimplicialSetDF:
     core is stored, dimensions are enumerated on demand.
     """
 
-    core: DeltaComplex
+    __slots__ = ()
 
     def simplices_of_dim(self, m):
         out = []
@@ -378,13 +385,11 @@ def counit(sset):
 # vertex maps and the simplicial map count
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VertexMap:
-    """A map of vertex sets between ordered complexes."""
+class VertexMap(namedtuple("VertexMap", "source target mapping")):
+    """A map of vertex sets between ordered complexes: mapping is the
+    sorted tuple of (v, image) pairs."""
 
-    source: OrderedComplex
-    target: OrderedComplex
-    mapping: tuple  # sorted tuple of (v, image) pairs
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, source, target, mapping):

@@ -28,8 +28,7 @@ of simplices of X in TensorChain algebra, which the mask build does not use.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import OrderedDict, namedtuple
 
 from .chains import (Combination, TensorChain, _add_into, _add_scaled, _terms,
                      normalized_chains, simplex_degree)
@@ -44,14 +43,16 @@ def eta(k):
 # the bar resolution W
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class BarElement(Combination):
     """Integer combination of generators T^g e_n of the bar resolution.
 
     Labels are (g, n) with g in {0, 1}; sums may mix degrees.
     """
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
 
     @classmethod
     def from_dict(cls, d):
@@ -335,11 +336,9 @@ def structure_for(X):
 # structure verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StructureReport:
-    ok: bool
-    check: str = ""
-    witness: tuple = ()
+class StructureReport(namedtuple("StructureReport", "ok check witness",
+                                 defaults=("", ()))):
+    __slots__ = ()
 
     def as_json(self):
         if self.ok:

@@ -34,6 +34,7 @@ def files(tmp_path):
     write("isolated.json", {"vertices": [0, 1, 2, 7], "facets": [[0, 1, 2]]})
     write("undeclared.json", {"vertices": [0, 1], "facets": [[0, 1, 2]]})
     write("misbinned.json", {"0": [[[0, 1], [0, 1], 1]]})
+    write("point_into_d1.json", {"0": [[[0], [0], 1]]})
     return paths
 
 
@@ -165,6 +166,13 @@ class TestMorphismCommands:
         data = json.loads(out)
         assert data["vertex_map"] == {"0": 0, "1": 1}
         assert data["isomorphism"] == {"0": 0, "1": 1}
+
+    def test_lift_of_a_map_missing_a_target_vertex(self, files, capsys):
+        # injective but not onto: no isomorphism, and no inverse is built
+        assert run(capsys, "lift", files["point.json"], files["d1.json"],
+                   files["point_into_d1.json"]) == \
+            (0, '{"isomorphism":null,"status":"lifted",'
+                '"vertex_map":{"0":0}}\n')
 
     def test_homology_square(self, files, capsys):
         code, out = run(capsys, "homology-square", files["d1.json"],

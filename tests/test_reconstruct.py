@@ -277,6 +277,29 @@ def test_per_type_decision_agrees_with_the_scan(case):
     assert is_steenrod_morphism(f, X, Y) == oracles.scan_morphism(f, X, Y)
 
 
+def _boundary_map(C):
+    return GradedMap(C, C, -1, {lb: C.boundary_of(lb) for lb in C.degree_of})
+
+
+@given(maps(corpus_complexes))
+@settings(max_examples=150, deadline=None)
+def test_first_commutator_witness_is_the_lowest_residual_degree(case):
+    # oracle for the early exit: the lowest source degree of the full
+    # residual, which is f.d - d.f formed by composition
+    f = case[0]
+    want = {}
+    for sign, g in ((1, f.compose(_boundary_map(f.source))),
+                    (-1, _boundary_map(f.target).compose(f))):
+        for lb, img in g.comps.items():
+            acc = want.setdefault(lb, {})
+            for t, c in img.items():
+                acc[t] = acc.get(t, 0) + sign * c
+    resid = f.commutator_with_boundary()
+    assert resid.equals(GradedMap(f.source, f.target, -1, want))
+    assert f.first_commutator_witness() == min(
+        (f.source.degree_of[lb] for lb in resid.comps), default=None)
+
+
 @pytest.mark.parametrize("kind", ["flip", "drop", "double", "add"])
 @given(case=st.one_of(codegeneracies(),
                       maps(corpus_complexes, ("none", "perturb", "cycle"))),
@@ -543,7 +566,6 @@ class TestVerifyReconstruction:
     def test_wrong_stored_morphism_is_a_failing_report(self, monkeypatch):
         # a stored simplex whose chain map is not the precomposite: the
         # report fails instead of raising
-        import dataclasses
         from cupi import reconstruct
         X = standard_simplex(1)
         shom = ShomSimplicialSet(X, 2)
@@ -552,7 +574,7 @@ class TestVerifyReconstruction:
         doubled = GradedMap(f.source, f.target, 0,
                             {lb: {t: 2 * c for t, c in img.items()}
                              for lb, img in f.comps.items()})
-        bad = dataclasses.replace(ms, chain_map=doubled)
+        bad = ms._replace(chain_map=doubled)
         shom.levels[0][0] = shom._by_pair[0][ms.pair] = bad
         monkeypatch.setattr(reconstruct, "ShomSimplicialSet",
                             lambda X, up_to: shom)

@@ -40,6 +40,24 @@ class TestBuildComplex:
         with pytest.raises(InvalidComplexError):
             build_complex([(2, 1)])
 
+    def test_equal_facets_give_one_structure(self):
+        # equality and hash read the vertices and simplices only, so a
+        # rebuilt complex finds the cached structure of the first
+        from cupi.steenrod import structure_for
+        X, Y = build_complex(RP2_FACETS), build_complex(RP2_FACETS)
+        assert X is not Y
+        assert X.has_simplex((1, 2, 4))         # fills X's simplex sets
+        assert X == Y and hash(X) == hash(Y)
+        assert X != (X.vertices, X.simplices)
+        assert X != build_complex(RP2_FACETS[1:])
+        assert structure_for(X) is structure_for(Y)
+        assert X.to_delta() == Y.to_delta()
+        assert hash(X.to_delta()) == hash(Y.to_delta())
+        m = {v: v for v in X.vertices}
+        assert VertexMap.from_dict(X, Y, m) == VertexMap.from_dict(Y, X, m)
+        assert VertexMap.from_dict(X, X, m) != VertexMap.from_dict(
+            X, X, {**m, 1: 2})
+
     def test_rejects_duplicate_vertices(self):
         with pytest.raises(InvalidComplexError):
             build_complex([(1, 1, 2)])

@@ -1,6 +1,9 @@
 """Guards on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cupi"
@@ -14,3 +17,18 @@ def test_the_package_has_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert sources
     assert found == []
+
+
+def test_the_cli_imports_only_the_standard_library():
+    # every command starts a fresh interpreter and pays for what
+    # `import cupi.cli` loads: stdlib only, and not the dataclasses
+    # machinery (which pulls in inspect, ast, dis and tokenize)
+    code = ("import sys; before = set(sys.modules); import cupi.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    top = {name.partition(".")[0] for name in loaded}
+    assert "cupi" in top
+    assert top - {"cupi"} <= sys.stdlib_module_names
+    assert not {"dataclasses", "inspect"} & top
