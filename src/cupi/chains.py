@@ -270,56 +270,36 @@ class GradedMap:
         return cls(C, C, 0, {lb: {lb: 1} for lb in C.degree_of})
 
 
-class ChainMap(GradedMap):
-    """A degree-0 graded map that commutes with the boundaries; the
-    commutation law is checked at construction."""
-
-    def __init__(self, source, target, comps):
-        super().__init__(source, target, 0, comps)
-        bad = self.first_commutator_witness()
-        if bad is not None:
-            raise ValueError(f"not a chain map: fails in degree {bad}")
-
-
 # ---------------------------------------------------------------------------
 # chain functors
 # ---------------------------------------------------------------------------
 
-def normalized_chains(X):
-    """N(X): one generator per simplex/cell, d = alternating face sum.
-
-    Accepts an OrderedComplex or a DeltaComplex.
-    """
-    if hasattr(X, "to_delta"):
-        X = X.to_delta()
-    basis = {n: tuple(X.cells_of_dim(n)) for n in X.cells}
-    diff = {}
-    for n in X.cells:
-        if n == 0:
-            continue
-        for c in X.cells_of_dim(n):
+def _face_sum(cells, face):
+    """The free complex with basis cells[n] in degree n and the alternating
+    face sum d c = sum_i (-1)^i face(c, i) as its boundary."""
+    basis, diff = {}, {}
+    for n, level in enumerate(cells):
+        basis[n] = level
+        for c in level if n else ():  # a vertex has no faces
             acc = {}
             for i in range(n + 1):
-                _add_into(acc, X.face(c, i), (-1) ** i)
-            diff[c] = acc
+                _add_into(acc, face(c, i), (-1) ** i)
+            if acc:
+                diff[c] = acc
     return FreeChainComplex(basis, diff)
+
+
+def normalized_chains(X):
+    """N(X) of an ordered complex: one generator per simplex, d_i drops
+    vertex i.  The empty complex gives the zero complex."""
+    return _face_sum(X.simplices, lambda s, i: s[:i] + s[i + 1:])
 
 
 def unnormalized_chains(sset, up_to):
     """C(X) of a degeneracy-free simplicial set, materialized through degree
     up_to; basis elements are (theta, cell) pairs including degeneracies."""
-    basis = {}
-    diff = {}
-    for m in range(up_to + 1):
-        basis[m] = sset.simplices_of_dim(m)
-        if m > 0:
-            for s in basis[m]:
-                acc = {}
-                for i in range(m + 1):
-                    _add_into(acc, sset.face(s, i), (-1) ** i)
-                if acc:
-                    diff[s] = acc
-    return FreeChainComplex(basis, diff)
+    return _face_sum((sset.simplices_of_dim(m) for m in range(up_to + 1)),
+                     sset.face)
 
 
 def induced_components(vmap):
@@ -334,12 +314,14 @@ def induced_components(vmap):
     return comps
 
 
-def chain_map_from_vertex_map(vmap, NA=None, NB=None):
-    """The chain map N(theta) of a simplicial vertex map, with the chain-map
-    law checked."""
-    NA = NA if NA is not None else normalized_chains(vmap.source)
-    NB = NB if NB is not None else normalized_chains(vmap.target)
-    return ChainMap(NA, NB, induced_components(vmap))
+def chain_map_from_vertex_map(vmap, NA, NB):
+    """The chain map N(theta): NA -> NB of a simplicial vertex map, with the
+    chain-map law checked."""
+    f = GradedMap(NA, NB, 0, induced_components(vmap))
+    bad = f.first_commutator_witness()
+    if bad is not None:
+        raise ValueError(f"not a chain map: fails in degree {bad}")
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def cmd_homology(args):
 def cmd_xi_dump(args):
     X = cio.load_complex(args.complex)
     struct = SteenrodStructure(X, max_i=args.max_i)
-    for s in sorted(X.all_simplices(), key=lambda t: (len(t), t)):
+    for s in X.all_simplices():
         for i in range(struct.max_i + 1):
             value = [[c, list(a), list(b)]
                      for (a, b), c in struct.delta(i, s).coeffs]
@@ -141,12 +141,10 @@ def cmd_homology_square(args):
 
 
 def _nonneg(text):
-    """argparse type of every count, index and bound (exit 2 when negative)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
+    """argparse type of every count, index and bound: a canonical decimal
+    (exit 2 otherwise)."""
+    value = cio.parse_count(text)
+    if value is None:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 0, got {text!r}")
     return value

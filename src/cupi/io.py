@@ -34,14 +34,20 @@ def _is_int_list(v):
     return isinstance(v, list) and all(map(_is_int, v))
 
 
-def _degree(path, key):
-    """A degree key: the canonical decimal of a non-negative int, so that
-    " +1 ", "0_1", "01" and non-ASCII digits are refused, not read as 1."""
+def parse_count(text):
+    """The int of which text is the canonical decimal, or None if it is not
+    one: " +1 ", "0_1", "01", "-1" and non-ASCII digits are refused, not
+    read as 1.  Degree keys and every count the CLI takes are read so."""
     try:
-        degree = int(key)
+        value = int(text)
     except ValueError:
-        degree = -1
-    if degree < 0 or str(degree) != key:
+        return None
+    return value if value >= 0 and str(value) == text else None
+
+
+def _degree(path, key):
+    degree = parse_count(key)
+    if degree is None:
         raise InputError(f"{path}: bad degree key {key!r}: expected a "
                          "non-negative decimal integer")
     return degree

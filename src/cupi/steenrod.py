@@ -271,7 +271,7 @@ class SteenrodStructure:
 
     def __init__(self, X, max_i=None, _table=None):
         self.complex = X
-        self.chains = normalized_chains(X) if X.simplices else None
+        self.chains = normalized_chains(X)
         self.max_i = 2 * X.dim if max_i is None else max_i
         self.explicit = _table is not None
         self.table = dict(_table) if self.explicit else {}
@@ -288,7 +288,7 @@ class SteenrodStructure:
         key = (i, simplex)
         if self.explicit or key in self.table:
             return self.table[key]
-        if self.chains is None or simplex not in self.chains.degree_of:
+        if simplex not in self.chains.degree_of:
             raise KeyError(f"{simplex} is not a simplex of the complex")
         entry = higher_diagonal(i, simplex)
         if i < len(simplex):
@@ -570,11 +570,9 @@ def steenrod_square_matrix(X, i, j, coh=None):
     the C^j bit of s[A] for every (j+i)-simplex s.  Then (u cup u)(s) is the
     parity of the pairs with u(s[A]) = u(s[B]) = 1, for all s at once: the
     XOR over the pairs of the AND of two bitmasks over the (j+i)-simplices.
-    No entry of structure_for(X) is read or stored; the call only builds
-    N(X) and runs its integrity checks, as every command does.
+    No SteenrodStructure is read and no N(X) is built.
     """
     coh = coh or Mod2Cohomology(X)
-    structure_for(X)
     source = coh.representatives(j)
     target = j + i
     rows = coh.betti(target)

@@ -1,6 +1,8 @@
 """Independent oracles, kept deliberately separate from the package code.
 
 - brute-force face closure (set arithmetic only) for complex counts;
+- N(X) read through the delta-complex view X.to_delta(), and C(X) built
+  one degree at a time, against the shared face-sum builder;
 - a naive recursive Smith normal form and a Fraction-based rank, for
   homology invariants;
 - surjection counting by recursion (no binomials);
@@ -28,7 +30,7 @@ from fractions import Fraction
 from unittest import mock
 
 from cupi import steenrod
-from cupi.chains import TensorChain
+from cupi.chains import FreeChainComplex, TensorChain, _add_into
 from cupi.steenrod import BarElement, aw_diagonal, eta, higher_diagonal
 
 
@@ -67,6 +69,45 @@ def monotone_spanning_maps(n, X):
         if X.has_simplex(image):
             out.append(tup)
     return out
+
+
+# ---------------------------------------------------------------------------
+# chain complexes through the delta-complex view
+# ---------------------------------------------------------------------------
+
+def delta_normalized_chains(X):
+    """N(X) read through X.to_delta(): one generator per cell, d the
+    alternating sum of the stored faces; the DeltaComplex checks the face
+    identities on every cell."""
+    D = X.to_delta()
+    basis = {n: tuple(D.cells_of_dim(n)) for n in D.cells}
+    diff = {}
+    for n in D.cells:
+        if n == 0:
+            continue
+        for c in D.cells_of_dim(n):
+            acc = {}
+            for i in range(n + 1):
+                _add_into(acc, D.face(c, i), (-1) ** i)
+            diff[c] = acc
+    return FreeChainComplex(basis, diff)
+
+
+def loop_unnormalized_chains(sset, up_to):
+    """C(X) of a degeneracy-free simplicial set through degree up_to, one
+    degree at a time."""
+    basis = {}
+    diff = {}
+    for m in range(up_to + 1):
+        basis[m] = sset.simplices_of_dim(m)
+        if m > 0:
+            for s in basis[m]:
+                acc = {}
+                for i in range(m + 1):
+                    _add_into(acc, sset.face(s, i), (-1) ** i)
+                if acc:
+                    diff[s] = acc
+    return FreeChainComplex(basis, diff)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Chain complexes, Koszul signs, the Hom differential, and homology."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cupi import chains
 from cupi.chains import (Chain, FreeChainComplex, GradedMap, HomologyClasses,
                          TensorChain, _invariants, homology, kernel_basis,
                          matrix_rank, normalized_chains, smith_normal_form,
@@ -189,6 +194,62 @@ def test_boundary_squares_to_zero_on_random_complexes(facets):
         assert C.boundary(C.boundary(C.generator(lb))).is_zero()
 
 
+def test_builders_agree_with_the_reference_loops(full_corpus,
+                                                projective_spaces):
+    # the shared face-sum builder against N(X) read through X.to_delta()
+    # and against C(X) built one degree at a time
+    complexes = (full_corpus + list(projective_spaces.values())
+                 + [standard_simplex(n) for n in range(10)])
+    for X in complexes:
+        got, want = normalized_chains(X), oracles.delta_normalized_chains(X)
+        assert (got.basis, got.diff) == (want.basis, want.diff)
+        sset = adjoin(X.to_delta())
+        got = unnormalized_chains(sset, 3)
+        want = oracles.loop_unnormalized_chains(sset, 3)
+        assert (got.basis, got.diff) == (want.basis, want.diff)
+
+
+# Two mutants of the face-sum builder on the 3-simplex: the face that drops
+# vertex (i + 1) mod (n + 1) in place of vertex i, and the builder with every
+# sign +1.  The d.d = 0 check must refuse both, also under python -O.
+_MUTANTS = """
+import inspect
+from cupi import chains
+from cupi.simplicial import standard_simplex
+
+def rotated(s, i):
+    j = (i + 1) % len(s)
+    return s[:j] + s[j + 1:]
+
+source = inspect.getsource(chains._face_sum)
+if source.count("(-1) ** i") != 1:
+    raise SystemExit("no sign (-1) ** i in chains._face_sum to mutate")
+unsigned = dict(vars(chains))
+exec(source.replace("(-1) ** i", "1"), unsigned)
+cells = standard_simplex(3).simplices
+for build in (lambda: chains._face_sum(cells, rotated),
+              lambda: unsigned["_face_sum"](cells,
+                                            lambda s, i: s[:i] + s[i + 1:])):
+    try:
+        build()
+    except ValueError as exc:
+        print(exc)
+    else:
+        print("built")
+"""
+
+
+def test_d_squared_check_refuses_broken_face_sums(capsys):
+    exec(_MUTANTS, {})
+    want = "d.d != 0 at basis element (0, 1, 2)\n" * 2
+    assert capsys.readouterr().out == want
+    src = Path(chains.__file__).resolve().parents[1]
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-c", _MUTANTS], capture_output=True,
+        text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert optimized.stdout == want
+
+
 class TestSmithNormalForm:
     def test_transforms_are_consistent(self):
         rng = random.Random(3)
@@ -323,7 +384,6 @@ def test_homology_classes_with_torsion(unnormalized):
 
 
 def test_homology_generators_are_computed_once(monkeypatch):
-    from cupi import chains
     calls = []
 
     def counted(M):

@@ -35,6 +35,7 @@ def files(tmp_path):
     write("undeclared.json", {"vertices": [0, 1], "facets": [[0, 1, 2]]})
     write("misbinned.json", {"0": [[[0, 1], [0, 1], 1]]})
     write("point_into_d1.json", {"0": [[[0], [0], 1]]})
+    write("no_map.json", {})
     return paths
 
 
@@ -186,6 +187,28 @@ class TestMorphismCommands:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    (["is-morphism", "empty.json", "empty.json", "no_map.json"], 0,
+     '{"certificate":{},"status":"morphism","witness":null}\n', ""),
+    (["lift", "empty.json", "empty.json", "no_map.json"], 0,
+     '{"isomorphism":{},"status":"lifted","vertex_map":{}}\n', ""),
+    (["homology-square", "empty.json", "empty.json", "no_map.json"], 0,
+     '{"detail":"square commutes","status":"pass"}\n', ""),
+    (["is-morphism", "point.json", "empty.json", "no_map.json"], 1,
+     '{"certificate":null,"status":"not_morphism",'
+     '"witness":["augmentation",[0]]}\n', ""),
+    (["is-morphism", "point.json", "empty.json", "point_into_d1.json"], 2,
+     "", "unknown target simplex [0]"),
+], ids=["is-morphism", "lift", "homology-square", "augmentation",
+        "unknown-target"])
+def test_maps_of_the_empty_complex(files, capsys, argv, code, stdout, stderr):
+    # N of the empty complex is the zero complex, for maps from and into it
+    assert main([files.get(a, a) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == stdout
+    assert stderr in err and bool(err) == bool(stderr)
+
+
 class TestReconstruct:
     def test_triangle(self, files, capsys):
         code, out = run(capsys, "reconstruct", files["tri.json"],
@@ -211,14 +234,21 @@ class TestDeterminism:
             assert first == second
 
 
+_COUNT_OPTIONS = [
+    ["xi-check", "tri.json", "--max-i"],
+    ["squares", "rp2.json", "--i"],
+    ["enumerate", "circle.json", "--n"],
+    ["reconstruct", "tri.json", "--up-to"],
+    ["homology-square", "d1.json", "d1.json", "id_d1.json", "--i-max"],
+    ["enumerate", "d1.json", "--n", "1", "--mode", "brute", "--bound"],
+]
+
+
+# -1, then strings that int() reads as 1 but that are not the canonical
+# decimal of a count
 @pytest.mark.parametrize("argv", [
-    ["xi-check", "tri.json", "--max-i", "-1"],
-    ["squares", "rp2.json", "--i", "-1"],
-    ["enumerate", "circle.json", "--n", "-1"],
-    ["reconstruct", "tri.json", "--up-to", "-1"],
-    ["homology-square", "d1.json", "d1.json", "id_d1.json", "--i-max", "-1"],
-    ["enumerate", "d1.json", "--n", "1", "--mode", "brute", "--bound", "-1"],
-])
+    option + [text] for text in ("-1", "0_1", "+1", " 1", "\u0661", "01")
+    for option in _COUNT_OPTIONS])
 def test_negative_arguments_are_input_errors(files, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([files.get(a, a) for a in argv])

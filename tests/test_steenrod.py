@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cupi.chains import (TensorChain, chain_map_from_vertex_map, homology,
                          normalized_chains)
 from cupi.simplicial import VertexMap, build_complex, standard_simplex
-from cupi import steenrod
+from cupi import chains, steenrod
 from cupi.steenrod import (BarElement, Mod2Cohomology, SteenrodStructure,
                            aw_diagonal, bar_augmentation, bar_boundary,
                            eta, higher_diagonal, naturality_holds,
@@ -560,6 +560,28 @@ class TestProjectiveSpaces:
             for i in (1, 2):
                 assert steenrod_squares(X, i) == binomial_squares(n, i)
             assert structure_for(X).table == {}
+
+    def test_squares_build_neither_chains_nor_structure(self, monkeypatch,
+                                                        projective_spaces):
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def recorded(X, *args, **kwargs):
+                calls.append((name, X.f_vector()))
+                return real(X, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+
+        spy(chains, "normalized_chains")
+        spy(steenrod, "normalized_chains")
+        spy(steenrod, "structure_for")
+        for n in (2, 4):
+            X = projective_spaces[n]
+            for i in (1, 2):
+                assert steenrod_squares(X, i) == binomial_squares(n, i)
+        assert calls == []
 
 
 rows_and_queries = st.tuples(
