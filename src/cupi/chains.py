@@ -219,14 +219,8 @@ class GradedMap:
                     acc[face] = acc.get(face, 0) + sgn * v * c
             yield label, acc
 
-    def commutator_with_boundary(self):
-        """The hom-complex differential of this map:
-        df = f . d_source - (-1)^shift d_target . f."""
-        return GradedMap(self.source, self.target, self.shift - 1,
-                         dict(self._residuals(self.source.degree_of)))
-
     def is_chain_map(self):
-        return self.shift == 0 and not self.commutator_with_boundary().comps
+        return self.shift == 0 and self.first_commutator_witness() is None
 
     def first_commutator_witness(self):
         """Smallest degree where f d != d f, or None; stops at the first."""
@@ -243,11 +237,6 @@ class GradedMap:
             for tgt, v in self.apply_label(mid).items():
                 _add_into(acc, tgt, c * v)
         return acc
-
-    def compose(self, inner):
-        """self . inner (inner applied first)."""
-        comps = {lb: self._image_of(d) for lb, d in inner.comps.items()}
-        return GradedMap(inner.source, self.target, self.shift + inner.shift, comps)
 
     def equals(self, other):
         return (self.shift == other.shift and self.comps == other.comps)

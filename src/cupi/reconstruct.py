@@ -80,28 +80,26 @@ def xi_iterate(struct, chain, K=3):
 
     Returns the tuple of its K components, of arities 1 through K; a simplex
     generator yields exactly (c, c (x) c, ..., c^(x K)).  Computed as a left
-    fold: each step expands the leftmost tensor factor through xi.
+    fold: each step expands the leftmost tensor factor s through its entry
+    Delta_m(s) = xi(e_m (x) s).
     """
     if K < 2:
         raise ValueError("truncation K must be at least 2")
     m = chain.degree
-    e_m = BarElement.e(m)
+    # each step contributes one factor of the rho coefficient, so the
+    # arity-k component carries eta_m^(k-1)
+    sign = eta(m)
     comps = [TensorChain(1, m, tuple(((s,), c) for s, c in chain.coeffs))]
     current = comps[0]
     for k in range(2, K + 1):
         deg = current.degree + m
         out = {}
-        expand = {}
         for key, c in current.coeffs:
-            head = key[0]
-            if head not in expand:
-                expand[head] = struct.xi(e_m, struct.chains.generator(head))
-            for (a, b), v in expand[head].coeffs:
-                _add_into(out, (a, b) + key[1:], c * v)
+            for (a, b), v in struct.delta(m, key[0]).coeffs:
+                _add_into(out, (a, b) + key[1:], sign * c * v)
         current = TensorChain(k, deg, _terms(out))
         comps.append(current)
-    # the arity-k component carries the rho coefficient eta_m^(k-1)
-    return tuple(c.scale(eta(m) ** k) for k, c in enumerate(comps))
+    return tuple(comps)
 
 
 # ---------------------------------------------------------------------------

@@ -280,15 +280,6 @@ class SimplicialSetDF(namedtuple("SimplicialSetDF", "core")):
                     out.append((theta, c))
         return tuple(out)
 
-    def count(self, m):
-        from math import comb
-        return sum(comb(m, n) * len(self.core.cells_of_dim(n))
-                   for n in self.core.cells)
-
-    def is_nondegenerate(self, simplex):
-        theta, _ = simplex
-        return theta == identity_map(len(theta) - 1)
-
     def apply_monotone(self, simplex, phi):
         """Act by an arbitrary weakly monotone map phi (contravariantly)."""
         theta, c = simplex
@@ -311,19 +302,6 @@ def adjoin(core):
     if not isinstance(core, DeltaComplex):
         raise InvalidComplexError("adjoin expects a DeltaComplex")
     return SimplicialSetDF(core=core)
-
-
-def forget(sset, up_to):
-    """Drop degeneracy operators: every simplex through dimension up_to
-    becomes a cell of a delta-complex."""
-    cells = {}
-    faces = {}
-    for m in range(up_to + 1):
-        cells[m] = sset.simplices_of_dim(m)
-        if m > 0:
-            for s in cells[m]:
-                faces[s] = tuple(sset.face(s, i) for i in range(m + 1))
-    return DeltaComplex(cells=cells, faces=faces)
 
 
 def core_of(sset):
@@ -359,26 +337,6 @@ def core_comparison_is_iso(sset, up_to):
         if sorted(image) != sorted(sset.simplices_of_dim(m)):
             return False
     return True
-
-
-def unit(core):
-    """The inclusion of a delta-complex into forget(adjoin(core)): c -> (id, c)."""
-    def iota(cell):
-        for n, cs in core.cells.items():
-            if cell in cs:
-                return (identity_map(n), cell)
-        raise KeyError(cell)
-    return iota
-
-
-def counit(sset):
-    """The map adjoin(forget(X)) -> X sending a promoted degenerate back to
-    its original: (phi, x) -> x . phi."""
-    def g(pair):
-        phi, x = pair  # x is itself a simplex (theta, c) of sset
-        theta, c = x
-        return (compose_maps(theta, phi), c)
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 
 from .chains import (Combination, TensorChain, _add_into, _add_scaled, _terms,
-                     normalized_chains, simplex_degree)
+                     chain_map_from_vertex_map, normalized_chains,
+                     simplex_degree)
 
 
 def eta(k):
@@ -423,7 +424,6 @@ def verify_structure(S):
 def naturality_holds(vmap):
     """C5 across complexes: for an order-preserving injection theta: X -> Y,
     (N(theta) (x) N(theta)) . xi_X = xi_Y . (1 (x) N(theta))."""
-    from .chains import chain_map_from_vertex_map
     X, Y = vmap.source, vmap.target
     if not (vmap.is_order_preserving() and vmap.is_simplicial()):
         raise ValueError("expected an order-preserving simplicial map")

@@ -3,6 +3,9 @@
 - brute-force face closure (set arithmetic only) for complex counts;
 - N(X) read through the delta-complex view X.to_delta(), and C(X) built
   one degree at a time, against the shared face-sum builder;
+- composition of graded maps, and the hom-complex differential formed by
+  composing with the boundaries, against GradedMap.equals_composite and
+  GradedMap.first_commutator_witness;
 - a naive recursive Smith normal form and a Fraction-based rank, for
   homology invariants;
 - surjection counting by recursion (no binomials);
@@ -30,7 +33,7 @@ from fractions import Fraction
 from unittest import mock
 
 from cupi import steenrod
-from cupi.chains import FreeChainComplex, TensorChain, _add_into
+from cupi.chains import FreeChainComplex, GradedMap, TensorChain, _add_into
 from cupi.steenrod import BarElement, aw_diagonal, eta, higher_diagonal
 
 
@@ -108,6 +111,38 @@ def loop_unnormalized_chains(sset, up_to):
                 if acc:
                     diff[s] = acc
     return FreeChainComplex(basis, diff)
+
+
+# ---------------------------------------------------------------------------
+# graded maps by composition
+# ---------------------------------------------------------------------------
+
+def compose(outer, inner):
+    """outer . inner (inner applied first), built label by label."""
+    comps = {}
+    for lb, d in inner.comps.items():
+        acc = comps.setdefault(lb, {})
+        for mid, c in d.items():
+            for tgt, v in outer.apply_label(mid).items():
+                acc[tgt] = acc.get(tgt, 0) + c * v
+    return GradedMap(inner.source, outer.target, outer.shift + inner.shift,
+                     comps)
+
+
+def boundary_map(C):
+    """The differential of C as a graded map of shift -1."""
+    return GradedMap(C, C, -1, {lb: C.boundary_of(lb) for lb in C.degree_of})
+
+
+def commutator_with_boundary(f):
+    """The hom-complex differential df = f . d - (-1)^shift d . f."""
+    sgn = (-1) ** f.shift
+    comps = compose(f, boundary_map(f.source)).comps
+    for lb, d in compose(boundary_map(f.target), f).comps.items():
+        acc = comps.setdefault(lb, {})
+        for tgt, c in d.items():
+            acc[tgt] = acc.get(tgt, 0) - sgn * c
+    return GradedMap(f.source, f.target, f.shift - 1, comps)
 
 
 # ---------------------------------------------------------------------------

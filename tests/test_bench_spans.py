@@ -5,9 +5,13 @@ there."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-WORKER = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKER = ROOT / "bench" / "worker.py"
 
 
 def load_worker():
@@ -28,6 +32,19 @@ def test_every_traced_span_names_a_cupi_function():
             missing.append((name, f"cupi.{mod}.{attr}"))
     assert worker.SPANS
     assert missing == []
+
+
+def test_the_tracer_installs_in_a_fresh_process():
+    # Tracer.install imports cupi.cli alone and then looks up the module of
+    # every span in sys.modules, so cupi.cli must load all of them
+    code = ("import importlib.util as u; "
+            f"spec = u.spec_from_file_location('w', {str(WORKER)!r}); "
+            "w = u.module_from_spec(spec); "
+            "spec.loader.exec_module(w); w.Tracer().install()")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_the_table_state_the_worker_reads_stays():

@@ -74,7 +74,8 @@ class TestUnnormalizedChains:
 class TestHomDifferential:
     def test_chain_map_goes_to_zero(self):
         N = normalized_chains(standard_simplex(1))
-        assert not GradedMap.identity(N).commutator_with_boundary().comps
+        identity = GradedMap.identity(N)
+        assert not oracles.commutator_with_boundary(identity).comps
 
     def test_boundary_of_boundary_vanishes(self):
         rng = random.Random(11)
@@ -86,13 +87,13 @@ class TestHomDifferential:
             if img:
                 comps[lb] = img
         f = GradedMap(N, N, 1, comps)
-        df = f.commutator_with_boundary()
-        assert not df.commutator_with_boundary().comps
+        df = oracles.commutator_with_boundary(f)
+        assert not oracles.commutator_with_boundary(df).comps
 
     def test_zero_detects_chain_maps(self):
         N = normalized_chains(circle())
         f = GradedMap(N, N, 0, {(0, 1): {(0, 1): 1}})  # partial map, not chain
-        assert f.commutator_with_boundary().comps
+        assert oracles.commutator_with_boundary(f).comps
         assert not f.is_chain_map()
 
 
@@ -109,7 +110,7 @@ def test_equals_composite_agrees_with_compose():
 
     for _ in range(200):
         f, g = random_map(), random_map()
-        fg = f.compose(g)
+        fg = oracles.compose(f, g)
         # fg with one label dropped, and with one label added
         fewer = dict(list(fg.comps.items())[1:])
         more = {lb: {lb: 1} for lb in N.degree_of if lb not in fg.comps}

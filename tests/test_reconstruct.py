@@ -15,8 +15,8 @@ from cupi.simplicial import (VertexMap, adjoin, build_complex,
                              epi_mono_factor, identity_map, standard_simplex,
                              surjections)
 from cupi import reconstruct, steenrod
-from cupi.steenrod import (BarElement, aw_diagonal, eta, higher_diagonal,
-                           structure_for)
+from cupi.steenrod import (BarElement, SteenrodStructure, aw_diagonal, eta,
+                           higher_diagonal, structure_for)
 from cupi.reconstruct import (BruteForceLimitError, MorphismVerdict,
                               ShomSimplicialSet, _inclusion_is_iso,
                               enumerate_morphisms, homology_square,
@@ -28,12 +28,23 @@ import oracles
 from conftest import (RP2_FACETS, barycentric, circle, named_corpus,
                       random_complexes, rp, rp2)
 from test_chains import facet_lists
-from test_steenrod import complexes
+from test_steenrod import complexes, full_table
 
 
 def _as_key(f):
     return tuple(sorted((lb, tuple(sorted(img.items())))
                         for lb, img in f.comps.items()))
+
+
+def _assert_fold_matches_nested(S, chain, K=5):
+    """Every component of xi_iterate against the nested evaluation of the
+    oracle, scaled by the rho coefficient eta_m^(k-1) of arity k."""
+    m = chain.degree
+    comps = xi_iterate(S, chain, K=K)
+    assert comps[0].as_dict() == {(s,): c for s, c in chain.coeffs}
+    for k in range(2, K + 1):
+        nested = oracles.nested_xi(S, chain, [BarElement.e(m)] * (k - 1))
+        assert comps[k - 1] == nested.scale(eta(m) ** (k - 1))
 
 
 class TestAdjointAlpha:
@@ -50,24 +61,29 @@ class TestAdjointAlpha:
         got = S.xi(BarElement.e(1), S.chains.generator((0, 1))).as_dict()
         assert got == {((0, 1), (0, 1)): -1}
 
-    def test_alpha3_matches_left_fold_route(self):
-        # two implementations of the same composite: the nested evaluation
-        # of the oracle against the iterative fold inside xi_iterate
-        X = standard_simplex(2)
+    def test_every_arity_matches_the_nested_route(self):
+        # chain degrees 1-4 give eta_m = -1, -1, +1, +1, so the sign folded
+        # into each step of xi_iterate shows at every even arity
+        X = standard_simplex(5)
         S = structure_for(X)
-        sigma = S.chains.generator((0, 1, 2))
-        m = 2
-        nested = oracles.nested_xi(S, sigma, [BarElement.e(m)] * 2)
-        _, _, c3 = xi_iterate(S, sigma, K=3)
-        assert c3 == nested.scale(eta(m) ** 2)
+        for m in range(1, 5):
+            a, b, c = X.simplices_of_dim(m)[:3]
+            _assert_fold_matches_nested(
+                S, Chain.from_dict(m, {a: 1, b: -2, c: 3}))
 
     def test_alpha_routes_agree_on_chains(self):
-        X = circle()
-        S = structure_for(X)
+        S = structure_for(circle())
         c = S.chains.generator((0, 1)) + S.chains.generator((1, 2)).scale(-2)
-        nested = oracles.nested_xi(S, c, [BarElement.e(1)] * 2)
-        _, _, fold = xi_iterate(S, c, K=3)
-        assert fold == nested.scale(eta(1) ** 2)
+        _assert_fold_matches_nested(S, c)
+        # one tampered entry, read by both routes: its extra terms put an
+        # edge and a vertex in the first factor, so the fold expands them
+        X = standard_simplex(2)
+        table = full_table(SteenrodStructure(X, max_i=2))
+        table[(1, (0, 1))] = table[(1, (0, 1))] + TensorChain.from_dict(
+            2, 2, {((0, 1), (1, 2)): 2, ((0,), (0, 1, 2)): -1})
+        S = SteenrodStructure.from_table(X, 2, table)
+        _assert_fold_matches_nested(
+            S, Chain.from_dict(1, {(0, 1): 1, (1, 2): -2, (0, 2): 3}))
 
 
 class TestXiIterate:
@@ -277,27 +293,16 @@ def test_per_type_decision_agrees_with_the_scan(case):
     assert is_steenrod_morphism(f, X, Y) == oracles.scan_morphism(f, X, Y)
 
 
-def _boundary_map(C):
-    return GradedMap(C, C, -1, {lb: C.boundary_of(lb) for lb in C.degree_of})
-
-
 @given(maps(corpus_complexes))
 @settings(max_examples=150, deadline=None)
 def test_first_commutator_witness_is_the_lowest_residual_degree(case):
     # oracle for the early exit: the lowest source degree of the full
     # residual, which is f.d - d.f formed by composition
     f = case[0]
-    want = {}
-    for sign, g in ((1, f.compose(_boundary_map(f.source))),
-                    (-1, _boundary_map(f.target).compose(f))):
-        for lb, img in g.comps.items():
-            acc = want.setdefault(lb, {})
-            for t, c in img.items():
-                acc[t] = acc.get(t, 0) + sign * c
-    resid = f.commutator_with_boundary()
-    assert resid.equals(GradedMap(f.source, f.target, -1, want))
+    resid = oracles.commutator_with_boundary(f)
     assert f.first_commutator_witness() == min(
         (f.source.degree_of[lb] for lb in resid.comps), default=None)
+    assert f.is_chain_map() == (not resid.comps)
 
 
 @pytest.mark.parametrize("kind", ["flip", "drop", "double", "add"])
@@ -665,7 +670,7 @@ class TestLift:
         lift = lift_morphism(g, is_steenrod_morphism(g, A, B), A, B)
         for ms in enumerate_morphisms(1, A, mode="guided"):
             # postcompose the morphism-simplex with g and reclassify
-            composite = g.compose(ms.chain_map)
+            composite = oracles.compose(g, ms.chain_map)
             lifted = lift.vertex_map.as_dict()
             values = tuple(lifted[ms.vertex_map.as_dict()[i]] for i in range(2))
             assert epi_mono_factor(values) == \

@@ -32,3 +32,20 @@ def test_the_cli_imports_only_the_standard_library():
     assert "cupi" in top
     assert top - {"cupi"} <= sys.stdlib_module_names
     assert not {"dataclasses", "inspect"} & top
+
+
+def test_imports_stay_at_module_level():
+    # one import style: each module names its imports at the top, and the
+    # package __init__ imports nothing, so `import cupi` loads no submodule
+    nested, in_init = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if node not in tree.body:
+                nested.append(f"{path.name}:{node.lineno}")
+            if path.name == "__init__.py":
+                in_init.append(node.lineno)
+    assert nested == []
+    assert in_init == []
