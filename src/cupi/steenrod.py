@@ -11,7 +11,9 @@ degree-by-degree extension with the explicit cone contraction of
 N(Delta^k) (x) N(Delta^k) (prepend vertex 0), then the top coefficient is
 pinned to eta_k = (-1)^(k(k+1)/2) by an even cycle correction one level
 down.  Each level is built on position bitmasks and stored as TensorChains.
-Tables are built lazily, cached per dimension, and transported to concrete
+It is checked by the chain-map law once per entry; that the right side is
+a cycle is implied by it, and is read only to name a failed check.  Tables
+are built lazily, cached per dimension, and transported to concrete
 simplices by vertex position.  The construction satisfies, exactly over Z:
 
   C1  chain map:      d xi(e_i (x) s) = xi(d e_i (x) s) + (-1)^i xi(e_i (x) ds)
@@ -188,8 +190,13 @@ def _mask_rhs(level, lower, i, k):
 
 def _build_level(k):
     """Tables (0, k) ... (k, k) from level k - 1: each (i, k) contracts the
-    right side of the chain-map law, and (k - 1, k) is corrected by an even
-    cycle so that (k, k) is eta_k top (x) top."""
+    right side R of the chain-map law, and (k - 1, k) is corrected by an
+    even cycle so that (k, k) is eta_k top (x) top.  Each entry takes one
+    boundary, for the law dD = R on its contraction D.  That makes R a
+    cycle, dR = ddD = 0, and so the right side from before the top
+    correction too, which differs from R by c + (-1)^k Tc with c a
+    boundary.  Its boundary is taken only to name a failed check: a right
+    side that is not a cycle is named first."""
     def masks(table):
         return {(sum(1 << p for p in a), sum(1 << p for p in b)): c
                 for (a, b), c in table.coeffs}
@@ -198,9 +205,7 @@ def _build_level(k):
     lower = [masks(_TABLES[(i, k - 1)]) for i in range(k)]
     level = [masks(_aw_table(k))]
     for i in range(1, k + 1):
-        R = _mask_rhs(level, lower, i, k)
-        if _mask_boundary(R):
-            raise RuntimeError(f"internal: rhs not a cycle at {(i, k)}")
+        R = first = _mask_rhs(level, lower, i, k)
         D = _mask_contract(R)
         if i == k:
             lam = D.get((top, top), 0)
@@ -211,13 +216,15 @@ def _build_level(k):
                     _add_into(level[k - 1], key, mu * c)
                 R = _mask_rhs(level, lower, i, k)
                 D = _mask_contract(R)
-            if D != {(top, top): eta(k)}:
-                raise RuntimeError(f"internal: top identity at {(i, k)}")
-        if _mask_boundary(D) != R:
-            raise RuntimeError(f"internal: chain-map law at {(i, k)}")
+        failed = ("top identity" if i == k and D != {(top, top): eta(k)} else
+                  "chain-map law" if _mask_boundary(D) != R else None)
+        if failed:
+            if _mask_boundary(first):
+                failed = "rhs not a cycle"
+            raise RuntimeError(f"internal: {failed} at {(i, k)}")
         level.append(D)
     positions = {m: tuple(p for p in range(k + 1) if m >> p & 1)
-                 for t in level for key in t for m in key}
+                 for m in {m for t in level for key in t for m in key}}
     for i, t in enumerate(level):
         _TABLES[(i, k)] = TensorChain(2, i + k, _terms(
             {(positions[a], positions[b]): c for (a, b), c in t.items()}))

@@ -386,7 +386,12 @@ def build_tables(kmax):
     """The universal tables {(i, k): TensorChain} through level kmax: each
     (i, k) contracts the right side of the chain-map law on vertex tuples,
     and (k - 1, k) takes the even cycle correction that pins (k, k) to
-    eta_k top (x) top.  Raises AssertionError on a failed check."""
+    eta_k top (x) top.  Raises AssertionError on a failed check.
+
+    It checks that each right side R is a cycle first, then the top
+    identity, then dD = R, taking every boundary.  The package's build
+    takes one boundary per entry, for dD = R, and reads dR only to name a
+    failure, in the same order; this is its slow oracle."""
     tables = {(0, 0): aw_diagonal((0,))}
     for k in range(1, kmax + 1):
         top = tuple(range(k + 1))

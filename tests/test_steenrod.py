@@ -140,25 +140,39 @@ class TestHigherDiagonal:
         ("table", r"rhs not a cycle at \(1, 2\)"),
         ("top", r"top identity at \(2, 2\)"),
         ("extra", r"chain-map law at \(1, 2\)"),
+        ("table4", r"rhs not a cycle at \(2, 4\)"),
+        ("top33", r"top identity at \(3, 3\)"),
     ])
     def test_each_build_check_raises_with_its_level(
             self, cold_tables, monkeypatch, tamper, message):
-        # level 1 builds as it should; then level 2 reads a doubled (1, 1)
-        # table, or a contraction that doubles its (A, A) terms or adds
-        # the term (0, 1) (x) (0)
-        steenrod.ensure_tables(1)
+        # the levels below k build as they should; then level 2 reads a
+        # doubled (1, 1) table, or a contraction that doubles its (A, A)
+        # terms or adds the term (0, 1) (x) (0); level 4 reads a doubled
+        # (2, 3) table; level 3 reads a contraction that adds
+        # (0, 1, 2, 3) (x) (0) where it gives (0, 1, 2, 3) (x) (0, 1, 2, 3),
+        # which on level 3 only (3, 3) does
+        k = {"table4": 4, "top33": 3}.get(tamper, 2)
+        steenrod.ensure_tables(k - 1)
         contract = steenrod._mask_contract
         if tamper == "table":
             steenrod._TABLES[(1, 1)] = steenrod._TABLES[(1, 1)].scale(2)
+        elif tamper == "table4":
+            steenrod._TABLES[(2, 3)] = steenrod._TABLES[(2, 3)].scale(2)
         elif tamper == "top":
             monkeypatch.setattr(steenrod, "_mask_contract", lambda t: {
                 (a, b): 2 * c if a == b else c
                 for (a, b), c in contract(t).items()})
+        elif tamper == "top33":
+            def add_at_top(t):
+                out = contract(t)
+                return {**out, (0b1111, 0b1): 1} \
+                    if (0b1111, 0b1111) in out else out
+            monkeypatch.setattr(steenrod, "_mask_contract", add_at_top)
         else:
             monkeypatch.setattr(steenrod, "_mask_contract",
                                 lambda t: {**contract(t), (0b11, 0b1): 1})
         with pytest.raises(RuntimeError, match=message):
-            steenrod.ensure_tables(2)
+            steenrod.ensure_tables(k)
 
     def test_a_failed_build_leaves_its_level_unbuilt(self, cold_tables,
                                                      monkeypatch):
@@ -173,6 +187,34 @@ class TestHigherDiagonal:
         steenrod.ensure_tables(1)
         assert higher_diagonal(1, (0, 1)).as_dict() == {((0, 1), (0, 1)): -1}
 
+    def test_each_entry_takes_one_boundary(self, cold_tables, monkeypatch):
+        # the law dD = R is checked on each entry (i, k), 1 <= i <= k <= 9,
+        # and top (x) top takes a boundary once per top correction; no right
+        # side's boundary is taken, since dR = ddD = 0 is implied
+        calls = {}
+        boundary = steenrod._mask_boundary
+
+        def spy(t):
+            # a copy: the top correction adds to (k - 1, k) afterwards
+            calls.setdefault(steenrod._LEVEL_BUILT + 1, []).append(dict(t))
+            return boundary(t)
+
+        monkeypatch.setattr(steenrod, "_mask_boundary", spy)
+        steenrod.ensure_tables(9)
+        assert sorted(calls) == list(range(1, 10))
+        assert sum(map(len, calls.values())) == 45 + 4
+        corrected = 0
+        for k, tables in calls.items():
+            top = (1 << (k + 1)) - 1
+            assert tables[-1] == {(top, top): eta(k)}
+            if len(tables) == k + 1:
+                corrected += 1
+                assert tables.pop(-2) == {(top, top): 1}
+            assert len(tables) == k
+            # contracted: h sets bit 0 of every A
+            assert all(a & 1 for t in tables for a, _ in t)
+        assert corrected == 4
+
     def test_tables_equal_the_tensor_chain_build(self, cold_tables):
         steenrod.ensure_tables(9)
         want = oracles.build_tables(9)
@@ -181,6 +223,14 @@ class TestHigherDiagonal:
             got = steenrod._TABLES[key]
             assert (got.arity, got.degree, got.coeffs) == \
                 (table.arity, table.degree, table.coeffs), key
+
+    @given(st.dictionaries(st.tuples(st.integers(1, 1023),
+                                     st.integers(1, 1023)),
+                           st.integers(-9, 9).filter(bool), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_mask_boundary_squares_to_zero(self, t):
+        # d.d = 0, which makes the law dD = R imply that R is a cycle
+        assert steenrod._mask_boundary(steenrod._mask_boundary(t)) == {}
 
     def test_mod2_solver_certifies_contract(self):
         # independent GF(2) route: an equivariant extension with the pinned
