@@ -549,30 +549,26 @@ def _eliminate(columns):
     return pivots, list(cols.values())
 
 
-def _dense_block(rest):
-    """The row labels met by sparse columns, and the dense matrix of the
-    columns on those rows."""
+def _present(columns):
+    """_eliminate, then smith_normal_form of the leftover block: (pivots,
+    the rows the leftover columns meet, U and the nonzero diagonal)."""
+    pivots, rest = _eliminate(columns)
     labels = list(dict.fromkeys(r for col in rest for r in col))
     ridx = {r: i for i, r in enumerate(labels)}
     block = [[0] * len(rest) for _ in labels]
     for j, col in enumerate(rest):
         for r, v in col.items():
             block[ridx[r]][j] = v
-    return labels, block
+    D, U, _ = smith_normal_form(block)
+    return pivots, labels, U, _diagonal(D)
 
 
 def _invariants(columns):
     """The nonzero diagonal of the Smith normal form of a sparse matrix,
-    given as _eliminate takes it: one 1 per unit pivot, then the dense
-    smith_normal_form of the leftover block."""
-    pivots, rest = _eliminate(columns)
-    return [1] * len(pivots) + _diagonal(
-        smith_normal_form(_dense_block(rest)[1])[0])
-
-
-def matrix_rank(columns):
-    """Rank of a sparse matrix given as columns, as _invariants takes it."""
-    return len(_invariants(columns))
+    given as _eliminate takes it: one 1 per unit pivot, then the leftover
+    block's."""
+    pivots, _, _, invariants = _present(columns)
+    return [1] * len(pivots) + invariants
 
 
 def kernel_basis(M):
@@ -612,46 +608,53 @@ def homology(C, up_to=None):
 
 
 class HomologyClasses:
-    """Homology classes of one degree, with canonical class coordinates.
+    """Homology classes of one degree, with canonical class coordinates
+    and a generating set of cycles.
 
-    One _eliminate of the sparse columns of d_(n+1) presents C_n / B_n:
+    One _present of the sparse columns of d_(n+1) presents C_n / B_n:
     clearing the pivot rows of a chain leaves its rows off the pivots, and
     the leftover block relates only those.  Two cycles are homologous
-    exactly when their class coordinates agree.
+    exactly when their class coordinates agree.  Pivot columns are
+    boundaries, so every class has a cycle on the labels R off the pivot
+    rows, and d_n has the same image on R: one _present of the rows of d_n
+    on R gives its rank and a Z-basis of its kernel, which generates H_n.
     """
 
     def __init__(self, C, n):
         self.C = C
         self.n = n
         self.labels = C.basis.get(n, ())
-        self.pivots, rest = _eliminate(map(C.boundary_of,
-                                           C.basis.get(n + 1, ())))
-        self.block_rows, block = _dense_block(rest)
-        D, self.U, _ = smith_normal_form(block)
-        self.invariants = _diagonal(D)
-        touched = {r for r, _, _ in self.pivots} | set(self.block_rows)
-        self.free_rows = [lb for lb in self.labels if lb not in touched]
-        self._generators = None
+        self.pivots, self.block_rows, self.U, self.invariants = _present(
+            map(C.boundary_of, C.basis.get(n + 1, ())))
+        pivot_rows = {r for r, _, _ in self.pivots}
+        off = [lb for lb in self.labels if lb not in pivot_rows]  # R
+        block = set(self.block_rows)
+        self.free_rows = [lb for lb in off if lb not in block]
+        rows = {}  # the rows of d_n on R: face -> {label: coeff}
+        for lb in off:
+            for face, c in C.boundary_of(lb).items():
+                rows.setdefault(face, {})[lb] = c
+        pivots, block_rows, U, invariants = _present(rows.values())
+        self.rank_dn = len(pivots) + len(invariants)
+        solved = {r for r, _, _ in pivots} | set(block_rows)
+        starts = [{lb: 1} for lb in off if lb not in solved]
+        starts += [dict(zip(block_rows, row)) for row in U[len(invariants):]]
+        for v in starts:  # no pivot column meets an earlier pivot's row
+            for r, f, col in reversed(pivots):
+                v[r] = -f * sum(c * v.get(s, 0) for s, c in col.items())
+        self._generators = tuple(Chain.from_dict(n, v) for v in starts)
 
     def group(self):
         """H_n: the ranks of d_n and d_(n+1), and the torsion of the
         leftover block."""
-        rank_dn = matrix_rank(map(self.C.boundary_of, self.labels))
-        betti = (len(self.labels) - rank_dn - len(self.pivots)
+        betti = (len(self.labels) - self.rank_dn - len(self.pivots)
                  - len(self.invariants))
         return HomologyGroup(self.n, betti,
                              tuple(d for d in self.invariants if abs(d) > 1))
 
     def generators(self):
-        """Cycle chains generating H_n: a kernel basis of the dense d_n,
-        computed on the first call."""
-        if self._generators is None:
-            dn = (self.C.boundary_matrix(self.n) if self.n > 0
-                  else [[0] * len(self.labels)])
-            self._generators = tuple(
-                Chain.from_dict(self.n, {lb: c for lb, c
-                                         in zip(self.labels, col) if c})
-                for col in kernel_basis(dn))
+        """Cycle chains generating H_n: a Z-basis of ker d_n on R, from its
+        unpivoted labels off the block and from U's rows past the rank."""
         return self._generators
 
     def class_coords(self, cycle):

@@ -8,6 +8,8 @@
   GradedMap.first_commutator_witness;
 - a naive recursive Smith normal form and a Fraction-based rank, for
   homology invariants;
+- a Z-basis of every n-cycle from the dense Smith normal form of d_n,
+  against the homology generators read off the sparse elimination;
 - surjection counting by recursion (no binomials);
 - a degree-by-degree GF(2) equivariant-extension solver certifying that a
   mod-2 diagonal structure with the pinned top classes exists, and
@@ -33,7 +35,8 @@ from fractions import Fraction
 from unittest import mock
 
 from cupi import steenrod
-from cupi.chains import FreeChainComplex, GradedMap, TensorChain, _add_into
+from cupi.chains import (Chain, FreeChainComplex, GradedMap, TensorChain,
+                         _add_into, kernel_basis)
 from cupi.steenrod import BarElement, aw_diagonal, eta, higher_diagonal
 
 
@@ -223,6 +226,16 @@ def naive_invariant_factors(M):
         return [pivot] + reduce_block(rest)
 
     return reduce_block(M)
+
+
+def kernel_generators(H):
+    """Cycle chains generating H_n of a HomologyClasses H: a Z-basis of
+    every n-cycle, the kernel of the dense d_n by Smith normal form."""
+    C, n = H.C, H.n
+    dn = C.boundary_matrix(n) if n > 0 else [[0] * len(H.labels)]
+    return tuple(Chain.from_dict(n, {lb: c for lb, c in zip(H.labels, col)
+                                     if c})
+                 for col in kernel_basis(dn))
 
 
 def naive_homology(C, up_to=None):

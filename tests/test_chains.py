@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cupi import chains
 from cupi.chains import (Chain, FreeChainComplex, GradedMap, HomologyClasses,
                          TensorChain, _invariants, homology, kernel_basis,
-                         matrix_rank, normalized_chains, smith_normal_form,
+                         normalized_chains, smith_normal_form,
                          unnormalized_chains)
 from cupi.simplicial import adjoin, build_complex, standard_simplex
 
@@ -34,8 +34,8 @@ class TestNormalizedChains:
         assert [N.rank(n) for n in range(3)] == [6, 15, 10]
         # boundary ranks forced by H_2 = 0 (kernel of d_2 is trivial) and
         # betti_0 = 1; cross-checked with the Fraction elimination oracle
-        assert matrix_rank(map(N.boundary_of, N.basis[2])) == 10
-        assert matrix_rank(map(N.boundary_of, N.basis[1])) == 5
+        assert len(_invariants(map(N.boundary_of, N.basis[2]))) == 10
+        assert len(_invariants(map(N.boundary_of, N.basis[1]))) == 5
         assert oracles.rational_rank(N.boundary_matrix(2)) == 10
         assert oracles.rational_rank(N.boundary_matrix(1)) == 5
 
@@ -302,7 +302,7 @@ def test_sparse_invariants_against_naive_oracle(M, doubled):
         M = [[2 * a for a in row] for row in M]
     assert [abs(d) for d in _invariants(_columns(M))] == \
         oracles.naive_invariant_factors(M)
-    assert matrix_rank(_columns(M)) == oracles.rational_rank(M)
+    assert len(_invariants(_columns(M))) == oracles.rational_rank(M)
 
 
 @given(facet_lists)
@@ -384,17 +384,76 @@ def test_homology_classes_with_torsion(unnormalized):
         _check_homology_classes(normalized_chains(rp2()), 2, rng)
 
 
+def _cycle_lattice_check(C, n, gens):
+    """(rank, index) of span(B_n, gens) in its saturation, from the dense
+    [d_(n+1) | gens] through the Fraction rank and the naive invariant
+    factors: it equals the oracle kernel basis's exactly when gens, with
+    the boundaries, span every n-cycle."""
+    cols = [g.as_dict() for g in gens]
+    M = [row + [c.get(lb, 0) for c in cols]
+         for row, lb in zip(C.boundary_matrix(n + 1), C.basis.get(n, ()))]
+    if not (M and M[0]):
+        return 0, 1
+    index = 1
+    for f in oracles.naive_invariant_factors(M):
+        index *= f
+    return oracles.rational_rank(M), index
+
+
+def _check_generators(C, top):
+    """The generators of HomologyClasses are cycles and, with B_n, span
+    the same lattice as the oracle's Z-basis of every n-cycle."""
+    for n in range(top + 1):
+        H = HomologyClasses(C, n)
+        gens = H.generators()
+        assert all(C.boundary(z).is_zero() for z in gens)
+        assert _cycle_lattice_check(C, n, gens) == \
+            _cycle_lattice_check(C, n, oracles.kernel_generators(H))
+
+
+@given(facet_lists, st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_homology_generators_against_kernel_oracle(facets, unnormalized):
+    X = build_complex(facets)
+    if unnormalized:
+        _check_generators(unnormalized_chains(adjoin(X.to_delta()), 3), 2)
+    else:
+        C = normalized_chains(X)
+        _check_generators(C, C.top_degree)
+
+
+@pytest.mark.parametrize("unnormalized", [False, True])
+@pytest.mark.parametrize("X", [circle(), rp2()], ids=["circle", "rp2"])
+def test_dropping_a_generator_fails_the_lattice_check(X, unnormalized):
+    C = (unnormalized_chains(adjoin(X.to_delta()), 3) if unnormalized
+         else normalized_chains(X))
+    dropped = 0
+    for n in range(3):
+        H = HomologyClasses(C, n)
+        gens = H.generators()
+        want = _cycle_lattice_check(C, n, oracles.kernel_generators(H))
+        assert _cycle_lattice_check(C, n, gens) == want
+        for i in range(len(gens)):
+            assert _cycle_lattice_check(C, n, gens[:i] + gens[i + 1:]) != want
+            dropped += 1
+    assert dropped
+
+
 def test_homology_generators_are_computed_once(monkeypatch):
+    # one of d_(n+1)'s columns and one of d_n's rows off its pivots, and
+    # none for repeated generators() calls
     calls = []
 
-    def counted(M):
-        calls.append(M)
-        return kernel_basis(M)
+    def counted(columns):
+        calls.append(1)
+        return eliminate(columns)
 
-    monkeypatch.setattr(chains, "kernel_basis", counted)
+    eliminate = chains._eliminate
+    monkeypatch.setattr(chains, "_eliminate", counted)
     H = HomologyClasses(normalized_chains(rp2()), 1)
+    assert len(calls) == 2
     first = H.generators()
-    assert H.generators() == first and len(calls) == 1
+    assert H.generators() == first and len(calls) == 2
     assert all(H.C.boundary(z).is_zero() for z in first)
 
 

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from cupi import reconstruct
+from cupi.chains import unnormalized_chains
 from cupi.cli import main
 
 from conftest import RP2_FACETS, barycentric
@@ -194,13 +196,16 @@ class TestMorphismCommands:
      '{"isomorphism":{},"status":"lifted","vertex_map":{}}\n', ""),
     (["homology-square", "empty.json", "empty.json", "no_map.json"], 0,
      '{"detail":"square commutes","status":"pass"}\n', ""),
+    (["homology-square", "empty.json", "empty.json", "no_map.json",
+      "--i-max", "1000000000"], 0,
+     '{"detail":"square commutes","status":"pass"}\n', ""),
     (["is-morphism", "point.json", "empty.json", "no_map.json"], 1,
      '{"certificate":null,"status":"not_morphism",'
      '"witness":["augmentation",[0]]}\n', ""),
     (["is-morphism", "point.json", "empty.json", "point_into_d1.json"], 2,
      "", "unknown target simplex [0]"),
-], ids=["is-morphism", "lift", "homology-square", "augmentation",
-        "unknown-target"])
+], ids=["is-morphism", "lift", "homology-square", "homology-square-i-max",
+        "augmentation", "unknown-target"])
 def test_maps_of_the_empty_complex(files, capsys, argv, code, stdout, stderr):
     # N of the empty complex is the zero complex, for maps from and into it
     assert main([files.get(a, a) for a in argv]) == code
@@ -283,20 +288,43 @@ def test_homology_output_is_pinned(tmp_path, capsys, facets, stdout):
     assert run(capsys, "homology", str(path)) == (0, stdout)
 
 
-def test_homology_square_output_is_pinned(tmp_path, capsys):
-    # sd^1 RP^2 with its identity map: a nonempty leftover block in degree 1
-    facets = barycentric(RP2_FACETS)
+def _identity_files(tmp_path, facets):
+    """The complex of the facets and its identity map, written as files."""
     faces = {c for f in facets for r in range(1, len(f) + 1)
              for c in itertools.combinations(f, r)}
     identity = {}
     for s in sorted(faces):
         identity.setdefault(str(len(s) - 1), []).append([list(s), list(s), 1])
-    cx, mp = tmp_path / "sd1rp2.json", tmp_path / "identity.json"
+    cx, mp = tmp_path / "complex.json", tmp_path / "identity.json"
     cx.write_text(json.dumps({"facets": [list(f) for f in facets]}))
     mp.write_text(json.dumps(identity))
-    assert run(capsys, "homology-square", str(cx), str(cx), str(mp),
-               "--i-max", "2") == \
+    return str(cx), str(mp)
+
+
+def test_homology_square_output_is_pinned(tmp_path, capsys):
+    # sd^1 RP^2 with its identity map: a nonempty leftover block in degree 1
+    cx, mp = _identity_files(tmp_path, barycentric(RP2_FACETS))
+    assert run(capsys, "homology-square", cx, cx, mp, "--i-max", "2") == \
         (0, '{"detail":"square commutes","status":"pass"}\n')
+
+
+@pytest.mark.parametrize("i_max", ["16", "1000000000"])
+def test_homology_square_reads_no_degree_above_the_dimension(
+        tmp_path, capsys, monkeypatch, i_max):
+    # every group above both dimensions is zero: a large --i-max gives the
+    # --i-max 2 answer on RP^2 and builds no chains above degree 3
+    cx, mp = _identity_files(tmp_path, RP2_FACETS)
+    want = run(capsys, "homology-square", cx, cx, mp, "--i-max", "2")
+    built = []
+
+    def spy(sset, up_to):
+        built.append(up_to)
+        return unnormalized_chains(sset, up_to)
+
+    monkeypatch.setattr(reconstruct, "unnormalized_chains", spy)
+    assert run(capsys, "homology-square", cx, cx, mp, "--i-max", i_max) == \
+        want == (0, '{"detail":"square commutes","status":"pass"}\n')
+    assert built and max(built) <= 3
 
 
 @pytest.mark.parametrize("command, obj", [

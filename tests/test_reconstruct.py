@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cupi.chains import (Chain, GradedMap, HomologyClasses, TensorChain,
-                         chain_map_from_vertex_map, induced_components)
+                         _add_into, chain_map_from_vertex_map,
+                         induced_components)
 from cupi.simplicial import (VertexMap, adjoin, build_complex,
                              epi_mono_factor, identity_map, standard_simplex,
                              surjections)
-from cupi import reconstruct, steenrod
+from cupi import chains, reconstruct, steenrod
 from cupi.steenrod import (BarElement, SteenrodStructure, aw_diagonal, eta,
                            higher_diagonal, structure_for)
 from cupi.reconstruct import (BruteForceLimitError, MorphismVerdict,
@@ -710,6 +711,70 @@ class TestHomologySquare:
         verdict = is_steenrod_morphism(g, A, B)
         assert verdict.ok
         assert homology_square(g, verdict, A, B, 2).ok
+
+
+def _changed(g, X, Y, change):
+    """The chain map g: N(X) -> N(Y) as is, negated, plus dh + hd for the
+    homotopy h sending the first vertex of X to the first edge of Y, or
+    with the first top cycle of Y, if there is one, added to the image of
+    the first top simplex of X; each is again a chain map."""
+    comps = {lb: dict(img) for lb, img in g.comps.items()}
+    NY = g.target
+    if change == "negate":
+        comps = {lb: {t: -c for t, c in img.items()}
+                 for lb, img in comps.items()}
+    elif change == "homotopy" and Y.dim >= 1:
+        v, e = X.vertices[0], Y.simplices[1][0]
+        _add_into(comps.setdefault((v,), {}), e[1:], 1)  # d h on (v,)
+        _add_into(comps[(v,)], e[:1], -1)
+        for x in X.simplices[1] if X.dim >= 1 else ():   # h d on edges
+            c = g.source.boundary_of(x).get((v,), 0)
+            _add_into(comps.setdefault(x, {}), e, c)
+    elif change == "cycle":
+        n = X.dim
+        cycles = oracles.kernel_generators(HomologyClasses(NY, n))
+        if cycles:
+            img = comps.setdefault(X.simplices[n][0], {})
+            for t, c in cycles[0].coeffs:
+                _add_into(img, t, c)
+    f = GradedMap(g.source, NY, 0, comps)
+    assert f.is_chain_map()
+    return f
+
+
+@pytest.mark.parametrize("change", ["none", "negate", "homotopy", "cycle"])
+@pytest.mark.parametrize("relabeled", [False, True])
+@pytest.mark.parametrize("name", list(named_corpus()))
+def test_homology_square_agrees_with_the_kernel_oracle(
+        monkeypatch, name, relabeled, change):
+    # the map is changed after the identity's (or relabeling's) verdict, so
+    # the square itself decides, and can fail; the old path takes the
+    # oracle's Z-basis of every cycle in place of the sparse generators
+    X = named_corpus()[name]
+    Y, vm = _shifted(X) if relabeled else (X, VertexMap.from_dict(
+        X, X, {v: v for v in X.vertices}))
+    g = chain_map_from_vertex_map(vm, structure_for(X).chains,
+                                  structure_for(Y).chains)
+    verdict = is_steenrod_morphism(g, X, Y)
+    assert verdict.ok
+    f = _changed(g, X, Y, change)
+    new = homology_square(f, verdict, X, Y, 2)
+    monkeypatch.setattr(HomologyClasses, "generators",
+                        oracles.kernel_generators)
+    assert homology_square(f, verdict, X, Y, 2) == new
+    if change == "negate":
+        assert new.detail == "square fails in degree 0"
+
+
+def test_homology_square_builds_no_dense_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("homology_square built a dense kernel")
+    X = build_complex(barycentric(RP2_FACETS))
+    g = GradedMap.identity(structure_for(X).chains)
+    verdict = is_steenrod_morphism(g, X, X)
+    monkeypatch.setattr(chains.FreeChainComplex, "boundary_matrix", refuse)
+    monkeypatch.setattr(chains, "kernel_basis", refuse)
+    assert homology_square(g, verdict, X, X, 2) == (True, "square commutes")
 
 
 @pytest.mark.parametrize("X", [
