@@ -54,14 +54,16 @@ def _refuse_oversized_output(X, dims):
     bound on the components of N(theta) that building each one's chain map
     relabels) are more than GUIDED_MAX_FACE_CHECKS.  Each n is charged at
     least one morphism, so the scan ends within GUIDED_MAX_MORPHISMS + 1
-    values of n also on the empty complex."""
+    values of n also on the empty complex.  The exponent is bounded: past
+    the cap's bit length, one morphism's faces alone exceed the cap."""
     total = checks = 0
     for n in dims:
         count = max(1, sum(comb(n, k) * len(X.simplices_of_dim(k))
                            for k in range(X.dim + 1)))
         total += count
         if checks <= GUIDED_MAX_FACE_CHECKS:  # past the cap, its sum is moot
-            checks += count * (2 ** (n + 1) - 1)
+            exponent = min(n + 1, GUIDED_MAX_FACE_CHECKS.bit_length() + 1)
+            checks += count * (2 ** exponent - 1)
         if total > GUIDED_MAX_MORPHISMS:
             raise BruteForceLimitError(
                 f"more than {GUIDED_MAX_MORPHISMS} morphisms to enumerate")

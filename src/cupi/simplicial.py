@@ -5,7 +5,9 @@ vertex tuples, closed under taking faces.  A delta-complex keeps indexed cells
 with face operators only.  Freely adding degeneracies to a delta-complex gives
 a degeneracy-free simplicial set, represented here as pairs (theta, c) of an
 order-preserving surjection theta and a core cell c; the full simplicial set is
-never materialized, every dimension is enumerated on demand.
+never materialized, every dimension is enumerated on demand.  Faces and
+degeneracies of (theta, c) are read off their formulas (May, Simplicial
+Objects in Algebraic Topology, section 1).
 """
 
 from __future__ import annotations
@@ -25,15 +27,6 @@ class InvalidComplexError(ValueError):
 
 def identity_map(n):
     return tuple(range(n + 1))
-
-
-def is_weakly_monotone(values):
-    return all(a <= b for a, b in zip(values, values[1:]))
-
-
-def is_surjection_onto(values, n):
-    """True if values describe a weakly monotone surjection onto {0..n}."""
-    return is_weakly_monotone(values) and set(values) == set(range(n + 1))
 
 
 # Keys are (m, n) with n <= m, so a command reaching dimension M uses at
@@ -67,11 +60,6 @@ def coface(i, m):
 def codegeneracy(i, m):
     """sigma_i: m+1 -> m, hitting value i twice."""
     return tuple(j if j <= i else j - 1 for j in range(m + 2))
-
-
-def compose_maps(outer, inner):
-    """(outer . inner)(j) = outer[inner[j]]."""
-    return tuple(outer[j] for j in inner)
 
 
 def epi_mono_factor(values):
@@ -233,16 +221,6 @@ class DeltaComplex:
                             raise InvalidComplexError(
                                 f"face identity d_{i} d_{j} fails on {c!r}")
 
-    def apply_injection(self, image_values, cell, ambient):
-        """Dual of the injection {0..r} -> {0..ambient} hitting image_values.
-
-        Applies the face operators for the missed values, largest first.
-        """
-        missing = [v for v in range(ambient + 1) if v not in set(image_values)]
-        for v in sorted(missing, reverse=True):
-            cell = self.face(cell, v)
-        return cell
-
     def same_as(self, other):
         """Exact equality of cell lists (in order) and face operators."""
         if set(self.cells) != set(other.cells):
@@ -280,21 +258,19 @@ class SimplicialSetDF(namedtuple("SimplicialSetDF", "core")):
                     out.append((theta, c))
         return tuple(out)
 
-    def apply_monotone(self, simplex, phi):
-        """Act by an arbitrary weakly monotone map phi (contravariantly)."""
-        theta, c = simplex
-        psi = compose_maps(theta, phi)
-        surj, image = epi_mono_factor(psi)
-        cell = self.core.apply_injection(image, c, max(theta))
-        return (surj, cell)
-
     def face(self, simplex, i):
-        m = len(simplex[0]) - 1
-        return self.apply_monotone(simplex, coface(i, m))
+        """d_i(theta, c): drop entry v = theta[i]; if v is then missed,
+        renumber the values above it and take the core face d_v c."""
+        theta, c = simplex
+        v, rest = theta[i], theta[:i] + theta[i + 1:]
+        if v in rest:
+            return (rest, c)
+        return (tuple(t - (t > v) for t in rest), self.core.face(c, v))
 
     def degeneracy(self, simplex, i):
-        m = len(simplex[0]) - 1
-        return self.apply_monotone(simplex, codegeneracy(i, m))
+        """s_i(theta, c): repeat entry i of theta."""
+        theta, c = simplex
+        return (theta[:i + 1] + theta[i:], c)
 
 
 def adjoin(core):
@@ -312,7 +288,7 @@ def core_of(sset):
 def apply_surjection_degeneracies(sset, theta, simplex):
     """theta*(simplex): peel elementary degeneracies off theta one repeat
     position at a time and apply the simplicial-set operators."""
-    if is_surjection_onto(theta, len(theta) - 1):  # identity
+    if theta == identity_map(len(theta) - 1):
         return simplex
     p = next(i for i in range(1, len(theta)) if theta[i] == theta[i - 1])
     shorter = theta[:p] + theta[p + 1:]

@@ -11,6 +11,9 @@
 - a Z-basis of every n-cycle from the dense Smith normal form of d_n,
   against the homology generators read off the sparse elimination;
 - surjection counting by recursion (no binomials);
+- the action of any weakly monotone map on the degeneracy completion
+  (compose, factor as injection . surjection, apply the missed core faces),
+  against its faces and degeneracies read off their formulas;
 - a degree-by-degree GF(2) equivariant-extension solver certifying that a
   mod-2 diagonal structure with the pinned top classes exists, and
   re-deriving the mod-2 chain-map equations from scratch;
@@ -37,6 +40,7 @@ from unittest import mock
 from cupi import steenrod
 from cupi.chains import (Chain, FreeChainComplex, GradedMap, TensorChain,
                          _add_into, kernel_basis)
+from cupi.simplicial import epi_mono_factor
 from cupi.steenrod import BarElement, aw_diagonal, eta, higher_diagonal
 
 
@@ -75,6 +79,18 @@ def monotone_spanning_maps(n, X):
         if X.has_simplex(image):
             out.append(tup)
     return out
+
+
+def monotone_action(sset, simplex, phi):
+    """(theta, c) acted on by the weakly monotone map phi, contravariantly:
+    factor theta . phi as injection . surjection, then apply the core faces
+    of the values the injection misses, largest first."""
+    theta, c = simplex
+    surj, image = epi_mono_factor([theta[j] for j in phi])
+    for v in reversed(range(max(theta) + 1)):
+        if v not in image:
+            c = sset.core.face(c, v)
+    return (surj, c)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -430,3 +431,22 @@ def test_size_caps_refuse_before_enumerating(files, capsys, monkeypatch, argv,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("name, small", [("tri.json", "200"),
+                                         ("point.json", "15")])
+def test_a_huge_n_is_refused_without_growing_memory(files, capsys, name,
+                                                    small):
+    # the face bound 2^(n + 1) - 1 is capped before it is formed, so a huge
+    # --n gets the refusal of a small one at once, in bounded memory
+    assert main(["enumerate", files[name], "--n", small]) == 2
+    want = capsys.readouterr().err
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", files[name], "--n", "1000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == want
+    assert peak < 2 ** 20

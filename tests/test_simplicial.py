@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cupi.simplicial import (DeltaComplex, InvalidComplexError, VertexMap,
-                             adjoin, build_complex, compose_maps,
+                             adjoin, build_complex, codegeneracy, coface,
                              core_comparison_is_iso, core_of, identity_map,
                              simplicial_maps, standard_simplex, surjections)
 
@@ -46,7 +46,7 @@ def counit(sset):
     def g(pair):
         phi, x = pair  # x is itself a simplex (theta, c) of sset
         theta, c = x
-        return (compose_maps(theta, phi), c)
+        return (tuple(theta[j] for j in phi), c)
     return g
 
 
@@ -187,6 +187,22 @@ class TestAdjoin:
                                 assert left == s
                             else:
                                 assert left == dX.degeneracy(dX.face(s, i - 1), j)
+
+    def test_faces_and_degeneracies_match_the_monotone_action(self, corpus):
+        # the formulas against the general action of a coface or a
+        # codegeneracy, also on a core that is not an ordered complex
+        interval = adjoin(standard_simplex(1).to_delta())
+        cases = [(adjoin(X.to_delta()), 4) for X in corpus.values()]
+        cases.append((adjoin(forget(interval, 2)), 3))
+        for dX, top in cases:
+            for m in range(top + 1):
+                for s in dX.simplices_of_dim(m):
+                    for i in range(m + 1):
+                        if m > 0:
+                            assert dX.face(s, i) == oracles.monotone_action(
+                                dX, s, coface(i, m))
+                        assert dX.degeneracy(s, i) == oracles.monotone_action(
+                            dX, s, codegeneracy(i, m))
 
 
 class TestForget:

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cupi"
@@ -49,3 +50,37 @@ def test_imports_stay_at_module_level():
                 in_init.append(node.lineno)
     assert nested == []
     assert in_init == []
+
+
+def test_every_definition_is_named_outside_its_own_body():
+    # a helper whose last caller went away is dead code: every function,
+    # method and class of the package must be named somewhere else, in
+    # src, in tests, or in the benchmark's SPANS
+    root = PACKAGE.parents[1]
+    defs, uses = [], defaultdict(list)  # name -> [(path, line)]
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(root.glob("tests/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if path.parent == PACKAGE:
+                    defs.append((node.name, path, node.lineno,
+                                 node.end_lineno))
+            elif isinstance(node, ast.Name):
+                uses[node.id].append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr].append((path, node.lineno))
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):  # setattr targets
+                uses[node.value].append((path, node.lineno))
+    worker = ast.parse((root / "bench" / "worker.py").read_text())
+    spans = next(node.value for node in worker.body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "SPANS")
+    for node in ast.walk(spans):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for part in node.value.split("."):
+                uses[part].append((None, 0))
+    orphans = [f"{path.name}:{lo} {name}" for name, path, lo, hi in defs
+               if not (name.startswith("__") and name.endswith("__"))
+               and all(p == path and lo <= line <= hi
+                       for p, line in uses[name])]
+    assert defs and orphans == []

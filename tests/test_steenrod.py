@@ -339,6 +339,28 @@ class TestVerifyStructure:
             assert report.witness[1] == (0, 1)
         assert report.witness == (3, (0, 1))
 
+    def test_equivariance_holds_by_construction_on_any_table(self):
+        # verify_structure does not read C2: xi defines the T e_i part as
+        # the swap of the e_i part, so C2 holds even where Delta_1 is
+        # replaced by entries that are not swap-symmetric
+        X = standard_simplex(2)
+        S = structure_for(X)
+        table = full_table(S)
+        for s in X.all_simplices():
+            if len(s) > 1:
+                table[(1, s)] = TensorChain.from_dict(2, len(s),
+                                                      {(s, s[:2]): 1})
+                assert table[(1, s)].swap() != table[(1, s)]
+        bad = SteenrodStructure.from_table(X, S.max_i, table)
+        for s in X.all_simplices():
+            gen = bad.chains.generator(s)
+            for i in range(bad.max_i + 1):
+                assert (bad.xi(BarElement.te(i), gen)
+                        == bad.xi(BarElement.e(i), gen).swap())
+        report = verify_structure(bad)
+        assert not report.ok
+        assert report_of(report) == oracles.scan_structure(bad)
+
     def test_truncated_table_fails_completeness(self):
         X = standard_simplex(2)
         S = structure_for(X)
