@@ -128,16 +128,6 @@ class MorphismVerdict(namedtuple("MorphismVerdict",
         return {"status": self.status, "witness": w, "certificate": cert}
 
 
-def _vertex_image(f, v):
-    """The target vertex when f sends [v] to a unit vertex, else None."""
-    img = f.apply_label((v,))
-    if len(img) == 1:
-        ((w,), c), = img.items()
-        if c == 1:
-            return w
-    return None
-
-
 def is_steenrod_morphism(f, source, target, types=None):
     """Decide whether a graded map N(source) -> N(target) is a morphism of
     the diagonal structures.
@@ -146,23 +136,27 @@ def is_steenrod_morphism(f, source, target, types=None):
     preservation in degree 0; then the structure square
     (f (x) f) . xi_src = xi_tgt . (1 (x) f) on every pair (e_j, simplex) with
     j + dim(simplex) <= 2 dim(target) (both sides vanish above that range),
-    decided in one of two ways:
+    one simplex at a time in scan order.
 
-    - f = N(phi) for an order-preserving simplicial vertex map phi (the
-      certificate, found right after the augmentation check): on a simplex s
-      write phi|s = tau . theta with theta: [n] ->> [k] a codegeneracy and
-      tau injective.  Delta_j(s) is the universal table relabeled by s on
-      both structures, and relabeling by tau is injective and commutes with
-      map_factors, so the square on s is the square of N(theta) on the top
-      simplex of the standard n-simplex, relabeled by tau.  Each local type
-      theta is decided once (_type_failure), and the witness is the first
-      simplex in scan order whose type fails, with that type's first failing
-      j: the pair the scan below would report.  types, when given, is a dict
-      from theta to that j (or None) shared by calls on the same tables.
-    - otherwise every pair is formed and compared, simplex by simplex.
+    The vertex map phi is read off the unit vertex images when it is
+    order-preserving and simplicial (_vertex_map_of).  On a simplex s write
+    phi|s = tau . theta with theta: [n] ->> [k] a codegeneracy and tau
+    injective.  Delta_j(s) is the universal table relabeled by s on both
+    structures, and relabeling by tau is injective and commutes with
+    map_factors, so the square of N(phi) on s is the square of N(theta) on
+    the top simplex of the standard n-simplex, relabeled by tau: each local
+    type theta is decided once (_type_failure), with its first failing j.
+    Let s0 be the first simplex with f(s0) != N(phi)(s0).  The square on s
+    reads f on the faces of s only, and faces come before their simplex in
+    scan order, so before s0 the square is N(phi)'s and its type decides
+    it, with the pair the scan would report.  From s0 on, and from the
+    first simplex when there is no phi, every pair is formed and compared.
+    types, when given, is a dict from theta to its j (or None) shared by
+    calls on the same tables.
 
-    Returns a verdict whose witness re-checks by direct evaluation; positive
-    verdicts carry the inducing vertex map as certificate.
+    Returns a verdict whose witness re-checks by direct evaluation; a
+    positive verdict carries phi as certificate when no s0 was met, that is
+    when f = N(phi).
     """
     S_src = structure_for(source)
     S_tgt = structure_for(target)
@@ -177,14 +171,21 @@ def is_steenrod_morphism(f, source, target, types=None):
     for (v,) in source.simplices_of_dim(0):
         if sum(f.apply_label((v,)).values()) != 1:
             return MorphismVerdict("not_morphism", witness=("augmentation", (v,)))
-    cert = _extract_vertex_map(f, source, target)
-    if cert is not None:
-        witness = _first_failing_type(cert, {} if types is None else types)
-        if witness is not None:
-            return MorphismVerdict("not_morphism", witness=witness)
-        return MorphismVerdict("morphism", certificate=cert)
+    phi = _vertex_map_of(f, source, target)
+    m = phi.as_dict() if phi is not None else None
+    types = {} if types is None else types
     bound = 2 * target.dim
     for s in source.all_simplices():
+        if phi is not None:
+            theta, tau = epi_mono_factor([m[v] for v in s])
+            if f.apply_label(s) == ({tau: 1} if len(tau) == len(s) else {}):
+                if theta not in types:
+                    types[theta] = _type_failure(theta)
+                if types[theta] is not None:
+                    return MorphismVerdict("not_morphism",
+                                           witness=(types[theta], s))
+                continue
+            phi = None  # s is s0: f leaves N(phi) here
         k = simplex_degree(s)
         # for j > k both sides vanish: f keeps degrees, Delta_j is 0 there
         for j in range(min(k, max(bound - k, 0)) + 1):
@@ -192,7 +193,22 @@ def is_steenrod_morphism(f, source, target, types=None):
             right = S_tgt.xi(BarElement.e(j), f.apply(NA.generator(s)))
             if left != right:
                 return MorphismVerdict("not_morphism", witness=(j, s))
-    return MorphismVerdict("morphism")
+    return MorphismVerdict("morphism", certificate=phi)
+
+
+def _vertex_map_of(f, source, target):
+    """The vertex map phi read off f's unit vertex images, when it is
+    order-preserving and simplicial, else None."""
+    mapping = {}
+    for (v,) in source.simplices_of_dim(0):
+        image = f.apply_label((v,))
+        if list(image.values()) != [1]:
+            return None
+        (mapping[v],), = image
+    vmap = VertexMap.from_dict(source, target, mapping)
+    if not (vmap.is_order_preserving() and vmap.is_simplicial()):
+        return None
+    return vmap
 
 
 class _OnPositions:
@@ -230,33 +246,6 @@ def _type_failure(theta):
         if left != right:
             return j
     return None
-
-
-def _first_failing_type(vmap, types):
-    """(j, s) for the first simplex s of vmap's source, in scan order, whose
-    local type fails its square at j, or None; types memoizes the types."""
-    m = vmap.as_dict()
-    for s in vmap.source.all_simplices():
-        theta, _ = epi_mono_factor([m[v] for v in s])
-        if theta not in types:
-            types[theta] = _type_failure(theta)
-        if types[theta] is not None:
-            return (types[theta], s)
-    return None
-
-
-def _extract_vertex_map(f, source, target):
-    """Recover the inducing vertex map of a verified morphism, or None."""
-    mapping = {}
-    for (v,) in source.simplices_of_dim(0):
-        w = _vertex_image(f, v)
-        if w is None:
-            return None
-        mapping[v] = w
-    vmap = VertexMap.from_dict(source, target, mapping)
-    if not (vmap.is_order_preserving() and vmap.is_simplicial()):
-        return None
-    return vmap if induced_components(vmap) == f.comps else None
 
 
 # ---------------------------------------------------------------------------

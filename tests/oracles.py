@@ -29,8 +29,9 @@
   verify_structure, which reads one simplex per dimension of a structure
   read on demand;
 - the morphism decision with the structure square formed on every
-  (e_j, simplex) pair, against is_steenrod_morphism, which decides an
-  induced map once per local type.
+  (e_j, simplex) pair and the certificate read after it, against
+  is_steenrod_morphism, which decides each local type of the vertex map
+  once, up to the first simplex where the map leaves N(phi).
 """
 
 import itertools
@@ -39,8 +40,8 @@ from unittest import mock
 
 from cupi import steenrod
 from cupi.chains import (Chain, FreeChainComplex, GradedMap, TensorChain,
-                         _add_into, kernel_basis)
-from cupi.simplicial import epi_mono_factor
+                         _add_into, induced_components, kernel_basis)
+from cupi.simplicial import VertexMap, epi_mono_factor
 from cupi.steenrod import BarElement, aw_diagonal, eta, higher_diagonal
 
 
@@ -639,9 +640,11 @@ def scan_morphism(f, source, target):
     """is_steenrod_morphism by the full scan: the chain-map law and the
     augmentation, then (f (x) f) . xi_src = xi_tgt . (1 (x) f) formed on
     every (e_j, simplex) pair with j + dim(simplex) <= 2 dim(target), in
-    scan order; the inducing vertex map is looked for only after the
-    square holds everywhere."""
-    from cupi.reconstruct import MorphismVerdict, _extract_vertex_map
+    scan order.  Only after the square holds everywhere is the certificate
+    read, here and not by the package: the unit vertex images, when they
+    form an order-preserving simplicial vertex map whose induced components
+    are f's."""
+    from cupi.reconstruct import MorphismVerdict
     S_src = steenrod.structure_for(source)
     S_tgt = steenrod.structure_for(target)
     NA = S_src.chains
@@ -661,5 +664,13 @@ def scan_morphism(f, source, target):
             right = S_tgt.xi(BarElement.e(j), f.apply(NA.generator(s)))
             if left != right:
                 return MorphismVerdict("not_morphism", witness=(j, s))
-    return MorphismVerdict("morphism",
-                           certificate=_extract_vertex_map(f, source, target))
+    images = {v: f.apply_label((v,)) for (v,) in source.simplices_of_dim(0)}
+    if any(len(img) != 1 or 1 not in img.values() for img in images.values()):
+        return MorphismVerdict("morphism")
+    vm = VertexMap.from_dict(source, target,
+                             {v: w for v, img in images.items()
+                              for (w,) in img})
+    if not (vm.is_order_preserving() and vm.is_simplicial()
+            and induced_components(vm) == f.comps):
+        vm = None
+    return MorphismVerdict("morphism", certificate=vm)

@@ -2,9 +2,14 @@
 
 import itertools
 import json
+import os
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cupi import reconstruct
 from cupi.chains import unnormalized_chains
@@ -450,3 +455,87 @@ def test_a_huge_n_is_refused_without_growing_memory(files, capsys, name,
     assert code == 2
     assert capsys.readouterr().err == want
     assert peak < 2 ** 20
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(width=16)
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8)
+
+# facets on the vertex ids -1 ... 4, now and then not increasing
+_facet = st.lists(st.integers(-1, 4), min_size=1, max_size=4, unique=True)
+_facets = st.lists(_facet.map(sorted), max_size=4) | st.lists(_facet,
+                                                              max_size=4)
+
+
+def _faces(facets):
+    """The nonempty increasing subsets of the facets: the simplices when the
+    facets are increasing."""
+    return sorted({c for f in facets for r in range(1, len(f) + 1)
+                   for c in itertools.combinations(sorted(f), r)})
+
+
+@st.composite
+def morphism_files(draw):
+    """Texts of (source, target, map) files: two complexes, and a chain-map
+    file that starts as the identity, as a vertex map's induced components
+    or empty, with up to three triples added, some filed under a wrong or
+    malformed degree key; then, sometimes, one of the three files replaced
+    by any JSON value or cut short."""
+    X = draw(_facets)
+    Y = X if draw(st.booleans()) else draw(_facets)
+    sx, sy = _faces(X), _faces(Y)
+    start = draw(st.sampled_from(["identity", "vertex", "empty"]))
+    triples = []
+    if start == "identity":
+        triples = [(None, s, s, 1) for s in sx]
+    elif start == "vertex" and sy:
+        phi = {s[0]: draw(st.sampled_from(sy))[0] for s in sx if len(s) == 1}
+        images = [(tuple(sorted({phi[v] for v in s})), s) for s in sx]
+        triples = [(None, t, s, 1) for t, s in images if len(t) == len(s)]
+    labels = st.sampled_from(sx + sy or [(0,)])
+    triples += draw(st.lists(st.tuples(
+        st.none() | st.sampled_from(["0", "1", "2", "-1", "01"]),
+        labels, labels, st.integers(-2, 2)), max_size=3))
+    chain_map = {}
+    for key, t, s, c in triples:
+        key = str(len(s) - 1) if key is None else key
+        chain_map.setdefault(key, []).append([list(t), list(s), c])
+    texts = [json.dumps({"facets": X}), json.dumps({"facets": Y}),
+             json.dumps(chain_map)]
+    broken = draw(st.sampled_from([None] * 4 + [0, 1, 2]))
+    if broken is not None:
+        if draw(st.booleans()):
+            texts[broken] = json.dumps(draw(_json_values))
+        else:
+            texts[broken] = texts[broken][:draw(
+                st.integers(0, len(texts[broken]) - 1))]
+    return texts
+
+
+@given(morphism_files(), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_morphism_commands_give_a_verdict_or_an_input_error(texts, i_max):
+    # a verdict is one JSON line on stdout with exit 0 or 1; anything else
+    # is exit 2 with a message on stderr and nothing on stdout
+    with tempfile.TemporaryDirectory() as directory:
+        paths = [os.path.join(directory, name)
+                 for name in ("source.json", "target.json", "map.json")]
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for argv in (["is-morphism", *paths], ["lift", *paths],
+                     ["homology-square", *paths, "--i-max", str(i_max)]):
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("error: ")
+            else:
+                assert err.getvalue() == ""
+                line, = out.getvalue().splitlines()
+                json.loads(line)

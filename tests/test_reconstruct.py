@@ -218,12 +218,26 @@ def _shifted(X):
     return Y, VertexMap.from_dict(X, Y, {v: 2 * v + 1 for v in X.vertices})
 
 
+def _add_homotopy(comps, NA, NB, t, u):
+    """Add dh + hd, in place, to the components of a map NA -> NB, for the
+    homotopy h sending the simplex t to the simplex u one dimension up and
+    every other simplex to zero: a chain map stays one, with the same
+    augmentation."""
+    img = comps.setdefault(t, {})
+    for face, c in NB.boundary_of(u).items():  # d h on t
+        _add_into(img, face, c)
+    for s in NA.basis.get(len(t), ()):  # h d on the cofaces of t
+        _add_into(comps.setdefault(s, {}), u, NA.boundary_of(s).get(t, 0))
+
+
 @st.composite
-def maps(draw, complexes, changes=("none", "negate", "perturb", "cycle")):
+def maps(draw, complexes,
+         changes=("none", "negate", "perturb", "cycle", "homotopy")):
     """(f, X, Y, phi): N(phi) for an order-preserving simplicial vertex map phi
     (a relabeling, a collapse onto a simplex of X, or a weakly monotone map
     into a standard simplex), taken as is, negated, with one coefficient
-    perturbed, or with a cycle added to the image of a maximal simplex."""
+    perturbed, with a cycle added to the image of a maximal simplex, or plus
+    dh + hd for h sending a simplex t to a coface of its image."""
     X = draw(complexes)
     kind = draw(st.sampled_from(["relabel", "collapse", "simplex"]))
     if kind == "relabel":
@@ -262,6 +276,13 @@ def maps(draw, complexes, changes=("none", "negate", "perturb", "cycle")):
             img = comps.setdefault(s, {})
             for t, c in NB.boundary_of(u).items():
                 img[t] = img.get(t, 0) + c
+    elif change == "homotopy":
+        m = vm.as_dict()
+        pairs = [(t, u) for t in X.all_simplices()
+                 for u in Y.simplices_of_dim(len(t))
+                 if {m[v] for v in t} <= set(u)]
+        if pairs:
+            _add_homotopy(comps, NA, NB, *draw(st.sampled_from(pairs)))
     return GradedMap(NA, NB, 0, comps), X, Y, vm
 
 
@@ -308,7 +329,8 @@ def test_first_commutator_witness_is_the_lowest_residual_degree(case):
 
 @pytest.mark.parametrize("kind", ["flip", "drop", "double", "add"])
 @given(case=st.one_of(codegeneracies(),
-                      maps(corpus_complexes, ("none", "perturb", "cycle"))),
+                      maps(corpus_complexes,
+                           ("none", "perturb", "cycle", "homotopy"))),
        data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_per_type_decision_agrees_with_the_scan_on_tampered_tables(
@@ -386,6 +408,56 @@ def test_relabeled_rp3_decides_one_type_per_dimension(monkeypatch):
     verdict = is_steenrod_morphism(f, X, Y)
     assert verdict.ok and verdict.certificate == vm
     assert len(decided) <= X.dim + 1
+
+
+def _identity_plus_homotopy(X, where):
+    """(id + dh + hd on N(X), t) for h sending the (n-1)-simplex t, the
+    first, middle or last in scan order, to its first coface: its vertex
+    map is the identity, and it leaves N(id) first at t."""
+    N = structure_for(X).chains
+    faces = X.simplices_of_dim(X.dim - 1)
+    t = faces[{"first": 0, "middle": len(faces) // 2, "last": -1}[where]]
+    u = next(s for s in X.simplices_of_dim(X.dim) if set(t) < set(s))
+    comps = {s: {s: 1} for s in X.all_simplices()}
+    _add_homotopy(comps, N, N, t, u)
+    return GradedMap(N, N, 0, comps), t
+
+
+@pytest.mark.parametrize("n, where", [(3, "first"), (3, "middle"),
+                                      (3, "last"), (4, "last")])
+def test_a_map_off_n_phi_agrees_with_the_scan(projective_spaces, n, where):
+    # a vertex map phi exists, but f != N(phi): types decide up to t, the
+    # scan from t on; by rigidity f is no morphism
+    X = projective_spaces[n]
+    f, _ = _identity_plus_homotopy(X, where)
+    verdict = is_steenrod_morphism(f, X, X)
+    assert verdict.status == "not_morphism"
+    assert verdict == oracles.scan_morphism(f, X, X)
+
+
+def test_squares_are_formed_only_from_where_f_leaves_n_phi(
+        monkeypatch, projective_spaces):
+    # the right side of every (e_j, s) square is built from generator(s)
+    X = projective_spaces[4]
+    f, t = _identity_plus_homotopy(X, "last")
+    decided = spy_on_type_decisions(monkeypatch)
+    formed = []
+    generator = chains.FreeChainComplex.generator
+
+    def spy(self, label):
+        formed.append(label)
+        return generator(self, label)
+
+    monkeypatch.setattr(chains.FreeChainComplex, "generator", spy)
+    assert not is_steenrod_morphism(f, X, X).ok
+    position = {s: p for p, s in enumerate(X.all_simplices())}
+    assert min(map(position.get, formed)) == position[t]
+    # every simplex before t is injective under the identity
+    assert decided == [identity_map(k) for k in range(X.dim)]
+    del formed[:], decided[:]
+    assert is_steenrod_morphism(GradedMap.identity(f.source), X, X).ok
+    assert formed == []
+    assert decided == [identity_map(k) for k in range(X.dim + 1)]
 
 
 class TestEnumerate:
@@ -724,12 +796,7 @@ def _changed(g, X, Y, change):
         comps = {lb: {t: -c for t, c in img.items()}
                  for lb, img in comps.items()}
     elif change == "homotopy" and Y.dim >= 1:
-        v, e = X.vertices[0], Y.simplices[1][0]
-        _add_into(comps.setdefault((v,), {}), e[1:], 1)  # d h on (v,)
-        _add_into(comps[(v,)], e[:1], -1)
-        for x in X.simplices[1] if X.dim >= 1 else ():   # h d on edges
-            c = g.source.boundary_of(x).get((v,), 0)
-            _add_into(comps.setdefault(x, {}), e, c)
+        _add_homotopy(comps, g.source, NY, (X.vertices[0],), Y.simplices[1][0])
     elif change == "cycle":
         n = X.dim
         cycles = oracles.kernel_generators(HomologyClasses(NY, n))
