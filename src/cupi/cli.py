@@ -12,9 +12,9 @@ import sys
 
 from . import io as cio
 from .chains import homology, normalized_chains
-from .reconstruct import (BruteForceLimitError, enumerate_morphisms,
-                          homology_square, is_steenrod_morphism,
-                          lift_morphism, verify_reconstruction)
+from .reconstruct import (enumerate_morphisms, homology_square,
+                          is_steenrod_morphism, lift_morphism,
+                          verify_reconstruction)
 from .steenrod import (SteenrodStructure, structure_for, steenrod_squares,
                        verify_structure)
 
@@ -80,14 +80,10 @@ def cmd_squares(args):
 
 def cmd_enumerate(args):
     X = cio.load_complex(args.complex)
-    morphisms = enumerate_morphisms(args.n, X, mode=args.mode, bound=args.bound)
-    out = []
-    for ms in morphisms:
-        entry = {"surjection": list(ms.surjection) if ms.surjection else None,
-                 "simplex": list(ms.simplex) if ms.simplex else None,
-                 "vertex_map": {str(k): v for k, v in ms.vertex_map.mapping}
-                 if ms.vertex_map else None}
-        out.append(entry)
+    morphisms = enumerate_morphisms(args.n, X)
+    out = [{"surjection": list(ms.surjection), "simplex": list(ms.simplex),
+            "vertex_map": {str(k): v for k, v in ms.vertex_map.mapping}}
+           for ms in morphisms]
     _emit({"n": args.n, "count": len(morphisms), "morphisms": out})
     return 0
 
@@ -173,9 +169,7 @@ def build_parser():
     add("squares", cmd_squares, ((["complex"], {})),
         ((["--i"], {"dest": "i", "type": _nonneg, "required": True})))
     add("enumerate", cmd_enumerate, ((["complex"], {})),
-        ((["--n"], {"dest": "n", "type": _nonneg, "required": True})),
-        ((["--mode"], {"choices": ["guided", "brute"], "default": "guided"})),
-        ((["--bound"], {"dest": "bound", "type": _nonneg, "default": 2})))
+        ((["--n"], {"dest": "n", "type": _nonneg, "required": True})))
     add("reconstruct", cmd_reconstruct, ((["complex"], {})),
         ((["--up-to"], {"dest": "up_to", "type": _nonneg, "default": None})))
     add("is-morphism", cmd_is_morphism, ((["source"], {})), ((["target"], {})),
@@ -193,7 +187,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (cio.InputError, BruteForceLimitError, ValueError) as exc:
+    except (cio.InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

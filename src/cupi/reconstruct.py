@@ -14,12 +14,11 @@ all degeneracies freely added.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from math import comb
 
-from .chains import (Chain, GradedMap, TensorChain, _add_into, _invariants,
-                     _terms, chain_map_from_vertex_map, HomologyClasses,
+from .chains import (GradedMap, TensorChain, _add_into, _invariants, _terms,
+                     chain_map_from_vertex_map, HomologyClasses,
                      induced_components, simplex_degree, unnormalized_chains)
 from .simplicial import (VertexMap, adjoin, coface, codegeneracy,
                          epi_mono_factor, identity_map, simplicial_maps,
@@ -27,15 +26,7 @@ from .simplicial import (VertexMap, adjoin, coface, codegeneracy,
 from .steenrod import BarElement, eta, higher_diagonal, structure_for
 
 
-class BruteForceLimitError(ValueError):
-    """Enumeration refused before any work: the instance exceeds a size cap,
-    one of brute search's caps or the output cap of guided enumeration."""
-
-
-BRUTE_MAX_SOURCE_VERTICES = 4
-BRUTE_MAX_TARGET_VERTICES = 6
-BRUTE_MAX_VECTORS_PER_DEGREE = 2_000_000
-# Guided enumeration and reconstruction: the most morphisms one call may
+# Enumeration and reconstruction: the most morphisms one call may
 # produce.  The largest benchmark command, reconstruct on sd^1 RP^2 through
 # dimension 3, produces 904.
 GUIDED_MAX_MORPHISMS = 20_000
@@ -65,10 +56,10 @@ def _refuse_oversized_output(X, dims):
             exponent = min(n + 1, GUIDED_MAX_FACE_CHECKS.bit_length() + 1)
             checks += count * (2 ** exponent - 1)
         if total > GUIDED_MAX_MORPHISMS:
-            raise BruteForceLimitError(
+            raise ValueError(
                 f"more than {GUIDED_MAX_MORPHISMS} morphisms to enumerate")
     if checks > GUIDED_MAX_FACE_CHECKS:
-        raise BruteForceLimitError(
+        raise ValueError(
             f"more than {GUIDED_MAX_FACE_CHECKS} (morphism, face) pairs "
             "to verify")
 
@@ -249,7 +240,7 @@ def _type_failure(theta):
 
 
 # ---------------------------------------------------------------------------
-# morphism enumeration: guided and brute
+# morphism enumeration
 # ---------------------------------------------------------------------------
 
 class MorphismSimplex(namedtuple("MorphismSimplex",
@@ -278,10 +269,10 @@ def image_pair(vmap, pair):
     return epi_mono_factor(tuple(m[tau[t]] for t in theta))
 
 
-def enumerate_morphisms(n, X, mode="guided", bound=2):
+def enumerate_morphisms(n, X):
     """All diagonal-structure morphisms N(standard n-simplex) -> N(X).
 
-    guided: induce graded maps from the weakly order-preserving vertex maps
+    Induce graded maps from the weakly order-preserving vertex maps
     whose image spans a simplex (non-injective ones collapse simplices to
     zero).  Each such map factors as a codegeneracy theta of the n-simplex
     onto the k-simplex followed by the inclusion of a k-simplex tau of X
@@ -298,19 +289,8 @@ def enumerate_morphisms(n, X, mode="guided", bound=2):
     zero, being of degree above 2k.  Each theta is checked where
     simplicial_maps first yields it, so a failing theta raises at the first
     failing vertex map, with that map's verdict: the witness lies on the
-    same source.
-
-    brute: exhaust chain maps with coefficients in [-bound, bound] degree by
-    degree (degree-0 candidates are pre-filtered by the (e_0, vertex) square
-    and augmentation, which every morphism must satisfy; all other degrees
-    are exhausted against the chain-map law alone) and filter through the
-    same decision procedure.  Both modes refuse inputs above their size
-    caps.
+    same source.  Inputs above the output caps are refused before any work.
     """
-    if mode == "brute":
-        return _enumerate_brute(n, X, bound)
-    if mode != "guided":
-        raise ValueError(f"unknown mode {mode!r}")
     _refuse_oversized_output(X, (n,))
     if not X.simplices:
         return []
@@ -342,111 +322,6 @@ def enumerate_morphisms(n, X, mode="guided", bound=2):
     return out
 
 
-def _bounded_vectors(length, bound):
-    return itertools.product(range(-bound, bound + 1), repeat=length)
-
-
-def _enumerate_brute(n, X, bound):
-    if n + 1 > BRUTE_MAX_SOURCE_VERTICES:
-        raise BruteForceLimitError(f"source has {n + 1} vertices")
-    if len(X.vertices) > BRUTE_MAX_TARGET_VERTICES:
-        raise BruteForceLimitError(f"target has {len(X.vertices)} vertices")
-    source = standard_simplex(n)
-    ident = identity_map(n)
-    NA = structure_for(source).chains
-    NB = structure_for(X).chains
-    S_tgt = structure_for(X)
-
-    # degree-0 candidates: bounded 0-chains c with AW(c) = c (x) c and
-    # augmentation 1 -- exhausted, not assumed
-    verts = list(X.simplices_of_dim(0))
-    if (2 * bound + 1) ** len(verts) > BRUTE_MAX_VECTORS_PER_DEGREE:
-        raise BruteForceLimitError("degree-0 search space too large")
-    vertex_candidates = []
-    for vec in _bounded_vectors(len(verts), bound):
-        if sum(vec) != 1:
-            continue
-        chain = Chain.from_dict(0, {verts[i]: v for i, v in enumerate(vec)})
-        awc = S_tgt.xi(BarElement.e(0), chain)
-        square = {}
-        for (a, ca) in chain.coeffs:
-            for (b, cb) in chain.coeffs:
-                square[(a, b)] = square.get((a, b), 0) + ca * cb
-        if awc == TensorChain.from_dict(2, 0, square):
-            vertex_candidates.append(dict(chain.coeffs))
-
-    # bucket bounded d-chains by their boundary, once per needed degree
-    buckets = {}
-    for d in range(1, n + 1):
-        labels = list(X.simplices_of_dim(d))
-        if (2 * bound + 1) ** len(labels) > BRUTE_MAX_VECTORS_PER_DEGREE:
-            raise BruteForceLimitError(f"degree-{d} search space too large")
-        bucket = {}
-        faces = list(X.simplices_of_dim(d - 1))
-        fidx = {s: i for i, s in enumerate(faces)}
-        cols = []
-        for lb in labels:
-            col = [0] * len(faces)
-            for face, c in NB.boundary_of(lb).items():
-                col[fidx[face]] += c
-            cols.append(col)
-        for vec in _bounded_vectors(len(labels), bound):
-            b = tuple(sum(v * col[i] for v, col in zip(vec, cols))
-                      for i in range(len(faces)))
-            bucket.setdefault(b, []).append(
-                {labels[i]: v for i, v in enumerate(vec) if v})
-        buckets[d] = (bucket, faces)
-
-    results = []
-    seen = set()
-    src_by_dim = [source.simplices_of_dim(d) for d in range(n + 1)]
-
-    def extend(d, comps):
-        if d > n:
-            f = GradedMap(NA, NB, 0, {k: v for k, v in comps.items() if v})
-            verdict = is_steenrod_morphism(f, source, X)
-            if verdict.ok:
-                key = tuple(sorted((lb, tuple(sorted(img.items())))
-                                   for lb, img in f.comps.items()))
-                if key not in seen:
-                    seen.add(key)
-                    vm = verdict.certificate
-                    pair = (None, None) if vm is None else \
-                        image_pair(vm, (ident, ident))
-                    results.append(MorphismSimplex(f, vm, *pair))
-            return
-        if d == 0:
-            for assignment in itertools.product(vertex_candidates,
-                                                repeat=len(src_by_dim[0])):
-                new = dict(comps)
-                for (v,), img in zip(src_by_dim[0], assignment):
-                    new[(v,)] = img
-                extend(1, new)
-            return
-        bucket, faces = buckets[d]
-        options = []
-        for s in src_by_dim[d]:
-            target_bdry = [0] * len(faces)
-            fidx = {lb: i for i, lb in enumerate(faces)}
-            for face, c in NA.boundary_of(s).items():
-                for lb, v in comps.get(face, {}).items():
-                    target_bdry[fidx[lb]] += c * v
-            opts = bucket.get(tuple(target_bdry), [])
-            if not opts:
-                return
-            options.append((s, opts))
-        for combo in itertools.product(*[opts for _, opts in options]):
-            new = dict(comps)
-            for (s, _), img in zip(options, combo):
-                new[s] = img
-            extend(d + 1, new)
-
-    extend(0, {})
-    results.sort(key=lambda ms: (ms.simplex is None, ms.simplex or (),
-                                 ms.surjection or ()))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # the reconstruction functor and its verification
 # ---------------------------------------------------------------------------
@@ -465,7 +340,7 @@ class ShomSimplicialSet:
         _refuse_oversized_output(X, range(up_to + 1))
         self.complex = X
         self.up_to = up_to
-        self.levels = {n: enumerate_morphisms(n, X, mode="guided")
+        self.levels = {n: enumerate_morphisms(n, X)
                        for n in range(up_to + 1)}
         self._by_pair = {n: {ms.pair: ms for ms in level}
                          for n, level in self.levels.items()}
@@ -631,11 +506,13 @@ def homology_square(g, verdict, X, Y, i_max):
     """Check commutativity of the square relating g and its lift on homology:
     H_i(j_Y) . H_i(g) = H_i(C(g-hat)) . H_i(j_X) for i <= i_max, and that the
     inclusions induce isomorphisms.  Every group above both dimensions is
-    zero and passes, so no degree above them is read."""
+    zero and passes, so no degree above them is read.  When Y == X, C(adjoin
+    X) and each group are built once and the one inclusion is checked once."""
     lift = lift_morphism(g, verdict, X, Y)
     top = min(i_max, max(X.dim, Y.dim))
+    same = Y == X
     jX, CX = nondegenerate_inclusion(X, top + 1)
-    jY, CY = nondegenerate_inclusion(Y, top + 1)
+    jY, CY = (jX, CX) if same else nondegenerate_inclusion(Y, top + 1)
     chat = unnormalized_map_of_lift(lift, CX, CY)
     NX, NY = jX.source, jY.source
     for i in range(top + 1):
@@ -646,8 +523,9 @@ def homology_square(g, verdict, X, Y, i_max):
             route2 = chat.apply(jX.apply(z))
             if HCY.class_coords(route1) != HCY.class_coords(route2):
                 return HomologySquareReport(False, f"square fails in degree {i}")
-        if not (_inclusion_is_iso(HX, HomologyClasses(CX, i), jX) and
-                _inclusion_is_iso(HomologyClasses(NY, i), HCY, jY)):
+        HCX = HCY if same else HomologyClasses(CX, i)
+        if not (_inclusion_is_iso(HX, HCX, jX) and
+                (same or _inclusion_is_iso(HomologyClasses(NY, i), HCY, jY))):
             return HomologySquareReport(False,
                                         f"inclusion not iso in degree {i}")
     return HomologySquareReport(True, "square commutes")

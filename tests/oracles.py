@@ -31,7 +31,11 @@
 - the morphism decision with the structure square formed on every
   (e_j, simplex) pair and the certificate read after it, against
   is_steenrod_morphism, which decides each local type of the vertex map
-  once, up to the first simplex where the map leaves N(phi).
+  once, up to the first simplex where the map leaves N(phi);
+- brute search over every chain map N(standard n-simplex) -> N(X) with
+  coefficients in [-2, 2], filtered through is_steenrod_morphism, against
+  the guided enumerate_morphisms, which takes the rigidity result (every
+  morphism out of simplex chains is induced by a vertex map) for granted.
 """
 
 import itertools
@@ -41,7 +45,10 @@ from unittest import mock
 from cupi import steenrod
 from cupi.chains import (Chain, FreeChainComplex, GradedMap, TensorChain,
                          _add_into, induced_components, kernel_basis)
-from cupi.simplicial import VertexMap, epi_mono_factor
+from cupi.reconstruct import (MorphismSimplex, MorphismVerdict, image_pair,
+                              is_steenrod_morphism)
+from cupi.simplicial import (VertexMap, epi_mono_factor, identity_map,
+                             standard_simplex)
 from cupi.steenrod import BarElement, aw_diagonal, eta, higher_diagonal
 
 
@@ -644,7 +651,6 @@ def scan_morphism(f, source, target):
     read, here and not by the package: the unit vertex images, when they
     form an order-preserving simplicial vertex map whose induced components
     are f's."""
-    from cupi.reconstruct import MorphismVerdict
     S_src = steenrod.structure_for(source)
     S_tgt = steenrod.structure_for(target)
     NA = S_src.chains
@@ -674,3 +680,126 @@ def scan_morphism(f, source, target):
             and induced_components(vm) == f.comps):
         vm = None
     return MorphismVerdict("morphism", certificate=vm)
+
+
+# ---------------------------------------------------------------------------
+# morphism enumeration by brute search
+# ---------------------------------------------------------------------------
+
+BRUTE_BOUND = 2
+BRUTE_MAX_SOURCE_VERTICES = 4
+BRUTE_MAX_TARGET_VERTICES = 6
+BRUTE_MAX_VECTORS_PER_DEGREE = 2_000_000
+
+
+def _bounded_vectors(length):
+    return itertools.product(range(-BRUTE_BOUND, BRUTE_BOUND + 1),
+                             repeat=length)
+
+
+def brute_morphisms(n, X):
+    """All morphisms N(standard n-simplex) -> N(X) with coefficients in
+    [-2, 2], by exhausting chain maps degree by degree: degree-0 candidates
+    are pre-filtered by the (e_0, vertex) square and augmentation, which
+    every morphism must satisfy; all other degrees are exhausted against
+    the chain-map law alone; every candidate is then decided by
+    is_steenrod_morphism.  Inputs above the caps raise ValueError."""
+    bound = BRUTE_BOUND
+    if n + 1 > BRUTE_MAX_SOURCE_VERTICES:
+        raise ValueError(f"source has {n + 1} vertices")
+    if len(X.vertices) > BRUTE_MAX_TARGET_VERTICES:
+        raise ValueError(f"target has {len(X.vertices)} vertices")
+    source = standard_simplex(n)
+    ident = identity_map(n)
+    NA = steenrod.structure_for(source).chains
+    NB = steenrod.structure_for(X).chains
+    S_tgt = steenrod.structure_for(X)
+
+    # degree-0 candidates: bounded 0-chains c with AW(c) = c (x) c and
+    # augmentation 1 -- exhausted, not assumed
+    verts = list(X.simplices_of_dim(0))
+    if (2 * bound + 1) ** len(verts) > BRUTE_MAX_VECTORS_PER_DEGREE:
+        raise ValueError("degree-0 search space too large")
+    vertex_candidates = []
+    for vec in _bounded_vectors(len(verts)):
+        if sum(vec) != 1:
+            continue
+        chain = Chain.from_dict(0, {verts[i]: v for i, v in enumerate(vec)})
+        awc = S_tgt.xi(BarElement.e(0), chain)
+        square = {}
+        for (a, ca) in chain.coeffs:
+            for (b, cb) in chain.coeffs:
+                square[(a, b)] = square.get((a, b), 0) + ca * cb
+        if awc == TensorChain.from_dict(2, 0, square):
+            vertex_candidates.append(dict(chain.coeffs))
+
+    # bucket bounded d-chains by their boundary, once per needed degree
+    buckets = {}
+    for d in range(1, n + 1):
+        labels = list(X.simplices_of_dim(d))
+        if (2 * bound + 1) ** len(labels) > BRUTE_MAX_VECTORS_PER_DEGREE:
+            raise ValueError(f"degree-{d} search space too large")
+        bucket = {}
+        faces = list(X.simplices_of_dim(d - 1))
+        fidx = {s: i for i, s in enumerate(faces)}
+        cols = []
+        for lb in labels:
+            col = [0] * len(faces)
+            for face, c in NB.boundary_of(lb).items():
+                col[fidx[face]] += c
+            cols.append(col)
+        for vec in _bounded_vectors(len(labels)):
+            b = tuple(sum(v * col[i] for v, col in zip(vec, cols))
+                      for i in range(len(faces)))
+            bucket.setdefault(b, []).append(
+                {labels[i]: v for i, v in enumerate(vec) if v})
+        buckets[d] = (bucket, faces)
+
+    results = []
+    seen = set()
+    src_by_dim = [source.simplices_of_dim(d) for d in range(n + 1)]
+
+    def extend(d, comps):
+        if d > n:
+            f = GradedMap(NA, NB, 0, {k: v for k, v in comps.items() if v})
+            verdict = is_steenrod_morphism(f, source, X)
+            if verdict.ok:
+                key = tuple(sorted((lb, tuple(sorted(img.items())))
+                                   for lb, img in f.comps.items()))
+                if key not in seen:
+                    seen.add(key)
+                    vm = verdict.certificate
+                    pair = (None, None) if vm is None else \
+                        image_pair(vm, (ident, ident))
+                    results.append(MorphismSimplex(f, vm, *pair))
+            return
+        if d == 0:
+            for assignment in itertools.product(vertex_candidates,
+                                                repeat=len(src_by_dim[0])):
+                new = dict(comps)
+                for (v,), img in zip(src_by_dim[0], assignment):
+                    new[(v,)] = img
+                extend(1, new)
+            return
+        bucket, faces = buckets[d]
+        options = []
+        for s in src_by_dim[d]:
+            target_bdry = [0] * len(faces)
+            fidx = {lb: i for i, lb in enumerate(faces)}
+            for face, c in NA.boundary_of(s).items():
+                for lb, v in comps.get(face, {}).items():
+                    target_bdry[fidx[lb]] += c * v
+            opts = bucket.get(tuple(target_bdry), [])
+            if not opts:
+                return
+            options.append((s, opts))
+        for combo in itertools.product(*[opts for _, opts in options]):
+            new = dict(comps)
+            for (s, _), img in zip(options, combo):
+                new[s] = img
+            extend(d + 1, new)
+
+    extend(0, {})
+    results.sort(key=lambda ms: (ms.simplex is None, ms.simplex or (),
+                                 ms.surjection or ()))
+    return results

@@ -120,7 +120,7 @@ def test_criterion_3_rigidity():
     for n in (1, 2):
         X = standard_simplex(n)
         top = tuple(range(n + 1))
-        found = enumerate_morphisms(n, X, mode="brute", bound=2)
+        found = oracles.brute_morphisms(n, X)
         isos = [m for m in found
                 if m.chain_map.apply_label(top).get(top, 0) in (1, -1)]
         ident = GradedMap.identity(structure_for(X).chains)
@@ -129,7 +129,7 @@ def test_criterion_3_rigidity():
             _report("3 (rigidity)", False, t0, f"brute n={n}: {len(isos)} isos")
     X = standard_simplex(3)
     top = (0, 1, 2, 3)
-    isos = [m for m in enumerate_morphisms(3, X, mode="guided")
+    isos = [m for m in enumerate_morphisms(3, X)
             if m.chain_map.apply_label(top).get(top, 0) in (1, -1)]
     ident = GradedMap.identity(structure_for(X).chains)
     ok = len(isos) == 1 and isos[0].chain_map.equals(ident)
@@ -151,8 +151,8 @@ def test_criterion_4_geometric_realization():
                             for lb, img in f.comps.items()))
     for name, X in targets.items():
         for n in (0, 1, 2):
-            guided = enumerate_morphisms(n, X, mode="guided")
-            brute = enumerate_morphisms(n, X, mode="brute", bound=2)
+            guided = enumerate_morphisms(n, X)
+            brute = oracles.brute_morphisms(n, X)
             want = sum(comb(n, k) * len(X.simplices_of_dim(k))
                        for k in range(X.dim + 1))
             ok = ({key(m.chain_map) for m in guided} ==

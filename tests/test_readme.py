@@ -1,10 +1,14 @@
-"""The README's library example runs against the current API."""
+"""The README's library example runs against the current API, and its CLI
+block lists the parser's subcommands and options."""
 
+import argparse
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from cupi.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,3 +22,22 @@ def test_the_library_example_prints_what_it_says():
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "46\nTrue\n"
+
+
+def test_the_cli_block_lists_every_subcommand_and_its_options():
+    # the usage block under "## CLI": one line per subcommand, naming every
+    # option flag of that subcommand and no other
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n")[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    documented = {}
+    for line in block.splitlines():
+        program, command, *rest = line.split()
+        assert program == "cupi" and command not in documented
+        documented[command] = set(re.findall(r"--[a-z-]+", " ".join(rest)))
+    subparsers, = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert documented == {
+        command: {flag for action in parser._actions
+                  for flag in action.option_strings
+                  if flag not in ("-h", "--help")}
+        for command, parser in subparsers.choices.items()}

@@ -18,9 +18,9 @@ from cupi.simplicial import (VertexMap, adjoin, build_complex,
 from cupi import chains, reconstruct, steenrod
 from cupi.steenrod import (BarElement, SteenrodStructure, aw_diagonal, eta,
                            higher_diagonal, structure_for)
-from cupi.reconstruct import (BruteForceLimitError, MorphismVerdict,
-                              ShomSimplicialSet, _inclusion_is_iso,
-                              enumerate_morphisms, homology_square,
+from cupi.reconstruct import (MorphismVerdict, ShomSimplicialSet,
+                              _inclusion_is_iso, enumerate_morphisms,
+                              homology_square,
                               image_pair, is_steenrod_morphism, lift_morphism,
                               nondegenerate_inclusion, verify_reconstruction,
                               xi_iterate)
@@ -463,22 +463,22 @@ def test_squares_are_formed_only_from_where_f_leaves_n_phi(
 class TestEnumerate:
     def test_point_to_point(self):
         X = standard_simplex(0)
-        assert len(enumerate_morphisms(0, X, mode="guided")) == 1
-        assert len(enumerate_morphisms(0, X, mode="brute")) == 1
+        assert len(enumerate_morphisms(0, X)) == 1
+        assert len(oracles.brute_morphisms(0, X)) == 1
 
     def test_counts_match_binomial_formula(self, corpus):
         for name in ("delta1", "delta2", "circle", "rp2"):
             X = corpus[name]
             for n in range(3):
-                got = len(enumerate_morphisms(n, X, mode="guided"))
+                got = len(enumerate_morphisms(n, X))
                 want = sum(comb(n, k) * len(X.simplices_of_dim(k))
                            for k in range(X.dim + 1))
                 assert got == want
 
     def test_interval_into_circle_guided_equals_brute(self):
         X = circle()
-        guided = enumerate_morphisms(1, X, mode="guided")
-        brute = enumerate_morphisms(1, X, mode="brute", bound=2)
+        guided = enumerate_morphisms(1, X)
+        brute = oracles.brute_morphisms(1, X)
         assert len(guided) == 6
         assert {_as_key(m.chain_map) for m in guided} == \
                {_as_key(m.chain_map) for m in brute}
@@ -489,7 +489,7 @@ class TestEnumerate:
         for n in (1, 2):
             X = standard_simplex(n)
             top = tuple(range(n + 1))
-            isos = [m for m in enumerate_morphisms(n, X, mode="brute", bound=2)
+            isos = [m for m in oracles.brute_morphisms(n, X)
                     if m.chain_map.apply_label(top).get(top, 0) in (1, -1)]
             assert len(isos) == 1
             ident = GradedMap.identity(structure_for(X).chains)
@@ -498,7 +498,7 @@ class TestEnumerate:
     def test_automorphism_rigidity_guided_n3(self):
         X = standard_simplex(3)
         top = (0, 1, 2, 3)
-        isos = [m for m in enumerate_morphisms(3, X, mode="guided")
+        isos = [m for m in enumerate_morphisms(3, X)
                 if m.chain_map.apply_label(top).get(top, 0) in (1, -1)]
         assert len(isos) == 1
         assert isos[0].vertex_map.as_dict() == {i: i for i in range(4)}
@@ -509,7 +509,7 @@ class TestEnumerate:
         for n in (1, 2):
             for m in range(n):
                 X = standard_simplex(m)
-                found = enumerate_morphisms(n, X, mode="brute", bound=2)
+                found = oracles.brute_morphisms(n, X)
                 surjective = []
                 for ms in found:
                     covered = {t for img in ms.chain_map.comps.values()
@@ -519,8 +519,8 @@ class TestEnumerate:
                 assert len(surjective) == oracles.count_surjections(n, m)
 
     def test_brute_refuses_oversized(self):
-        with pytest.raises(BruteForceLimitError):
-            enumerate_morphisms(4, standard_simplex(4), mode="brute")
+        with pytest.raises(ValueError):
+            oracles.brute_morphisms(4, standard_simplex(4))
 
     def test_into_a_point_builds_no_table_level(self, monkeypatch):
         # into a point only Delta_0, Alexander-Whitney, is ever read
@@ -741,7 +741,7 @@ class TestLift:
         g = chain_map_from_vertex_map(vm, structure_for(A).chains,
                                       structure_for(B).chains)
         lift = lift_morphism(g, is_steenrod_morphism(g, A, B), A, B)
-        for ms in enumerate_morphisms(1, A, mode="guided"):
+        for ms in enumerate_morphisms(1, A):
             # postcompose the morphism-simplex with g and reclassify
             composite = oracles.compose(g, ms.chain_map)
             lifted = lift.vertex_map.as_dict()
@@ -842,6 +842,36 @@ def test_homology_square_builds_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(chains.FreeChainComplex, "boundary_matrix", refuse)
     monkeypatch.setattr(chains, "kernel_basis", refuse)
     assert homology_square(g, verdict, X, X, 2) == (True, "square commutes")
+
+
+@pytest.mark.parametrize("relabeled, calls, groups", [(False, 1, 2),
+                                                      (True, 2, 4)])
+def test_homology_square_builds_the_chains_of_one_complex_once(
+        monkeypatch, relabeled, calls, groups):
+    # X and Y loaded apart but equal: one C(adjoin X), and per degree one
+    # group of N(X) and one of C(adjoin X), each read on both sides
+    X = rp2()
+    Y, vm = _shifted(X) if relabeled else (rp2(), VertexMap.from_dict(
+        X, X, {v: v for v in X.vertices}))
+    g = chain_map_from_vertex_map(vm, structure_for(X).chains,
+                                  structure_for(Y).chains)
+    verdict = is_steenrod_morphism(g, X, Y)
+    built, groups_built = [], []
+
+    def chains_spy(sset, up_to):
+        built.append(up_to)
+        return chains.unnormalized_chains(sset, up_to)
+
+    class GroupSpy(HomologyClasses):
+        def __init__(self, C, n):
+            groups_built.append(n)
+            super().__init__(C, n)
+
+    monkeypatch.setattr(reconstruct, "unnormalized_chains", chains_spy)
+    monkeypatch.setattr(reconstruct, "HomologyClasses", GroupSpy)
+    assert homology_square(g, verdict, X, Y, 2) == (True, "square commutes")
+    assert built == [3] * calls
+    assert sorted(groups_built) == sorted(list(range(3)) * groups)
 
 
 @pytest.mark.parametrize("X", [
