@@ -704,7 +704,6 @@ def brute_morphisms(n, X):
     every morphism must satisfy; all other degrees are exhausted against
     the chain-map law alone; every candidate is then decided by
     is_steenrod_morphism.  Inputs above the caps raise ValueError."""
-    bound = BRUTE_BOUND
     if n + 1 > BRUTE_MAX_SOURCE_VERTICES:
         raise ValueError(f"source has {n + 1} vertices")
     if len(X.vertices) > BRUTE_MAX_TARGET_VERTICES:
@@ -718,7 +717,7 @@ def brute_morphisms(n, X):
     # degree-0 candidates: bounded 0-chains c with AW(c) = c (x) c and
     # augmentation 1 -- exhausted, not assumed
     verts = list(X.simplices_of_dim(0))
-    if (2 * bound + 1) ** len(verts) > BRUTE_MAX_VECTORS_PER_DEGREE:
+    if (2 * BRUTE_BOUND + 1) ** len(verts) > BRUTE_MAX_VECTORS_PER_DEGREE:
         raise ValueError("degree-0 search space too large")
     vertex_candidates = []
     for vec in _bounded_vectors(len(verts)):
@@ -737,7 +736,7 @@ def brute_morphisms(n, X):
     buckets = {}
     for d in range(1, n + 1):
         labels = list(X.simplices_of_dim(d))
-        if (2 * bound + 1) ** len(labels) > BRUTE_MAX_VECTORS_PER_DEGREE:
+        if (2 * BRUTE_BOUND + 1) ** len(labels) > BRUTE_MAX_VECTORS_PER_DEGREE:
             raise ValueError(f"degree-{d} search space too large")
         bucket = {}
         faces = list(X.simplices_of_dim(d - 1))

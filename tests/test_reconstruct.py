@@ -519,7 +519,7 @@ class TestEnumerate:
                 assert len(surjective) == oracles.count_surjections(n, m)
 
     def test_brute_refuses_oversized(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="source has 5 vertices"):
             oracles.brute_morphisms(4, standard_simplex(4))
 
     def test_into_a_point_builds_no_table_level(self, monkeypatch):
@@ -842,36 +842,6 @@ def test_homology_square_builds_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(chains.FreeChainComplex, "boundary_matrix", refuse)
     monkeypatch.setattr(chains, "kernel_basis", refuse)
     assert homology_square(g, verdict, X, X, 2) == (True, "square commutes")
-
-
-@pytest.mark.parametrize("relabeled, calls, groups", [(False, 1, 2),
-                                                      (True, 2, 4)])
-def test_homology_square_builds_the_chains_of_one_complex_once(
-        monkeypatch, relabeled, calls, groups):
-    # X and Y loaded apart but equal: one C(adjoin X), and per degree one
-    # group of N(X) and one of C(adjoin X), each read on both sides
-    X = rp2()
-    Y, vm = _shifted(X) if relabeled else (rp2(), VertexMap.from_dict(
-        X, X, {v: v for v in X.vertices}))
-    g = chain_map_from_vertex_map(vm, structure_for(X).chains,
-                                  structure_for(Y).chains)
-    verdict = is_steenrod_morphism(g, X, Y)
-    built, groups_built = [], []
-
-    def chains_spy(sset, up_to):
-        built.append(up_to)
-        return chains.unnormalized_chains(sset, up_to)
-
-    class GroupSpy(HomologyClasses):
-        def __init__(self, C, n):
-            groups_built.append(n)
-            super().__init__(C, n)
-
-    monkeypatch.setattr(reconstruct, "unnormalized_chains", chains_spy)
-    monkeypatch.setattr(reconstruct, "HomologyClasses", GroupSpy)
-    assert homology_square(g, verdict, X, Y, 2) == (True, "square commutes")
-    assert built == [3] * calls
-    assert sorted(groups_built) == sorted(list(range(3)) * groups)
 
 
 @pytest.mark.parametrize("X", [
