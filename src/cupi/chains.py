@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import namedtuple
+from collections import defaultdict, namedtuple
+from functools import cached_property
 
 _EMPTY = {}  # the image or boundary of a label that has none; never written
 
@@ -170,6 +171,19 @@ class FreeChainComplex:
             for face, c in self.boundary_of(lb).items():
                 M[ridx[face]][j] += c
         return M
+
+    @cached_property
+    def _cleared(self):
+        """{n: E_n}: _present of the columns of d_n off the pivot rows of
+        E_(n+1), for n from top_degree down to 1, and of no columns elsewhere.
+        No pivot column meets an earlier pivot's row, so a cleared column is a
+        Z-combination of the others: E_n keeps d_n's invariants and image."""
+        out, pivot_rows = defaultdict(lambda: ((), (), (), ())), ()
+        for n in range(self.top_degree, 0, -1):
+            out[n] = _present(self.boundary_of(lb) for lb in self.basis[n]
+                              if lb not in pivot_rows)
+            pivot_rows = {r for r, _, _ in out[n][0]}
+        return out
 
 
 class GradedMap:
@@ -563,22 +577,12 @@ def _present(columns):
     return pivots, labels, U, _diagonal(D)
 
 
-def _invariants(columns):
-    """The nonzero diagonal of the Smith normal form of a sparse matrix,
-    given as _eliminate takes it: one 1 per unit pivot, then the leftover
-    block's."""
-    pivots, _, _, invariants = _present(columns)
-    return [1] * len(pivots) + invariants
-
-
 def kernel_basis(M):
     """Columns forming a Z-basis of ker M (unimodular V columns past the rank)."""
     m = len(M)
     n = len(M[0]) if m else 0
     if n == 0:
         return []
-    if m == 0:
-        return [[int(i == j) for i in range(n)] for j in range(n)]
     D, _, V = smith_normal_form(M)
     rank = len(_diagonal(D))
     return [[V[i][j] for i in range(n)] for j in range(rank, n)]
@@ -593,69 +597,62 @@ class HomologyGroup(namedtuple("HomologyGroup", "degree betti torsion")):
 
 
 def homology(C, up_to=None):
-    """Integral homology invariants per degree, from the invariant factors
-    of each boundary map d_(n+1), read off its sparse columns: they give the
-    torsion of H_n and the rank of the boundaries in degree n + 1."""
+    """Integral homology invariants per degree, from C's one cleared pass."""
     top = C.top_degree if up_to is None else up_to
-    invariants = [[]] + [_invariants(map(C.boundary_of, C.basis.get(n, ())))
-                         for n in range(1, top + 2)]  # of d_n
-    out = []
-    for n in range(top + 1):
-        betti = C.rank(n) - len(invariants[n]) - len(invariants[n + 1])
-        torsion = tuple(d for d in invariants[n + 1] if abs(d) > 1)
-        out.append(HomologyGroup(n, betti, torsion))
-    return out
+    return [HomologyClasses(C, n).group() for n in range(top + 1)]
 
 
 class HomologyClasses:
     """Homology classes of one degree, with canonical class coordinates
-    and a generating set of cycles.
+    and a generating set of cycles, read off C's cleared pass.
 
-    One _present of the sparse columns of d_(n+1) presents C_n / B_n:
-    clearing the pivot rows of a chain leaves its rows off the pivots, and
-    the leftover block relates only those.  Two cycles are homologous
-    exactly when their class coordinates agree.  Pivot columns are
-    boundaries, so every class has a cycle on the labels R off the pivot
-    rows, and d_n has the same image on R: one _present of the rows of d_n
-    on R gives its rank and a Z-basis of its kernel, which generates H_n.
+    E_(n+1) presents C_n / B_n, since its columns span B_n: clearing the
+    pivot rows of a chain leaves its rows off the pivots, and the leftover
+    block relates only those.  Two cycles are homologous exactly when their
+    class coordinates agree.  Pivot columns are boundaries, so every class
+    has a cycle on the labels R off the pivot rows, and d_n has the same
+    image on R: E_n holds the columns of d_n on R.
     """
 
     def __init__(self, C, n):
         self.C = C
         self.n = n
         self.labels = C.basis.get(n, ())
-        self.pivots, self.block_rows, self.U, self.invariants = _present(
-            map(C.boundary_of, C.basis.get(n + 1, ())))
+        self.pivots, self.block_rows, self.U, self.invariants = \
+            C._cleared[n + 1]
         pivot_rows = {r for r, _, _ in self.pivots}
-        off = [lb for lb in self.labels if lb not in pivot_rows]  # R
+        self.off = [lb for lb in self.labels if lb not in pivot_rows]  # R
         block = set(self.block_rows)
-        self.free_rows = [lb for lb in off if lb not in block]
-        rows = {}  # the rows of d_n on R: face -> {label: coeff}
-        for lb in off:
-            for face, c in C.boundary_of(lb).items():
-                rows.setdefault(face, {})[lb] = c
-        pivots, block_rows, U, invariants = _present(rows.values())
-        self.rank_dn = len(pivots) + len(invariants)
-        solved = {r for r, _, _ in pivots} | set(block_rows)
-        starts = [{lb: 1} for lb in off if lb not in solved]
-        starts += [dict(zip(block_rows, row)) for row in U[len(invariants):]]
-        for v in starts:  # no pivot column meets an earlier pivot's row
-            for r, f, col in reversed(pivots):
-                v[r] = -f * sum(c * v.get(s, 0) for s, c in col.items())
-        self._generators = tuple(Chain.from_dict(n, v) for v in starts)
+        self.free_rows = [lb for lb in self.off if lb not in block]
 
     def group(self):
-        """H_n: the ranks of d_n and d_(n+1), and the torsion of the
-        leftover block."""
-        betti = (len(self.labels) - self.rank_dn - len(self.pivots)
+        """H_n: R less the ranks of d_n on R (E_n) and of the leftover
+        block, and the torsion of the leftover block."""
+        pivots, _, _, invariants = self.C._cleared[self.n]
+        betti = (len(self.off) - len(pivots) - len(invariants)
                  - len(self.invariants))
         return HomologyGroup(self.n, betti,
                              tuple(d for d in self.invariants if abs(d) > 1))
 
     def generators(self):
-        """Cycle chains generating H_n: a Z-basis of ker d_n on R, from its
-        unpivoted labels off the block and from U's rows past the rank."""
-        return self._generators
+        """Cycle chains generating H_n: a Z-basis of ker d_n on R, by one
+        _present of the rows of d_n on R, run on the first call only."""
+        return self._cycles
+
+    @cached_property
+    def _cycles(self):
+        rows = {}  # face -> {label: coeff}
+        for lb in self.off:
+            for face, c in self.C.boundary_of(lb).items():
+                rows.setdefault(face, {})[lb] = c
+        pivots, block_rows, U, invariants = _present(rows.values())
+        solved = {r for r, _, _ in pivots} | set(block_rows)
+        starts = [{lb: 1} for lb in self.off if lb not in solved]
+        starts += [dict(zip(block_rows, row)) for row in U[len(invariants):]]
+        for v in starts:  # no pivot column meets an earlier pivot's row
+            for r, f, col in reversed(pivots):
+                v[r] = -f * sum(c * v.get(s, 0) for s, c in col.items())
+        return tuple(Chain.from_dict(self.n, v) for v in starts)
 
     def class_coords(self, cycle):
         """Coordinates of [cycle] in C_n / B_n: the leftover rows through U,

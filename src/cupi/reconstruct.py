@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .chains import (GradedMap, TensorChain, _add_into, _invariants, _terms,
+from .chains import (GradedMap, TensorChain, _add_into, _present, _terms,
                      chain_map_from_vertex_map, HomologyClasses,
                      induced_components, simplex_degree, unnormalized_chains)
 from .simplicial import (VertexMap, adjoin, coface, codegeneracy,
@@ -544,5 +544,5 @@ def _inclusion_is_iso(HN, HC, j):
     cols = [{r: v for r, v in enumerate(HC.class_coords(j.apply(z))) if v}
             for z in HN.generators()]
     cols += [{r: d} for r, d in enumerate(group.torsion)]
-    units = sum(abs(d) == 1 for d in _invariants(cols))
-    return units == len(group.torsion) + group.betti
+    pivots, _, _, factors = _present(cols)
+    return len(pivots) + factors.count(1) == len(group.torsion) + group.betti

@@ -8,11 +8,18 @@ triangulation of real projective n-space for the checks at scale.
 """
 
 import itertools
+import os
 import random
+import sys
 
-import pytest
+# No bytecode from a test run: a later run from this tree compiles
+# src/cupi as a fresh checkout does.  Subprocesses inherit the variable.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
-from cupi.simplicial import build_complex, standard_simplex
+import pytest  # noqa: E402
+
+from cupi.simplicial import build_complex, standard_simplex  # noqa: E402
 
 
 RP2_FACETS = [(1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),

@@ -10,6 +10,8 @@
   homology invariants;
 - a Z-basis of every n-cycle from the dense Smith normal form of d_n,
   against the homology generators read off the sparse elimination;
+- homology from _present of every full d_n, with no clearing, against the
+  groups read off each complex's one cleared top-down pass;
 - surjection counting by recursion (no binomials);
 - the action of any weakly monotone map on the degeneracy completion
   (compose, factor as injection . surjection, apply the missed core faces),
@@ -43,8 +45,9 @@ from fractions import Fraction
 from unittest import mock
 
 from cupi import steenrod
-from cupi.chains import (Chain, FreeChainComplex, GradedMap, TensorChain,
-                         _add_into, induced_components, kernel_basis)
+from cupi.chains import (Chain, FreeChainComplex, GradedMap, HomologyGroup,
+                         TensorChain, _add_into, _present, induced_components,
+                         kernel_basis)
 from cupi.reconstruct import (MorphismSimplex, MorphismVerdict, image_pair,
                               is_steenrod_morphism)
 from cupi.simplicial import (VertexMap, epi_mono_factor, identity_map,
@@ -260,6 +263,25 @@ def kernel_generators(H):
     return tuple(Chain.from_dict(n, {lb: c for lb, c in zip(H.labels, col)
                                      if c})
                  for col in kernel_basis(dn))
+
+
+def full_column_homology(C, up_to=None):
+    """HomologyGroups per degree from the invariant factors of each full
+    boundary map d_(n+1), read off its sparse columns with no clearing:
+    they give the torsion of H_n and the rank of the boundaries in degree
+    n + 1."""
+    top = C.top_degree if up_to is None else up_to
+    invariants = [[]]  # of d_n
+    for n in range(1, top + 2):
+        pivots, _, _, factors = _present(map(C.boundary_of,
+                                             C.basis.get(n, ())))
+        invariants.append([1] * len(pivots) + factors)
+    out = []
+    for n in range(top + 1):
+        betti = C.rank(n) - len(invariants[n]) - len(invariants[n + 1])
+        torsion = tuple(d for d in invariants[n + 1] if abs(d) > 1)
+        out.append(HomologyGroup(n, betti, torsion))
+    return out
 
 
 def naive_homology(C, up_to=None):

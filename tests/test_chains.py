@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cupi import chains
 from cupi.chains import (Chain, FreeChainComplex, GradedMap, HomologyClasses,
-                         TensorChain, _invariants, homology, kernel_basis,
+                         TensorChain, _present, homology, kernel_basis,
                          normalized_chains, smith_normal_form,
                          unnormalized_chains)
 from cupi.simplicial import adjoin, build_complex, standard_simplex
@@ -34,8 +34,9 @@ class TestNormalizedChains:
         assert [N.rank(n) for n in range(3)] == [6, 15, 10]
         # boundary ranks forced by H_2 = 0 (kernel of d_2 is trivial) and
         # betti_0 = 1; cross-checked with the Fraction elimination oracle
-        assert len(_invariants(map(N.boundary_of, N.basis[2]))) == 10
-        assert len(_invariants(map(N.boundary_of, N.basis[1]))) == 5
+        for n, rank in ((2, 10), (1, 5)):
+            pivots, _, _, invariants = _present(map(N.boundary_of, N.basis[n]))
+            assert len(pivots) + len(invariants) == rank
         assert oracles.rational_rank(N.boundary_matrix(2)) == 10
         assert oracles.rational_rank(N.boundary_matrix(1)) == 5
 
@@ -300,9 +301,10 @@ def test_sparse_invariants_against_naive_oracle(M, doubled):
     # 2M has no unit entry, so all of it is left to the dense block
     if doubled:
         M = [[2 * a for a in row] for row in M]
-    assert [abs(d) for d in _invariants(_columns(M))] == \
+    pivots, _, _, invariants = _present(_columns(M))
+    assert [1] * len(pivots) + [abs(d) for d in invariants] == \
         oracles.naive_invariant_factors(M)
-    assert len(_invariants(_columns(M))) == oracles.rational_rank(M)
+    assert len(pivots) + len(invariants) == oracles.rational_rank(M)
 
 
 @given(facet_lists)
@@ -439,22 +441,60 @@ def test_dropping_a_generator_fails_the_lattice_check(X, unnormalized):
     assert dropped
 
 
-def test_homology_generators_are_computed_once(monkeypatch):
-    # one of d_(n+1)'s columns and one of d_n's rows off its pivots, and
-    # none for repeated generators() calls
+def _count_eliminations(monkeypatch):
+    """A list that gains one entry per call of chains._eliminate."""
     calls = []
+    eliminate = chains._eliminate
 
     def counted(columns):
         calls.append(1)
         return eliminate(columns)
 
-    eliminate = chains._eliminate
     monkeypatch.setattr(chains, "_eliminate", counted)
-    H = HomologyClasses(normalized_chains(rp2()), 1)
+    return calls
+
+
+def test_homology_generators_are_computed_once(monkeypatch):
+    # homology and HomologyClasses in every degree read one cleared pass,
+    # one elimination each of d_1 and d_2 of N(RP^2); generators() adds one
+    # elimination, of d_n's rows off the pivots, on its first call only
+    calls = _count_eliminations(monkeypatch)
+    N = normalized_chains(rp2())
+    assert [(g.betti, g.torsion) for g in homology(N)] == \
+        [(1, ()), (0, (2,)), (0, ())]
+    classes = [HomologyClasses(N, n) for n in range(3)]
     assert len(calls) == 2
-    first = H.generators()
-    assert H.generators() == first and len(calls) == 2
-    assert all(H.C.boundary(z).is_zero() for z in first)
+    for n, H in enumerate(classes):
+        first = H.generators()
+        assert H.generators() is first and len(calls) == 3 + n
+        assert all(N.boundary(z).is_zero() for z in first)
+
+
+def _check_cleared_groups(C):
+    """The groups read off C's cleared pass, through homology and through
+    HomologyClasses, equal the full-column reference in every degree, also
+    when homology stops below or reads past the top degree."""
+    for up_to in (C.top_degree, C.top_degree - 1, C.top_degree + 1):
+        want = oracles.full_column_homology(C, up_to)
+        assert homology(C, up_to) == want
+        assert [HomologyClasses(C, n).group()
+                for n in range(up_to + 1)] == want
+    assert homology(C) == oracles.full_column_homology(C)
+
+
+def test_cleared_groups_against_full_columns_on_the_corpus(full_corpus,
+                                                           projective_spaces):
+    for X in full_corpus + [projective_spaces[3]]:
+        _check_cleared_groups(normalized_chains(X))
+        _check_cleared_groups(unnormalized_chains(adjoin(X.to_delta()), 3))
+
+
+@given(facet_lists, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_cleared_groups_against_full_columns(facets, unnormalized):
+    X = build_complex(facets)
+    _check_cleared_groups(unnormalized_chains(adjoin(X.to_delta()), 3)
+                          if unnormalized else normalized_chains(X))
 
 
 class TestHomology:

@@ -11,11 +11,12 @@ from io import StringIO
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cupi import reconstruct
-from cupi.chains import unnormalized_chains
+from cupi import io as cio, reconstruct
+from cupi.chains import normalized_chains, unnormalized_chains
 from cupi.cli import main
+from cupi.simplicial import build_complex
 
-from conftest import RP2_FACETS, barycentric
+from conftest import RP2_FACETS, barycentric, rp
 
 
 @pytest.fixture()
@@ -286,6 +287,19 @@ def test_squares_basis_choice_is_pinned(tmp_path, capsys):
      '{"H":[{"betti":1,"degree":0,"torsion":[]},'
      '{"betti":0,"degree":1,"torsion":[]},'
      '{"betti":84,"degree":2,"torsion":[]}]}\n'),
+    # RP^3 and RP^4: Z/2 in degree 1, and in degree 3 on RP^4, left to the
+    # leftover blocks of the cleared pass
+    (rp(3).simplices[-1],
+     '{"H":[{"betti":1,"degree":0,"torsion":[]},'
+     '{"betti":0,"degree":1,"torsion":[2]},'
+     '{"betti":0,"degree":2,"torsion":[]},'
+     '{"betti":1,"degree":3,"torsion":[]}]}\n'),
+    (rp(4).simplices[-1],
+     '{"H":[{"betti":1,"degree":0,"torsion":[]},'
+     '{"betti":0,"degree":1,"torsion":[2]},'
+     '{"betti":0,"degree":2,"torsion":[]},'
+     '{"betti":0,"degree":3,"torsion":[2]},'
+     '{"betti":0,"degree":4,"torsion":[]}]}\n'),
 ])
 def test_homology_output_is_pinned(tmp_path, capsys, facets, stdout):
     path = tmp_path / "complex.json"
@@ -404,6 +418,59 @@ def test_duplicate_keys_are_input_errors(files, tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(path) in captured.err and repr(key) in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "is-morphism"])
+@pytest.mark.parametrize("text, message", [
+    # an integer literal past Python's 4300-digit conversion limit
+    ("1" * 5000, "Exceeds the limit"),
+    # a byte that is not UTF-8
+    (b"\xff".decode("latin-1"), "can't decode byte 0xff"),
+], ids=["huge-int", "bad-utf8"])
+def test_reader_errors_name_the_file_once(files, tmp_path, capsys, command,
+                                          text, message):
+    path = tmp_path / "input.json"
+    if command == "validate":
+        body = '{"facets": [[0, ' + text + ']]}'
+    else:
+        body = '{"0": [[[0], [0], ' + text + ']]}'
+    path.write_bytes(body.encode("latin-1"))
+    argv = [command, str(path)] if command == "validate" else \
+        [command, files["d1.json"], files["d1.json"], str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert message in captured.err and captured.err.count(str(path)) == 1
+
+
+def test_face_closure_is_bounded_before_it_is_built(tmp_path, capsys,
+                                                    monkeypatch):
+    # the closure visits sum(2^|F| - 1) faces: RP^5's 23040 facets of six
+    # vertices pass, one facet of 21 vertices is refused before any is built
+    assert 23040 * 63 <= cio.MAX_FACES < 2 ** 21 - 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"facets": [list(range(21))]}))
+
+    def built(facets):
+        raise AssertionError("the face closure was built")
+
+    monkeypatch.setattr(cio, "build_complex", built)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {path}: over {cio.MAX_FACES} faces to close\n"
+    # the cap is on the sum, declared vertices included: a triangle and
+    # one more vertex visit 8 faces
+    monkeypatch.undo()
+    monkeypatch.setattr(cio, "MAX_FACES", 7)
+    path.write_text(json.dumps({"facets": [[0, 1, 2]]}))
+    assert main(["validate", str(path)]) == 0
+    path.write_text(json.dumps({"vertices": [0, 1, 2, 3],
+                                "facets": [[0, 1, 2]]}))
+    assert main(["validate", str(path)]) == 2
+    assert "over 7 faces to close" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -584,3 +651,30 @@ def test_complex_commands_give_a_result_or_an_input_error(text, k):
                      ["xi-dump", path], ["enumerate", path, "--n", str(k)],
                      ["reconstruct", path, "--up-to", str(k)]):
             _run_to_a_result_or_an_input_error(argv)
+
+
+_loader_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats(width=16)
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["facets", "vertices", "0", "1"])
+                      | st.text(max_size=2), inner, max_size=3),
+    max_leaves=12)
+
+
+@given(_loader_values)
+@settings(max_examples=200, deadline=None)
+def test_loaders_return_or_raise_an_input_error(value):
+    # any JSON value, read straight by both loaders: a complex or a map of
+    # N(Delta^1), or an InputError whose message starts with the path
+    N = normalized_chains(build_complex([(0, 1)]))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(value, fh)
+        for load in (cio.load_complex,
+                     lambda p: cio.load_chain_map(p, N, N)):
+            try:
+                load(path)
+            except cio.InputError as exc:
+                assert str(exc).startswith(f"{path}: ")

@@ -28,7 +28,7 @@ from cupi.reconstruct import (MorphismVerdict, ShomSimplicialSet,
 import oracles
 from conftest import (RP2_FACETS, barycentric, circle, named_corpus,
                       random_complexes, rp, rp2)
-from test_chains import facet_lists
+from test_chains import _count_eliminations, facet_lists
 from test_steenrod import complexes, full_table
 
 
@@ -831,6 +831,22 @@ def test_homology_square_agrees_with_the_kernel_oracle(
     assert homology_square(f, verdict, X, Y, 2) == new
     if change == "negate":
         assert new.detail == "square fails in degree 0"
+
+
+@pytest.mark.parametrize("n, want", [(2, 20), (3, 21)])
+def test_homology_square_runs_one_elimination_per_boundary_map(
+        monkeypatch, n, want):
+    # identity on RP^n, --i-max 2: one cleared pass of N(X), shared by both
+    # sides (n eliminations), and of each C(adjoin X) through degree 3
+    # (3 + 3); generators() once per degree 0..2 on each side (3 + 3); one
+    # onto check per inclusion and degree (6)
+    monkeypatch.setattr(steenrod, "_structure_cache", OrderedDict())
+    X = rp(n)
+    g = GradedMap.identity(structure_for(X).chains)
+    verdict = is_steenrod_morphism(g, X, X)
+    calls = _count_eliminations(monkeypatch)
+    assert homology_square(g, verdict, X, X, 2) == (True, "square commutes")
+    assert len(calls) == want
 
 
 def test_homology_square_builds_no_dense_matrix(monkeypatch):
