@@ -25,14 +25,14 @@ simplices by vertex position.  The construction satisfies, exactly over Z:
       positional table relabeled by the simplex, and a built table is
       never rewritten
 
-verify_structure checks C1, C3, C4, and C5 on an explicit table, on the
-entries of simplices of X in TensorChain algebra, which the mask build does
-not use.
+verify_structure checks an explicit table in TensorChain algebra, and the
+universal tables of a structure read on demand on masks, as the build does.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
+from functools import cached_property
 
 from .chains import (Combination, TensorChain, _add_into, _add_scaled, _terms,
                      chain_map_from_vertex_map, normalized_chains,
@@ -125,6 +125,11 @@ _TABLES = {(0, 0): _aw_table(0)}
 _LEVEL_BUILT = 0
 
 
+def _masks(table):
+    return {(sum(1 << p for p in a), sum(1 << p for p in b)): c
+            for (a, b), c in table.coeffs}
+
+
 def _faces(m):
     """The faces of the face m, each with its sign: the j-th set bit from
     the lowest is dropped with sign (-1)^j.  A vertex has none."""
@@ -199,13 +204,9 @@ def _build_level(k):
     correction too, which differs from R by c + (-1)^k Tc with c a
     boundary.  Its boundary is taken only to name a failed check: a right
     side that is not a cycle is named first."""
-    def masks(table):
-        return {(sum(1 << p for p in a), sum(1 << p for p in b)): c
-                for (a, b), c in table.coeffs}
-
     top = (1 << (k + 1)) - 1
-    lower = [masks(_TABLES[(i, k - 1)]) for i in range(k)]
-    level = [masks(_aw_table(k))]
+    lower = [_masks(_TABLES[(i, k - 1)]) for i in range(k)]
+    level = [_masks(_aw_table(k))]
     for i in range(1, k + 1):
         R = first = _mask_rhs(level, lower, i, k)
         D = _mask_contract(R)
@@ -275,16 +276,19 @@ class SteenrodStructure:
 
     An entry is the universal table transported to the simplex on its first
     read, and table keeps it for i <= dim simplex; above that it is zero and
-    nothing is stored.  max_i (default 2 * dim X) is only the span of bar
-    degrees that xi-dump and verify_structure cover.
+    nothing is stored.  max_i (default 2 * dim X) only spans the bar degrees
+    xi-dump and verify_structure cover; chains, N(X), is built when read.
     """
 
     def __init__(self, X, max_i=None, _table=None):
         self.complex = X
-        self.chains = normalized_chains(X)
         self.max_i = 2 * X.dim if max_i is None else max_i
         self.explicit = _table is not None
         self.table = dict(_table) if self.explicit else {}
+
+    @cached_property
+    def chains(self):
+        return normalized_chains(self.complex)
 
     @classmethod
     def from_table(cls, X, max_i, table):
@@ -298,7 +302,7 @@ class SteenrodStructure:
         key = (i, simplex)
         if self.explicit or key in self.table:
             return self.table[key]
-        if simplex not in self.chains.degree_of:
+        if not self.complex.has_simplex(simplex):
             raise KeyError(f"{simplex} is not a simplex of the complex")
         entry = higher_diagonal(i, simplex)
         if i < len(simplex):
@@ -365,65 +369,71 @@ def _fail(check, *witness):
 def verify_structure(S):
     """Check completeness, C1 and C3-C5 through max_i; return the first
     violation found (as re-checkable data) or success.  C2 holds by
-    construction on every structure: xi(T e_i (x) s) is defined as the
-    swap of xi(e_i (x) s), so it is not read.
+    construction: xi defines the T e_i part as the swap of the e_i part.
 
-    One scan over the simplices of X in dimension order.  The entries of an
-    explicit from_table structure are independent, so every simplex is
-    read: C3, C4, vanishing up to max_i, C1 for i <= min(max_i,
-    dim s + 1), and C5.  A structure read on demand holds on s the
-    universal table relabeled by the increasing vertex list of s, and
-    relabeling commutes with boundary, swap and faces.  So every k-simplex
-    gets the verdict of the first one, X.simplices[k][0], and only that one
-    is read; the first witness is the one a scan of every simplex finds.
-    There, entries above dim s are zero by construction, so vanishing is
-    not read; C1 at i = dim s + 1 follows from C4; and C5 holds by
-    construction: a built table level is never rewritten (see _TABLES), so
-    an entry read earlier is the transport a read now would give.
+    An explicit from_table structure is read entry by entry, simplex by
+    simplex in dimension order, in TensorChain algebra.  In C1 the face
+    terms Delta_i(face) are left out for i >= dim s: each face was scanned
+    before s and is zero above its own dimension.
 
-    In C1 the face terms Delta_i(face) are left out for i >= dim s: each
-    face was scanned before s and is zero above its own dimension.
+    A structure read on demand holds on each k-simplex the universal tables
+    of dimension k relabeled, so every k-simplex gets their verdict, and the
+    first, X.simplices[k][0], is the first witness a full scan finds.  They
+    are read once, as masks, with the build's right side: C4 when k <=
+    max_i, then C1 for 1 <= i <= min(max_i, k).  C3 and C1 at i = 0 hold as
+    Delta_0 is Alexander-Whitney, vanishing and C1 at i = k + 1 by
+    construction and C4, and C5 as a built level is never rewritten.
     """
     X = S.complex
-    full = S.explicit
-    if full:
-        for s in X.all_simplices():
-            for i in range(S.max_i + 1):
-                if (i, s) not in S.table:
-                    return _fail("completeness", i, s)
-    for k, level in enumerate(X.simplices):
-        for s in level if full else level[:1]:
-            # C3: base case is Alexander-Whitney
-            if S.delta(0, s) != aw_diagonal(s):
-                return _fail("C3", 0, s)
-            # C4: top identity with the eta sign
-            want = TensorChain.from_dict(2, 2 * k, {(s, s): eta(k)})
-            if k <= S.max_i and S.delta(k, s) != want:
-                return _fail("C4", k, s)
-            if full:
-                # vanishing above the dimension
-                for i in range(k + 1, S.max_i + 1):
-                    if not S.delta(i, s).is_zero():
-                        return _fail("vanishing", i, s)
-            ds = S.chains.boundary(S.chains.generator(s))
-            for i in range(min(S.max_i, k + 1 if full else k) + 1):
-                # C1: boundary of the table entry matches the chain-map law
-                rhs = {}
-                if i >= 1:
-                    prev = S.delta(i - 1, s)
-                    _add_scaled(rhs, prev)
-                    _add_scaled(rhs, prev.swap(), (-1) ** i)
-                if i < k:
-                    for face, c in ds.coeffs:
-                        _add_scaled(rhs, S.delta(i, face), c * (-1) ** i)
-                lhs = S.delta(i, s).boundary()
-                if lhs != TensorChain(2, i + k - 1, _terms(rhs)):
-                    return _fail("C1", i, s)
-            if full:
-                # C5: the table is the transport of the universal one
-                for i in range(min(k, S.max_i) + 1):
-                    if S.delta(i, s) != higher_diagonal(i, s):
-                        return _fail("C5", i, s)
+    if not S.explicit:
+        if S.max_i >= 1:
+            ensure_tables(X.dim)
+        level = None
+        for k in range(X.dim + 1):
+            top = (1 << (k + 1)) - 1
+            lower, level = level, [_masks(_aw_table(k))] + [
+                _masks(_TABLES[(i, k)]) for i in range(1, min(k, S.max_i) + 1)]
+            if k <= S.max_i and level[k] != {(top, top): eta(k)}:
+                return _fail("C4", k, X.simplices[k][0])
+            for i in range(1, len(level)):
+                if _mask_boundary(level[i]) != _mask_rhs(level, lower, i, k):
+                    return _fail("C1", i, X.simplices[k][0])
+        return StructureReport(True)
+    for s in X.all_simplices():
+        for i in range(S.max_i + 1):
+            if (i, s) not in S.table:
+                return _fail("completeness", i, s)
+    for s in X.all_simplices():
+        k = simplex_degree(s)
+        # C3: base case is Alexander-Whitney
+        if S.delta(0, s) != aw_diagonal(s):
+            return _fail("C3", 0, s)
+        # C4: top identity with the eta sign
+        want = TensorChain.from_dict(2, 2 * k, {(s, s): eta(k)})
+        if k <= S.max_i and S.delta(k, s) != want:
+            return _fail("C4", k, s)
+        # vanishing above the dimension
+        for i in range(k + 1, S.max_i + 1):
+            if not S.delta(i, s).is_zero():
+                return _fail("vanishing", i, s)
+        for i in range(min(S.max_i, k + 1) + 1):
+            # C1: boundary of the table entry matches the chain-map law
+            rhs = {}
+            if i >= 1:
+                prev = S.delta(i - 1, s)
+                _add_scaled(rhs, prev)
+                _add_scaled(rhs, prev.swap(), (-1) ** i)
+            if i < k:
+                for j in range(k + 1):
+                    _add_scaled(rhs, S.delta(i, s[:j] + s[j + 1:]),
+                                (-1) ** (i + j))
+            lhs = S.delta(i, s).boundary()
+            if lhs != TensorChain(2, i + k - 1, _terms(rhs)):
+                return _fail("C1", i, s)
+        # C5: the table is the transport of the universal one
+        for i in range(min(k, S.max_i) + 1):
+            if S.delta(i, s) != higher_diagonal(i, s):
+                return _fail("C5", i, s)
     return StructureReport(True)
 
 

@@ -1,6 +1,7 @@
 """The bar resolution, cup-i diagonals, structure contracts, and squares."""
 
 import itertools
+import json
 import math
 import random
 from collections import OrderedDict
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cupi.chains import (TensorChain, chain_map_from_vertex_map, homology,
                          normalized_chains)
 from cupi.simplicial import VertexMap, build_complex, standard_simplex
-from cupi import chains, steenrod
+from cupi import chains, cli, steenrod
 from cupi.steenrod import (BarElement, Mod2Cohomology, SteenrodStructure,
                            aw_diagonal, bar_augmentation, bar_boundary,
                            eta, higher_diagonal, naturality_holds,
@@ -374,35 +375,47 @@ class TestVerifyStructure:
         with pytest.raises(KeyError):
             bad.delta(3, (0, 1, 2))
 
-    def test_on_demand_check_reads_nothing_above_dimension(self, monkeypatch):
-        X = build_complex(list(itertools.combinations(range(6), 3)))
-        excess = []
-        delta = SteenrodStructure.delta
-
-        def spy(self, i, s):
-            excess.append(i - (len(s) - 1))
-            return delta(self, i, s)
-
-        monkeypatch.setattr(SteenrodStructure, "delta", spy)
-        assert verify_structure(SteenrodStructure(X, max_i=10 ** 6)).ok
-        assert excess and max(excess) <= 0
-
-    def test_on_demand_check_reads_one_simplex_per_dimension(
-            self, monkeypatch):
-        # the 2-skeleton of Delta^6: 7, 21 and 35 simplices per dimension
+    @pytest.mark.parametrize("max_i", [0, 1, 2, None, 10 ** 6])
+    def test_on_demand_check_reads_each_universal_table_once(
+            self, monkeypatch, max_i):
+        # the 2-skeleton of Delta^6: 7, 21 and 35 simplices per dimension,
+        # checked by reading tables (i, k), 1 <= i <= min(k, max_i), once
         X = build_complex(list(itertools.combinations(range(7), 3)))
-        read = set()
-        delta = SteenrodStructure.delta
+        steenrod.ensure_tables(X.dim)
+        reads = []
 
-        def spy(self, i, s):
-            read.add(s)
-            return delta(self, i, s)
+        class Spy(dict):
+            def __getitem__(self, key):
+                reads.append(key)
+                return dict.__getitem__(self, key)
 
-        monkeypatch.setattr(SteenrodStructure, "delta", spy)
-        assert verify_structure(SteenrodStructure(X)).ok
-        first = [level[0] for level in X.simplices]
-        faces = {s[:j] + s[j + 1:] for s in first[1:] for j in range(len(s))}
-        assert read == set(first) | faces
+        monkeypatch.setattr(steenrod, "_TABLES", Spy(steenrod._TABLES))
+        S = SteenrodStructure(X, max_i=max_i)
+        assert verify_structure(S).ok
+        assert sorted(reads) == [(i, k) for i in range(1, X.dim + 1)
+                                 for k in range(i, X.dim + 1) if i <= S.max_i]
+
+    def test_xi_check_and_dump_build_no_chains(self, monkeypatch, tmp_path,
+                                               capsys, projective_spaces):
+        calls = []
+        real = chains.normalized_chains
+
+        def recorded(X, *args, **kwargs):
+            calls.append(X.f_vector())
+            return real(X, *args, **kwargs)
+
+        for module in (chains, steenrod, cli):
+            monkeypatch.setattr(module, "normalized_chains", recorded)
+        # the RP^4 dump at --max-i 1 only, to keep it short
+        for name, X, dump in [("rp4", projective_spaces[4], ["--max-i", "1"]),
+                              ("d6", standard_simplex(6), [])]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(
+                {"facets": [list(s) for s in X.simplices_of_dim(X.dim)]}))
+            assert cli.main(["xi-check", str(path)]) == 0
+            assert cli.main(["xi-dump", str(path), *dump]) == 0
+        capsys.readouterr()
+        assert calls == []
 
     @pytest.mark.parametrize("key", [(1, 2), (1, 3), (2, 3)])
     def test_negated_universal_table_fails_c1_through_the_scan(
@@ -472,6 +485,16 @@ def test_verify_structure_agrees_with_the_scan_on_tampered_tables(
     assert not got.ok
 
 
+def tampered(table, kind):
+    """A universal table with its sign flipped, its first term dropped or
+    its coefficients doubled."""
+    if kind == "flip":
+        return table.scale(-1)
+    if kind == "drop":
+        return TensorChain(2, table.degree, table.coeffs[1:])
+    return table.scale(2)
+
+
 @given(complexes.filter(lambda X: X.dim >= 1),
        st.sampled_from(["flip", "drop", "double"]), st.data())
 @settings(max_examples=80, deadline=None)
@@ -484,18 +507,42 @@ def test_on_demand_check_agrees_with_the_scan_on_tampered_universal_tables(
     key = data.draw(st.sampled_from(
         [(i, k) for k in range(1, X.dim + 1) for i in range(1, k + 1)]))
     max_i = data.draw(st.sampled_from([key[1] - 1, key[1], 2 * X.dim + 1]))
-    table = steenrod._TABLES[key]
-    if kind == "flip":
-        table = table.scale(-1)
-    elif kind == "drop":
-        table = TensorChain(2, table.degree, table.coeffs[1:])
-    else:
-        table = table.scale(2)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(steenrod._TABLES, key, table)
+        mp.setitem(steenrod._TABLES, key,
+                   tampered(steenrod._TABLES[key], kind))
         got = verify_structure(SteenrodStructure(X, max_i=max_i))
         want = oracles.scan_structure(SteenrodStructure(X, max_i=max_i))
     assert report_of(got) == want
+
+
+@pytest.mark.parametrize("kind", ["flip", "double"])
+@pytest.mark.parametrize("k", range(4))
+def test_stored_level_zero_is_never_read(monkeypatch, kind, k):
+    # Delta_0 is Alexander-Whitney, so a changed _TABLES[(0, k)] is read
+    # by neither check
+    X = standard_simplex(3)
+    steenrod.ensure_tables(X.dim)
+    monkeypatch.setitem(steenrod._TABLES, (0, k),
+                        tampered(steenrod._TABLES[(0, k)], kind))
+    got = verify_structure(SteenrodStructure(X))
+    assert report_of(got) == oracles.scan_structure(SteenrodStructure(X))
+    assert got.ok
+
+
+@pytest.mark.parametrize("kind", ["flip", "drop", "double"])
+@pytest.mark.parametrize("key", [(i, k) for k in range(1, 6)
+                                 for i in range(1, k + 1)])
+def test_every_tampered_universal_table_of_delta5_agrees_with_the_scan(
+        monkeypatch, kind, key):
+    X = standard_simplex(5)
+    steenrod.ensure_tables(X.dim)
+    monkeypatch.setitem(steenrod._TABLES, key,
+                        tampered(steenrod._TABLES[key], kind))
+    for max_i in (key[1] - 1, key[1], 11):
+        got = verify_structure(SteenrodStructure(X, max_i=max_i))
+        want = oracles.scan_structure(SteenrodStructure(X, max_i=max_i))
+        assert report_of(got) == want
+        assert got.ok == (max_i < key[0])
 
 
 class TestNaturality:
