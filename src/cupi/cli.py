@@ -15,8 +15,13 @@ from .chains import homology, normalized_chains
 from .reconstruct import (enumerate_morphisms, homology_square,
                           is_steenrod_morphism, lift_morphism,
                           verify_reconstruction)
-from .steenrod import (SteenrodStructure, structure_for, steenrod_squares,
-                       verify_structure)
+from .steenrod import (SteenrodStructure, higher_diagonal, structure_for,
+                       steenrod_squares, verify_structure)
+
+# xi-dump writes one line per simplex per i <= max_i: about 9 us a line
+# whose entry is zero (a point at --max-i 999999: 8.7 s) and 20 us a line
+# of RP^4 at the default --max-i (110 169 lines: 2.2 s), on a 2-core x86 VM.
+MAX_DUMP_LINES = 1_000_000
 
 
 def _emit(obj):
@@ -53,11 +58,14 @@ def cmd_homology(args):
 
 def cmd_xi_dump(args):
     X = cio.load_complex(args.complex)
-    struct = SteenrodStructure(X, max_i=args.max_i)
+    max_i = SteenrodStructure(X, max_i=args.max_i).max_i
+    if sum(X.f_vector()) * (max_i + 1) > MAX_DUMP_LINES:
+        raise cio.InputError(f"{args.complex}: over {MAX_DUMP_LINES} lines "
+                             "to dump")
     for s in X.all_simplices():
-        for i in range(struct.max_i + 1):
+        for i in range(max_i + 1):
             value = [[c, list(a), list(b)]
-                     for (a, b), c in struct.delta(i, s).coeffs]
+                     for (a, b), c in higher_diagonal(i, s).coeffs]
             _emit({"i": i, "simplex": list(s), "value": value})
     return 0
 

@@ -27,9 +27,8 @@
   echelon and the positional evaluation of steenrod_square_matrix;
 - the iterated structure map by nested recursion, against the left fold
   inside xi_iterate;
-- the exhaustive per-simplex check of C1-C5 and completeness, against
-  verify_structure, which reads one simplex per dimension of a structure
-  read on demand;
+- the exhaustive per-simplex check of C1-C5 and vanishing, against
+  verify_structure, which reads each universal table once, on masks;
 - the morphism decision with the structure square formed on every
   (e_j, simplex) pair and the certificate read after it, against
   is_steenrod_morphism, which decides each local type of the vertex map
@@ -616,19 +615,15 @@ def nested_xi(struct, chain, bars):
 # ---------------------------------------------------------------------------
 
 def scan_structure(S):
-    """(ok, check, witness) of the first violation of completeness or
-    C1-C5 through S.max_i, found by reading every entry of every simplex.
+    """(ok, check, witness) of the first violation of C1-C5 or of
+    vanishing above dim s through S.max_i, found by reading every entry of
+    every simplex.
 
     Simplices are scanned by dimension, so when the C1/C2 loop on s stops
     at dim s + 1, s and its faces have passed the vanishing check: above
     that both sides of C1 and C2 are zero.
     """
     X = S.complex
-    if S.explicit:
-        for s in X.all_simplices():
-            for i in range(S.max_i + 1):
-                if (i, s) not in S.table:
-                    return False, "completeness", (i, s)
     for s in X.all_simplices():
         k = len(s) - 1
         if S.delta(0, s) != aw_diagonal(s):

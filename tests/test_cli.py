@@ -1,9 +1,11 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import hashlib
 import itertools
 import json
 import os
 import tempfile
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -11,7 +13,7 @@ from io import StringIO
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cupi import io as cio, reconstruct
+from cupi import cli, io as cio, reconstruct, steenrod
 from cupi.chains import normalized_chains, unnormalized_chains
 from cupi.cli import main
 from cupi.simplicial import build_complex
@@ -31,6 +33,7 @@ def files(tmp_path):
     write("rp2.json", {"facets": [list(f) for f in RP2_FACETS]})
     write("tri.json", {"facets": [[0, 1, 2]]})
     write("delta3.json", {"facets": [[0, 1, 2, 3]]})
+    write("delta4.json", {"facets": [[0, 1, 2, 3, 4]]})
     write("circle.json", {"facets": [[0, 1], [0, 2], [1, 2]]})
     write("d1.json", {"facets": [[0, 1]]})
     write("point.json", {"facets": [[0]]})
@@ -124,6 +127,54 @@ class TestXi:
                if rec["simplex"] == [0, 1] and rec["i"] == 1]
         assert top == [{"i": 1, "simplex": [0, 1],
                         "value": [[-1, [0, 1], [0, 1]]]}]
+
+    def test_dump_reads_no_structure_entry(self, files, capsys, monkeypatch):
+        # each (i, s) is read once, through higher_diagonal, and none is kept
+        reads = []
+        delta = steenrod.SteenrodStructure.delta
+
+        def spy(self, i, simplex):
+            reads.append((i, simplex))
+            return delta(self, i, simplex)
+
+        monkeypatch.setattr(steenrod.SteenrodStructure, "delta", spy)
+        code, out = run(capsys, "xi-dump", files["delta4.json"])
+        assert code == 0
+        assert len(out.splitlines()) == 31 * 9
+        assert reads == []
+
+    def test_dump_refuses_an_unbounded_dump_before_its_first_line(
+            self, files, capsys, monkeypatch):
+        # a point at --max-i 10**12 would write 10**12 zero lines
+        def emitted(obj):
+            raise AssertionError("a line was written")
+
+        monkeypatch.setattr(cli, "_emit", emitted)
+        start = time.perf_counter()
+        assert main(["xi-dump", files["point.json"],
+                     "--max-i", str(10 ** 12)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {files['point.json']}: over "
+                                f"{cli.MAX_DUMP_LINES} lines to dump\n")
+
+    def test_dump_cap_is_on_simplices_times_bar_degrees(
+            self, files, capsys, monkeypatch):
+        # the cap admits RP^4 at the default --max-i 8 (12 241 simplices)
+        # and the 2-skeleton on 16 vertices at --max-i 4 (696 simplices)
+        assert 12241 * 9 <= cli.MAX_DUMP_LINES
+        assert 696 * 5 <= cli.MAX_DUMP_LINES
+        # the 7 simplices of the triangle: 35 lines at the default --max-i
+        # 4 are at the cap, 42 at --max-i 5 are over it
+        monkeypatch.setattr(cli, "MAX_DUMP_LINES", 35)
+        code, out = run(capsys, "xi-dump", files["tri.json"])
+        assert code == 0
+        assert len(out.splitlines()) == 35
+        assert main(["xi-dump", files["tri.json"], "--max-i", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "over 35 lines to dump" in captured.err
 
 
 class TestSquares:
@@ -248,6 +299,7 @@ class TestDeterminism:
 
 _COUNT_OPTIONS = [
     ["xi-check", "tri.json", "--max-i"],
+    ["xi-dump", "tri.json", "--max-i"],
     ["squares", "rp2.json", "--i"],
     ["enumerate", "circle.json", "--n"],
     ["reconstruct", "tri.json", "--up-to"],
@@ -305,6 +357,19 @@ def test_homology_output_is_pinned(tmp_path, capsys, facets, stdout):
     path = tmp_path / "complex.json"
     path.write_text(json.dumps({"facets": [list(f) for f in facets]}))
     assert run(capsys, "homology", str(path)) == (0, stdout)
+
+
+@pytest.mark.parametrize("name, argv, lines, digest", [
+    ("rp2.json", [], 155,
+     "7a3a6fcf2112b5cc65869325739a2fb2b740a704cb5914b9ed3bc5137210736a"),
+    ("delta3.json", ["--max-i", "6"], 105,
+     "229766c06c050c76b701e716a548c76c51036672225483672996543eb94ad288"),
+])
+def test_xi_dump_output_is_pinned(files, capsys, name, argv, lines, digest):
+    code, out = run(capsys, "xi-dump", files[name], *argv)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _identity_files(tmp_path, facets):

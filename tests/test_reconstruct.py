@@ -29,7 +29,7 @@ import oracles
 from conftest import (RP2_FACETS, barycentric, circle, named_corpus,
                       random_complexes, rp, rp2)
 from test_chains import _count_eliminations, facet_lists
-from test_steenrod import complexes, full_table
+from test_steenrod import complexes
 
 
 def _as_key(f):
@@ -72,19 +72,21 @@ class TestAdjointAlpha:
             _assert_fold_matches_nested(
                 S, Chain.from_dict(m, {a: 1, b: -2, c: 3}))
 
-    def test_alpha_routes_agree_on_chains(self):
+    def test_alpha_routes_agree_on_chains(self, monkeypatch):
         S = structure_for(circle())
         c = S.chains.generator((0, 1)) + S.chains.generator((1, 2)).scale(-2)
         _assert_fold_matches_nested(S, c)
-        # one tampered entry, read by both routes: its extra terms put an
-        # edge and a vertex in the first factor, so the fold expands them
-        X = standard_simplex(2)
-        table = full_table(SteenrodStructure(X, max_i=2))
-        table[(1, (0, 1))] = table[(1, (0, 1))] + TensorChain.from_dict(
-            2, 2, {((0, 1), (1, 2)): 2, ((0,), (0, 1, 2)): -1})
-        S = SteenrodStructure.from_table(X, 2, table)
-        _assert_fold_matches_nested(
-            S, Chain.from_dict(1, {(0, 1): 1, (1, 2): -2, (0, 2): 3}))
+        # a scaled top table (m, m), read by both routes: it is the only
+        # entry xi_iterate reads on an m-chain, so no entry puts a face of
+        # s in the first factor, and the fold never expands one
+        X = standard_simplex(4)
+        steenrod.ensure_tables(X.dim)
+        for m in range(1, 4):
+            monkeypatch.setitem(steenrod._TABLES, (m, m),
+                                steenrod._TABLES[(m, m)].scale(-3))
+            a, b, c = X.simplices_of_dim(m)[:3]
+            _assert_fold_matches_nested(
+                SteenrodStructure(X), Chain.from_dict(m, {a: 1, b: -2, c: 3}))
 
 
 class TestXiIterate:

@@ -296,12 +296,6 @@ class TestXi:
             S.xi(BarElement.e(0) + BarElement.e(1), S.chains.generator((0, 1)))
 
 
-def full_table(S):
-    """Every entry of S through its max_i, as an explicit dict."""
-    return {(i, s): S.delta(i, s) for s in S.complex.all_simplices()
-            for i in range(S.max_i + 1)}
-
-
 class TestVerifyStructure:
     def test_reference_structure_passes(self):
         S = SteenrodStructure(standard_simplex(3), max_i=6)
@@ -324,35 +318,19 @@ class TestVerifyStructure:
         with pytest.raises(ValueError):
             S.delta(-1, (0,))
 
-    def test_sign_flip_detected(self):
-        X = standard_simplex(2)
-        S = structure_for(X)
-        # the flipped top entry of an edge in place, and moved to
-        # i = dim s + 2, where the C1/C2 loop has stopped
-        for key, checks in [((1, (0, 1)), ("C1", "C4")),
-                            ((3, (0, 1)), ("vanishing",))]:
-            table = full_table(S)
-            table[key] = table[(1, (0, 1))].scale(-1)
-            bad = SteenrodStructure.from_table(X, S.max_i, table)
-            report = verify_structure(bad)
-            assert not report.ok
-            assert report.check in checks
-            assert report.witness[1] == (0, 1)
-        assert report.witness == (3, (0, 1))
-
-    def test_equivariance_holds_by_construction_on_any_table(self):
+    def test_equivariance_holds_by_construction_on_any_table(
+            self, monkeypatch):
         # verify_structure does not read C2: xi defines the T e_i part as
-        # the swap of the e_i part, so C2 holds even where Delta_1 is
-        # replaced by entries that are not swap-symmetric
+        # the swap of the e_i part, so C2 holds even where the universal
+        # tables (1, k) are replaced by ones that are not swap-symmetric
         X = standard_simplex(2)
-        S = structure_for(X)
-        table = full_table(S)
-        for s in X.all_simplices():
-            if len(s) > 1:
-                table[(1, s)] = TensorChain.from_dict(2, len(s),
-                                                      {(s, s[:2]): 1})
-                assert table[(1, s)].swap() != table[(1, s)]
-        bad = SteenrodStructure.from_table(X, S.max_i, table)
+        steenrod.ensure_tables(X.dim)
+        for k in range(1, X.dim + 1):
+            top = tuple(range(k + 1))
+            table = TensorChain.from_dict(2, k + 1, {(top, top[:2]): 1})
+            assert table.swap() != table
+            monkeypatch.setitem(steenrod._TABLES, (1, k), table)
+        bad = SteenrodStructure(X)
         for s in X.all_simplices():
             gen = bad.chains.generator(s)
             for i in range(bad.max_i + 1):
@@ -360,20 +338,8 @@ class TestVerifyStructure:
                         == bad.xi(BarElement.e(i), gen).swap())
         report = verify_structure(bad)
         assert not report.ok
-        assert report_of(report) == oracles.scan_structure(bad)
-
-    def test_truncated_table_fails_completeness(self):
-        X = standard_simplex(2)
-        S = structure_for(X)
-        table = full_table(S)
-        del table[(3, (0, 1, 2))]
-        bad = SteenrodStructure.from_table(X, S.max_i, table)
-        report = verify_structure(bad)
-        assert not report.ok
-        assert report.check == "completeness"
-        # an explicit table is read as given: nothing fills the gap
-        with pytest.raises(KeyError):
-            bad.delta(3, (0, 1, 2))
+        assert report_of(report) == oracles.scan_structure(
+            SteenrodStructure(X))
 
     @pytest.mark.parametrize("max_i", [0, 1, 2, None, 10 ** 6])
     def test_on_demand_check_reads_each_universal_table_once(
@@ -444,45 +410,6 @@ def test_verify_structure_agrees_with_the_scan(X, max_i):
     got = verify_structure(SteenrodStructure(X, max_i=max_i))
     assert report_of(got) == oracles.scan_structure(
         SteenrodStructure(X, max_i=max_i))
-
-
-def tamper(table, kind, key):
-    """The explicit table with one entry changed: its sign flipped, its
-    first term dropped, copied to i = dim s + 1 (where it should be zero),
-    or missing."""
-    table = dict(table)
-    i, s = key
-    entry = table[key]
-    if kind == "flip":
-        table[key] = entry.scale(-1)
-    elif kind == "drop":
-        table[key] = TensorChain(2, entry.degree, entry.coeffs[1:])
-    elif kind == "move":
-        table[(len(s), s)] = entry
-    else:
-        del table[key]
-    return table
-
-
-@given(complexes, st.integers(min_value=0, max_value=8),
-       st.sampled_from(["flip", "drop", "move", "missing"]), st.data())
-@settings(max_examples=120, deadline=None)
-def test_verify_structure_agrees_with_the_scan_on_tampered_tables(
-        X, max_i, kind, data):
-    table = full_table(SteenrodStructure(X, max_i=max_i))
-    if kind == "move":  # an entry that is not zero, and room above dim s
-        keys = [(i, s) for i, s in table if i < len(s) <= max_i]
-    elif kind == "missing":
-        keys = list(table)
-    else:
-        keys = [(i, s) for i, s in table if i < len(s)]
-    key = data.draw(st.sampled_from(sorted(keys, key=repr)) if keys
-                    else st.nothing())
-    bad = tamper(table, kind, key)
-    got = verify_structure(SteenrodStructure.from_table(X, max_i, bad))
-    want = oracles.scan_structure(SteenrodStructure.from_table(X, max_i, bad))
-    assert report_of(got) == want
-    assert not got.ok
 
 
 def tampered(table, kind):
