@@ -34,40 +34,42 @@ def _terms(d):
     return tuple(sorted((k, v) for k, v in d.items() if v))
 
 
-class Combination:
-    """Sparse integer combination of hashable labels: the one algebra behind
-    chains, tensor chains and bar elements.
+class Chain:
+    """Sparse integer combination of hashable labels in one degree: the one
+    combination type, behind chains, tensor chains and bar elements.
 
-    coeffs is a sorted tuple of (label, coeff) pairs with no zeros.  A
-    subclass takes its grading, as returned by _grade, followed by coeffs as
-    its constructor arguments, and treats them as immutable.  Gradings must
-    agree for a sum, except that the zero combination has no grading: it
-    equals every zero of its type.
+    coeffs is a sorted tuple of (label, coeff) pairs with no zeros, and is
+    treated as immutable.  Degrees must agree for a sum, except that the
+    zero combination has no degree: it equals every zero of its type.  A
+    subclass holds no state of its own and adds only its operations.
     """
 
-    __slots__ = ()
+    __slots__ = ("degree", "coeffs")
+
+    def __init__(self, degree, coeffs):
+        self.degree, self.coeffs = degree, coeffs
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        return f"{type(self).__name__}({self.degree!r}, {self.coeffs!r})"
 
-    def _grade(self):
-        return ()
+    @classmethod
+    def from_dict(cls, degree, d):
+        return cls(degree, _terms(d))
 
-    def _with(self, grade, d):
+    def _with(self, degree, d):
         # freeze a dict derived from valid combinations: labels are not
         # re-checked, and _add_into and scale leave no zero coefficients
-        return type(self)(*grade, tuple(sorted(d.items())))
+        return type(self)(degree, tuple(sorted(d.items())))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         if self.coeffs != other.coeffs:
             return False
-        return not self.coeffs or self._grade() == other._grade()
+        return not self.coeffs or self.degree == other.degree
 
     def __hash__(self):
-        return hash((self._grade() if self.coeffs else None, self.coeffs))
+        return hash((self.degree if self.coeffs else None, self.coeffs))
 
     def __len__(self):
         return len(self.coeffs)
@@ -79,15 +81,16 @@ class Combination:
         return not self.coeffs
 
     def __add__(self, other):
-        grade = self._grade()
-        if other._grade() != grade and self.coeffs and other.coeffs:
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.degree != self.degree and self.coeffs and other.coeffs:
             raise ValueError("degree mismatch")
         out = self.as_dict()
         _add_scaled(out, other)
-        return self._with(grade if self.coeffs else other._grade(), out)
+        return self._with(self.degree if self.coeffs else other.degree, out)
 
     def scale(self, c):
-        return self._with(self._grade(),
+        return self._with(self.degree,
                           {k: c * v for k, v in self.coeffs} if c else {})
 
     def __sub__(self, other):
@@ -98,22 +101,6 @@ def _add_scaled(acc, combination, c=1):
     """acc += c * combination, in place on a coefficient dict."""
     for k, v in combination.coeffs:
         _add_into(acc, k, c * v)
-
-
-class Chain(Combination):
-    """Integer combination of basis labels in a single degree."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree, coeffs):
-        self.degree, self.coeffs = degree, coeffs
-
-    def _grade(self):
-        return (self.degree,)
-
-    @classmethod
-    def from_dict(cls, degree, d):
-        return cls(degree, _terms(d))
 
 
 class FreeChainComplex:
@@ -335,34 +322,23 @@ def simplex_degree(s):
     return len(s) - 1
 
 
-class TensorChain(Combination):
-    """Integer combination of arity-k tuples of simplices.
+class TensorChain(Chain):
+    """Chain of tensor labels: tuples of simplices, whose length is the
+    arity.
 
     Labels are tuples of strictly increasing vertex tuples; the degree of a
     label is the sum of the factor degrees.  Koszul signs are computed at
     application time, never stored.
     """
 
-    __slots__ = ("arity", "degree", "coeffs")
-
-    def __init__(self, arity, degree, coeffs):
-        self.arity, self.degree, self.coeffs = arity, degree, coeffs
-
-    def _grade(self):
-        return (self.arity, self.degree)
+    __slots__ = ()
 
     @classmethod
-    def from_dict(cls, arity, degree, d):
+    def from_dict(cls, degree, d):
         for key in d:
-            if len(key) != arity:
-                raise ValueError("arity mismatch in tensor label")
             if sum(simplex_degree(s) for s in key) != degree:
                 raise ValueError("degree mismatch in tensor label")
-        return cls(arity, degree, _terms(d))
-
-    @classmethod
-    def zero(cls, arity, degree):
-        return cls(arity, degree, ())
+        return cls(degree, _terms(d))
 
     def boundary(self):
         """Koszul alternating-face boundary of each tensor factor."""
@@ -376,18 +352,16 @@ class TensorChain(Combination):
                         sign = -sign
                 if len(s) % 2 == 0:  # odd degree: Koszul sign for later factors
                     c = -c
-        return self._with((self.arity, self.degree - 1), out)
+        return self._with(self.degree - 1, out)
 
     def swap(self):
         """Transposition of an arity-2 tensor with the Koszul sign
         (-1)^(deg a * deg b)."""
-        if self.arity != 2:
-            raise ValueError("swap is defined for arity-2 tensors")
         out = {}
         for (a, b), c in self.coeffs:
             sgn = (-1) ** (simplex_degree(a) * simplex_degree(b))
             _add_into(out, (b, a), c * sgn)
-        return self._with(self._grade(), out)
+        return self._with(self.degree, out)
 
     def map_factors(self, f):
         """Apply a degree-0 chain map to every factor (no Koszul signs arise)."""
@@ -402,7 +376,7 @@ class TensorChain(Combination):
                 for _, v in combo:
                     coeff *= v
                 _add_into(out, newkey, coeff)
-        return self._with(self._grade(), out)
+        return self._with(self.degree, out)
 
     def relabel(self, verts):
         """Replace each vertex v of every factor by verts[v].
@@ -424,7 +398,7 @@ class TensorChain(Combination):
                     t = image[s] = tuple([verts[v] for v in s])
                 new.append(t)
             coeffs.append((tuple(new), c))
-        return type(self)(self.arity, self.degree, tuple(coeffs))
+        return type(self)(self.degree, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

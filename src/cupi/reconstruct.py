@@ -82,7 +82,7 @@ def xi_iterate(struct, chain, K=3):
     # each step contributes one factor of the rho coefficient, so the
     # arity-k component carries eta_m^(k-1)
     sign = eta(m)
-    comps = [TensorChain(1, m, tuple(((s,), c) for s, c in chain.coeffs))]
+    comps = [TensorChain(m, tuple(((s,), c) for s, c in chain.coeffs))]
     current = comps[0]
     for k in range(2, K + 1):
         deg = current.degree + m
@@ -90,7 +90,7 @@ def xi_iterate(struct, chain, K=3):
         for key, c in current.coeffs:
             for (a, b), v in struct.delta(m, key[0]).coeffs:
                 _add_into(out, (a, b) + key[1:], sign * c * v)
-        current = TensorChain(k, deg, _terms(out))
+        current = TensorChain(deg, _terms(out))
         comps.append(current)
     return tuple(comps)
 
@@ -189,7 +189,7 @@ def is_steenrod_morphism(f, source, target, types=None):
 
 def _vertex_map_of(f, source, target):
     """The vertex map phi read off f's unit vertex images, when it is
-    order-preserving and simplicial, else None."""
+    order-preserving (on every edge) and simplicial, else None."""
     mapping = {}
     for (v,) in source.simplices_of_dim(0):
         image = f.apply_label((v,))
@@ -233,7 +233,7 @@ def _type_failure(theta):
     for j in range(min(n, max(2 * k - n, 0)) + 1):
         left = higher_diagonal(j, top).map_factors(on_positions)
         right = (higher_diagonal(j, top) if k == n
-                 else TensorChain.zero(2, j + n))
+                 else TensorChain(j + n, ()))
         if left != right:
             return j
     return None
@@ -465,7 +465,10 @@ def lift_morphism(g, verdict, X, Y):
     if verdict is None or not verdict.ok:
         raise ValueError("refusing to lift an unverified morphism")
     if verdict.certificate is None:
-        raise ValueError("verified morphism lacks a vertex-map certificate")
+        # every morphism is N(phi) for an order-preserving simplicial phi,
+        # so a verified one without phi is a fault here, not in the input
+        raise RuntimeError(
+            "internal: verified morphism lacks a vertex-map certificate")
     return LiftedMap(source=X, target=Y, vertex_map=verdict.certificate)
 
 

@@ -338,9 +338,11 @@ class VertexMap(namedtuple("VertexMap", "source target mapping")):
         return tuple(sorted({m[v] for v in simplex}))
 
     def is_order_preserving(self):
+        """phi(a) <= phi(b) on every edge (a, b) of the source.  An ordered
+        complex orders only the vertices within each simplex, so vertices
+        that share no simplex, such as those of two components, may swap."""
         m = self.as_dict()
-        vs = sorted(m)
-        return all(m[a] <= m[b] for a, b in zip(vs, vs[1:]))
+        return all(m[a] <= m[b] for a, b in self.source.simplices_of_dim(1))
 
     def is_simplicial(self):
         """Every simplex image spans a simplex of the target."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from functools import cached_property
 
-from .chains import (Combination, TensorChain, _add_into, _add_scaled, _terms,
+from .chains import (Chain, TensorChain, _add_into, _add_scaled, _terms,
                      chain_map_from_vertex_map, normalized_chains,
                      simplex_degree)
 
@@ -47,38 +47,35 @@ def eta(k):
 # the bar resolution W
 # ---------------------------------------------------------------------------
 
-class BarElement(Combination):
-    """Integer combination of generators T^g e_n of the bar resolution.
+class BarElement(Chain):
+    """Chain of generators T^g e_n of the bar resolution, in one degree n.
 
-    Labels are (g, n) with g in {0, 1}; sums may mix degrees.
+    Labels are (g, n) with g in {0, 1} and n the degree of the element, so
+    a sum of two nonzero elements of different degrees is refused.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
+    __slots__ = ()
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, degree, d):
         for (g, n) in d:
-            if g not in (0, 1) or n < 0:
-                raise ValueError(f"bad bar generator {(g, n)}")
-        return cls(_terms(d))
+            if g not in (0, 1) or n < 0 or n != degree:
+                raise ValueError(f"bad bar generator {(g, n)} in degree "
+                                 f"{degree}")
+        return cls(degree, _terms(d))
 
     @classmethod
     def e(cls, n):
-        return cls.from_dict({(0, n): 1})
+        return cls.from_dict(n, {(0, n): 1})
 
     @classmethod
     def te(cls, n):
-        return cls.from_dict({(1, n): 1})
+        return cls.from_dict(n, {(1, n): 1})
 
     def t_action(self):
         """Left multiplication by T (T^2 = 1)."""
-        return self._with((), {(1 - g, n): c for (g, n), c in self.coeffs})
-
-    def degrees(self):
-        return {n for (_, n), _ in self.coeffs}
+        return self._with(self.degree,
+                          {(1 - g, n): c for (g, n), c in self.coeffs})
 
 
 def bar_boundary(b):
@@ -89,7 +86,7 @@ def bar_boundary(b):
             continue
         _add_into(out, (g, n - 1), c)
         _add_into(out, (1 - g, n - 1), c * ((-1) ** n))
-    return BarElement.from_dict(out)
+    return BarElement.from_dict(b.degree - 1, out)
 
 
 def bar_augmentation(b):
@@ -111,8 +108,8 @@ def bar_augmentation(b):
 
 def _aw_table(k):
     top = tuple(range(k + 1))
-    return TensorChain(2, k, _terms({(top[:p + 1], top[p:]): 1
-                                     for p in range(k + 1)}))
+    return TensorChain(k, _terms({(top[:p + 1], top[p:]): 1
+                                  for p in range(k + 1)}))
 
 
 # _TABLES only grows: ensure_tables adds whole levels, and a built level is
@@ -228,7 +225,7 @@ def _build_level(k):
     positions = {m: tuple(p for p in range(k + 1) if m >> p & 1)
                  for m in {m for t in level for key in t for m in key}}
     for i, t in enumerate(level):
-        _TABLES[(i, k)] = TensorChain(2, i + k, _terms(
+        _TABLES[(i, k)] = TensorChain(i + k, _terms(
             {(positions[a], positions[b]): c for (a, b), c in t.items()}))
 
 
@@ -249,7 +246,7 @@ def aw_diagonal(simplex):
     """Alexander-Whitney diagonal: sum of front (x) back faces."""
     k = simplex_degree(simplex)
     out = {(simplex[:p + 1], simplex[p:]): 1 for p in range(k + 1)}
-    return TensorChain.from_dict(2, k, out)
+    return TensorChain.from_dict(k, out)
 
 
 def higher_diagonal(i, simplex):
@@ -259,7 +256,7 @@ def higher_diagonal(i, simplex):
         raise ValueError("negative cup index")
     k = simplex_degree(simplex)
     if i > k:
-        return TensorChain.zero(2, i + k)
+        return TensorChain(i + k, ())
     if i == 0:
         return aw_diagonal(simplex)
     ensure_tables(k)
@@ -302,22 +299,20 @@ class SteenrodStructure:
         return entry
 
     def xi(self, bar, chain):
-        """xi(b (x) c) for b in W and c a chain of this complex.
+        """xi(b (x) c) for b in W and c a chain of this complex, a tensor
+        chain of degree b.degree + c.degree.
 
         Linear in both slots; T acts through the Koszul-signed swap.
         """
-        degs = bar.degrees()
-        if len(degs) > 1:
-            raise ValueError("bar element must be homogeneous")
-        degree = next(iter(degs), 0) + chain.degree
+        degree = bar.degree + chain.degree
         parts = ({}, {})  # the e_n and the T e_n part
         for (g, m), bc in bar.coeffs:
             for simplex, cc in chain.coeffs:
                 _add_scaled(parts[g], self.delta(m, simplex), bc * cc)
-        out = TensorChain(2, degree, _terms(parts[0]))
+        out = TensorChain(degree, _terms(parts[0]))
         if not parts[1]:
             return out
-        return out + TensorChain(2, degree, _terms(parts[1])).swap()
+        return out + TensorChain(degree, _terms(parts[1])).swap()
 
 
 # Least recently used first.  verify_reconstruction(X, n) touches

@@ -424,7 +424,7 @@ def _contract(t):
             out[((0,) + a, b)] = out.get(((0,) + a, b), 0) + c
         if len(a) == 1 and b[0] != 0:
             out[((0,), (0,) + b)] = out.get(((0,), (0,) + b), 0) + c
-    return TensorChain.from_dict(2, t.degree + 1, out)
+    return TensorChain.from_dict(t.degree + 1, out)
 
 
 def _rhs(tables, i, k):
@@ -460,11 +460,11 @@ def build_tables(kmax):
                 raise AssertionError(f"rhs not a cycle at {(i, k)}")
             D = _contract(R)
             if i == k:
-                want = TensorChain(2, 2 * k, (((top, top), eta(k)),))
+                want = TensorChain(2 * k, (((top, top), eta(k)),))
                 lam = D.as_dict().get((top, top), 0)
                 if lam != eta(k):
                     mu = (eta(k) - lam) // 2
-                    corr = TensorChain(2, 2 * k, (((top, top), 1),)).boundary()
+                    corr = TensorChain(2 * k, (((top, top), 1),)).boundary()
                     tables[(k - 1, k)] = tables[(k - 1, k)] + corr.scale(mu)
                     R = _rhs(tables, i, k)
                     D = _contract(R)
@@ -599,7 +599,7 @@ def nested_xi(struct, chain, bars):
     if len(bars) == 1:
         return first
     rest = bars[1:]
-    degree = chain.degree + sum(n for b in bars for (_, n), _ in b.coeffs)
+    degree = chain.degree + sum(b.degree for b in bars)
     out = {}
     cache = {}
     for (a, b), c in first.coeffs:
@@ -607,7 +607,7 @@ def nested_xi(struct, chain, bars):
             cache[a] = nested_xi(struct, struct.chains.generator(a), rest)
         for key, v in cache[a].coeffs:
             out[key + (b,)] = out.get(key + (b,), 0) + v * c
-    return TensorChain.from_dict(len(bars) + 1, degree, out)
+    return TensorChain.from_dict(degree, out)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +628,7 @@ def scan_structure(S):
         k = len(s) - 1
         if S.delta(0, s) != aw_diagonal(s):
             return False, "C3", (0, s)
-        want = TensorChain.from_dict(2, 2 * k, {(s, s): eta(k)})
+        want = TensorChain.from_dict(2 * k, {(s, s): eta(k)})
         if k <= S.max_i and S.delta(k, s) != want:
             return False, "C4", (k, s)
         for i in range(k + 1, S.max_i + 1):
@@ -646,7 +646,7 @@ def scan_structure(S):
                 for key, v in S.delta(i, face).coeffs:
                     rhs[key] = rhs.get(key, 0) + c * (-1) ** i * v
             rhs = tuple(sorted((key, c) for key, c in rhs.items() if c))
-            if S.delta(i, s).boundary() != TensorChain(2, i + k - 1, rhs):
+            if S.delta(i, s).boundary() != TensorChain(i + k - 1, rhs):
                 return False, "C1", (i, s)
             if S.xi(BarElement.te(i), gen) != S.xi(BarElement.e(i), gen).swap():
                 return False, "C2", (i, s)
@@ -746,7 +746,7 @@ def brute_morphisms(n, X):
         for (a, ca) in chain.coeffs:
             for (b, cb) in chain.coeffs:
                 square[(a, b)] = square.get((a, b), 0) + ca * cb
-        if awc == TensorChain.from_dict(2, 0, square):
+        if awc == TensorChain.from_dict(0, square):
             vertex_candidates.append(dict(chain.coeffs))
 
     # bucket bounded d-chains by their boundary, once per needed degree

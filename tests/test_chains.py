@@ -127,24 +127,22 @@ def test_equals_composite_agrees_with_compose():
 
 class TestTensorChain:
     def test_boundary_koszul_sign(self):
-        t = TensorChain.from_dict(2, 2, {((0, 1), (0, 1)): 1})
+        t = TensorChain.from_dict(2, {((0, 1), (0, 1)): 1})
         b = t.boundary().as_dict()
         assert b == {((1,), (0, 1)): 1, ((0,), (0, 1)): -1,
                      ((0, 1), (1,)): -1, ((0, 1), (0,)): 1}
 
     def test_swap_sign(self):
-        t = TensorChain.from_dict(2, 2, {((0, 1), (1, 2)): 1})
+        t = TensorChain.from_dict(2, {((0, 1), (1, 2)): 1})
         assert t.swap().as_dict() == {((1, 2), (0, 1)): -1}
 
     def test_from_dict_rejects_bad_labels(self):
         with pytest.raises(ValueError):
-            TensorChain.from_dict(2, 1, {((0, 1),): 1})            # arity 1
-        with pytest.raises(ValueError):
-            TensorChain.from_dict(2, 2, {((0, 1), (1,)): 1})       # degree 1
+            TensorChain.from_dict(2, {((0, 1), (1,)): 1})       # degree 1
 
     def test_sum_rejects_degree_mismatch(self):
-        a = TensorChain.from_dict(2, 1, {((0,), (0, 1)): 1})
-        b = TensorChain.from_dict(2, 2, {((0, 1), (0, 1)): 1})
+        a = TensorChain.from_dict(1, {((0,), (0, 1)): 1})
+        b = TensorChain.from_dict(2, {((0, 1), (0, 1)): 1})
         with pytest.raises(ValueError):
             a + b
         with pytest.raises(ValueError):
@@ -152,19 +150,19 @@ class TestTensorChain:
 
     def test_zero_is_equal_across_degrees(self):
         for x, y in ((Chain(0, ()), Chain(3, ())),
-                     (TensorChain.zero(2, 1), TensorChain.zero(2, 4))):
+                     (TensorChain(1, ()), TensorChain(4, ()))):
             assert x == y
             assert hash(x) == hash(y)
         assert Chain.from_dict(1, {(0, 1): 1}) != Chain.from_dict(2, {(0, 1): 1})
 
     def test_len_counts_terms(self):
-        t = TensorChain.from_dict(2, 1, {((0,), (0, 1)): 2, ((0, 1), (1,)): -1,
+        t = TensorChain.from_dict(1, {((0,), (0, 1)): 2, ((0, 1), (1,)): -1,
                                          ((1,), (0, 1)): 0})
         assert len(t) == 2
         assert len(t - t) == 0
 
     def test_relabel_maps_every_factor(self):
-        t = TensorChain.from_dict(2, 2, {((0, 1), (1, 2)): 3, ((0,), (0, 1, 2)): -1})
+        t = TensorChain.from_dict(2, {((0, 1), (1, 2)): 3, ((0,), (0, 1, 2)): -1})
         assert t.relabel((4, 7, 9)).as_dict() == \
             {((4, 7), (7, 9)): 3, ((4,), (4, 7, 9)): -1}
         # the labels of a relabeled chain stay sorted only under an

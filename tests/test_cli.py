@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cupi import cli, io as cio, reconstruct, steenrod
 from cupi.chains import normalized_chains, unnormalized_chains
@@ -372,17 +372,60 @@ def test_xi_dump_output_is_pinned(files, capsys, name, argv, lines, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _identity_files(tmp_path, facets):
-    """The complex of the facets and its identity map, written as files."""
+def _identity_files(tmp_path, facets, phi=None):
+    """The complex of the facets and the chain map N(phi) of a vertex
+    bijection phi of it, the identity by default, written as files."""
     faces = {c for f in facets for r in range(1, len(f) + 1)
              for c in itertools.combinations(f, r)}
-    identity = {}
+    chain_map = {}
     for s in sorted(faces):
-        identity.setdefault(str(len(s) - 1), []).append([list(s), list(s), 1])
+        image = sorted(phi[v] for v in s) if phi else list(s)
+        chain_map.setdefault(str(len(s) - 1), []).append([image, list(s), 1])
     cx, mp = tmp_path / "complex.json", tmp_path / "identity.json"
     cx.write_text(json.dumps({"facets": [list(f) for f in facets]}))
-    mp.write_text(json.dumps(identity))
+    mp.write_text(json.dumps(chain_map))
     return str(cx), str(mp)
+
+
+_RP2_RP2 = RP2_FACETS + [tuple(v + 6 for v in f) for f in RP2_FACETS]
+_SWAP_RP2_RP2 = {v: v + 6 if v <= 6 else v - 6 for v in range(1, 13)}
+_RP2_RP2_CERTIFICATE = ('{"1":7,"10":4,"11":5,"12":6,"2":8,"3":9,"4":10,'
+                        '"5":11,"6":12,"7":1,"8":2,"9":3}')
+
+
+@pytest.mark.parametrize("facets, phi, command, stdout", [
+    ([(0,), (1,)], {0: 1, 1: 0}, "is-morphism",
+     '{"certificate":{"0":1,"1":0},"status":"morphism","witness":null}\n'),
+    ([(0,), (1,)], {0: 1, 1: 0}, "lift",
+     '{"isomorphism":{"0":1,"1":0},"status":"lifted",'
+     '"vertex_map":{"0":1,"1":0}}\n'),
+    ([(0,), (1,)], {0: 1, 1: 0}, "homology-square",
+     '{"detail":"square commutes","status":"pass"}\n'),
+    ([(0, 1), (2, 3)], {0: 2, 1: 3, 2: 0, 3: 1}, "is-morphism",
+     '{"certificate":{"0":2,"1":3,"2":0,"3":1},"status":"morphism",'
+     '"witness":null}\n'),
+    ([(0, 1), (2, 3)], {0: 2, 1: 3, 2: 0, 3: 1}, "lift",
+     '{"isomorphism":{"0":2,"1":3,"2":0,"3":1},"status":"lifted",'
+     '"vertex_map":{"0":2,"1":3,"2":0,"3":1}}\n'),
+    ([(0, 1), (2, 3)], {0: 2, 1: 3, 2: 0, 3: 1}, "homology-square",
+     '{"detail":"square commutes","status":"pass"}\n'),
+    (_RP2_RP2, _SWAP_RP2_RP2, "is-morphism",
+     f'{{"certificate":{_RP2_RP2_CERTIFICATE},"status":"morphism",'
+     '"witness":null}\n'),
+    (_RP2_RP2, _SWAP_RP2_RP2, "lift",
+     f'{{"isomorphism":{_RP2_RP2_CERTIFICATE},"status":"lifted",'
+     f'"vertex_map":{_RP2_RP2_CERTIFICATE}}}\n'),
+    (_RP2_RP2, _SWAP_RP2_RP2, "homology-square",
+     '{"detail":"square commutes","status":"pass"}\n'),
+], ids=[f"{name}-{command}" for name in ("points", "edges", "rp2-rp2")
+        for command in ("is-morphism", "lift", "homology-square")])
+def test_component_swaps_get_their_certificate(tmp_path, capsys, facets, phi,
+                                               command, stdout):
+    # an ordered complex orders only the vertices within a simplex, so a
+    # swap of components is N(phi) for a map phi that keeps that order,
+    # and every morphism command reports phi
+    cx, mp = _identity_files(tmp_path, facets, phi)
+    assert run(capsys, command, cx, cx, mp) == (0, stdout)
 
 
 def test_homology_square_output_is_pinned(tmp_path, capsys):
@@ -665,19 +708,26 @@ def _run_to_a_result_or_an_input_error(argv):
 
 
 @given(morphism_files(), st.integers(0, 3))
+@example(['{"facets": [[0], [1]]}', '{"facets": [[0], [1]]}',
+          '{"0": [[[1], [0], 1], [[0], [1], 1]]}'], 0)  # the swap of two points
 @settings(max_examples=60, deadline=None)
 def test_morphism_commands_give_a_verdict_or_an_input_error(texts, i_max):
-    # a verdict is one JSON line
+    # a verdict is one JSON line, and a morphism lifts and has its
+    # homology square decided
     with tempfile.TemporaryDirectory() as directory:
         paths = [os.path.join(directory, name)
                  for name in ("source.json", "target.json", "map.json")]
         for path, text in zip(paths, texts):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        codes = []
         for argv in (["is-morphism", *paths], ["lift", *paths],
                      ["homology-square", *paths, "--i-max", str(i_max)]):
             code, lines = _run_to_a_result_or_an_input_error(argv)
             assert code == 2 or len(lines) == 1
+            codes.append(code)
+        if codes[0] == 0:
+            assert codes[1] == 0 and codes[2] in (0, 1)
 
 
 @st.composite

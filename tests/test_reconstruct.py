@@ -220,6 +220,16 @@ def _shifted(X):
     return Y, VertexMap.from_dict(X, Y, {v: 2 * v + 1 for v in X.vertices})
 
 
+def _components(X):
+    """The vertex tuples of the connected components of X."""
+    parts = {v: {v} for v in X.vertices}
+    for a, b in X.simplices_of_dim(1):
+        merged = parts[a] | parts[b]
+        for v in merged:
+            parts[v] = merged
+    return sorted({tuple(sorted(p)) for p in parts.values()})
+
+
 def _add_homotopy(comps, NA, NB, t, u):
     """Add dh + hd, in place, to the components of a map NA -> NB, for the
     homotopy h sending the simplex t to the simplex u one dimension up and
@@ -236,14 +246,23 @@ def _add_homotopy(comps, NA, NB, t, u):
 def maps(draw, complexes,
          changes=("none", "negate", "perturb", "cycle", "homotopy")):
     """(f, X, Y, phi): N(phi) for an order-preserving simplicial vertex map phi
-    (a relabeling, a collapse onto a simplex of X, or a weakly monotone map
-    into a standard simplex), taken as is, negated, with one coefficient
-    perturbed, with a cycle added to the image of a maximal simplex, or plus
-    dh + hd for h sending a simplex t to a coface of its image."""
+    (a relabeling, a relabeling that permutes the components, a collapse
+    onto a simplex of X, or a weakly monotone map into a standard simplex),
+    taken as is, negated, with one coefficient perturbed, with a cycle added
+    to the image of a maximal simplex, or plus dh + hd for h sending a
+    simplex t to a coface of its image."""
     X = draw(complexes)
-    kind = draw(st.sampled_from(["relabel", "collapse", "simplex"]))
+    kind = draw(st.sampled_from(["relabel", "permute", "collapse", "simplex"]))
     if kind == "relabel":
         Y, vm = _shifted(X)
+    elif kind == "permute":
+        # numbered block by block in a drawn order of the components: the
+        # order is kept within every simplex, not on all vertices
+        blocks = draw(st.permutations(_components(X)))
+        new = {v: n for n, v in enumerate(v for b in blocks for v in b)}
+        Y = build_complex([tuple(new[v] for v in s)
+                           for s in X.all_simplices()])
+        vm = VertexMap.from_dict(X, Y, new)
     else:
         if kind == "collapse":
             Y = X
@@ -313,8 +332,11 @@ corpus_complexes = st.one_of(
 @given(maps(corpus_complexes))
 @settings(max_examples=150, deadline=None)
 def test_per_type_decision_agrees_with_the_scan(case):
-    f, X, Y, _ = case
-    assert is_steenrod_morphism(f, X, Y) == oracles.scan_morphism(f, X, Y)
+    f, X, Y, vm = case
+    verdict = is_steenrod_morphism(f, X, Y)
+    assert verdict == oracles.scan_morphism(f, X, Y)
+    if f.comps == induced_components(vm):  # N(phi) is certified by phi
+        assert verdict == MorphismVerdict("morphism", certificate=vm)
 
 
 @given(maps(corpus_complexes))
@@ -365,7 +387,7 @@ def test_per_type_decision_agrees_with_the_scan_on_tampered_tables(
     if kind == "flip":
         table = table.scale(-1)
     elif kind == "drop":
-        table = TensorChain(2, table.degree, table.coeffs[1:])
+        table = TensorChain(table.degree, table.coeffs[1:])
     elif kind == "double":
         table = table.scale(2)
     else:
@@ -375,7 +397,7 @@ def test_per_type_decision_agrees_with_the_scan_on_tampered_tables(
         term = data.draw(st.sampled_from(
             [(a, b) for a in faces for b in faces
              if len(a) + len(b) - 2 == i + k]))
-        table = table + TensorChain.from_dict(2, i + k, {term: 1})
+        table = table + TensorChain.from_dict(i + k, {term: 1})
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(steenrod._TABLES, key, table)
         mp.setattr(steenrod, "_structure_cache", OrderedDict())
@@ -560,7 +582,7 @@ class TestEnumerate:
         # 3-simplex itself: the first failing vertex map's verdict
         from cupi import steenrod
         steenrod.ensure_tables(3)
-        extra = TensorChain.from_dict(2, 4, {((0, 1, 2), (0, 1, 3)): 1})
+        extra = TensorChain.from_dict(4, {((0, 1, 2), (0, 1, 3)): 1})
         monkeypatch.setitem(steenrod._TABLES, (1, 3),
                             steenrod._TABLES[(1, 3)] + extra)
         # structures made before the tampering hold the true entries

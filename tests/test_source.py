@@ -84,3 +84,36 @@ def test_every_definition_is_named_outside_its_own_body():
                and all(p == path and lo <= line <= hi
                        for p, line in uses[name])]
     assert defs and orphans == []
+
+
+def test_chain_is_the_one_combination_type():
+    # one class holds a sparse combination's state, and its subclasses only
+    # add operations: a second combination type cannot come back unseen
+    classes = [node for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ClassDef)]
+
+    def slots(node):
+        """The names in the class's __slots__, or None with no __slots__."""
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign) and any(
+                    getattr(t, "id", None) == "__slots__"
+                    for t in stmt.targets):
+                return {const.value for const in ast.walk(stmt.value)
+                        if isinstance(const, ast.Constant)}
+        return None
+
+    assert [node.name for node in classes
+            if "coeffs" in (slots(node) or ())] == ["Chain"]
+    family, subclasses = {"Chain"}, []
+    for _ in classes:  # every subclass, however deep
+        subclasses = [node for node in classes
+                      if {getattr(b, "id", getattr(b, "attr", None))
+                          for b in node.bases} & family]
+        family |= {node.name for node in subclasses}
+    assert {"TensorChain", "BarElement"} <= family
+    for node in subclasses:
+        assert slots(node) == set(), node.name
+        assert not any(isinstance(stmt, ast.FunctionDef)
+                       and stmt.name == "__init__" for stmt in node.body), \
+            node.name
