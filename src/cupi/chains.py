@@ -363,11 +363,12 @@ class TensorChain(Chain):
             _add_into(out, (b, a), c * sgn)
         return self._with(self.degree, out)
 
-    def map_factors(self, f):
-        """Apply a degree-0 chain map to every factor (no Koszul signs arise)."""
+    def map_factors(self, image):
+        """Apply a degree-0 map, image(s) a dict, to every factor (no Koszul
+        signs arise)."""
         out = {}
         for key, c in self.coeffs:
-            images = [f.apply_label(s) for s in key]
+            images = [image(s) for s in key]
             if any(not im for im in images):
                 continue
             for combo in itertools.product(*[im.items() for im in images]):

@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success / verdict positive, 1 verdict negative, 2 input error.
+Exit codes: 0 success / verdict positive, 1 verdict negative, 2 input error,
+3 internal fault (a RuntimeError: a check of the program's own work failed).
 All reports are canonical JSON on stdout (byte-identical across runs for
 identical inputs and flags).
 """
@@ -86,9 +87,17 @@ def cmd_squares(args):
     return 0
 
 
+def _refusing_on(path, fn, *args):
+    """fn(*args), with its refusals (ValueError) naming the file at path."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_enumerate(args):
     X = cio.load_complex(args.complex)
-    morphisms = enumerate_morphisms(args.n, X)
+    morphisms = _refusing_on(args.complex, enumerate_morphisms, args.n, X)
     out = [{"surjection": list(ms.surjection), "simplex": list(ms.simplex),
             "vertex_map": {str(k): v for k, v in ms.vertex_map.mapping}}
            for ms in morphisms]
@@ -99,7 +108,7 @@ def cmd_enumerate(args):
 def cmd_reconstruct(args):
     X = cio.load_complex(args.complex)
     up_to = args.up_to if args.up_to is not None else X.dim + 2
-    report = verify_reconstruction(X, up_to)
+    report = _refusing_on(args.complex, verify_reconstruction, X, up_to)
     _emit(report.as_json())
     return 0 if report.ok else 1
 
@@ -198,6 +207,9 @@ def main(argv=None):
     except (cio.InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except RuntimeError as exc:  # a fault of the program, not of the input
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

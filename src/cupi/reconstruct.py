@@ -23,7 +23,7 @@ from .chains import (GradedMap, TensorChain, _add_into, _present, _terms,
 from .simplicial import (VertexMap, adjoin, coface, codegeneracy,
                          epi_mono_factor, identity_map, simplicial_maps,
                          standard_simplex)
-from .steenrod import BarElement, eta, higher_diagonal, structure_for
+from .steenrod import eta, higher_diagonal, square_failure, structure_for
 
 
 # Enumeration and reconstruction: the most morphisms one call may
@@ -127,7 +127,7 @@ def is_steenrod_morphism(f, source, target, types=None):
     preservation in degree 0; then the structure square
     (f (x) f) . xi_src = xi_tgt . (1 (x) f) on every pair (e_j, simplex) with
     j + dim(simplex) <= 2 dim(target) (both sides vanish above that range),
-    one simplex at a time in scan order.
+    one simplex at a time in scan order, each by steenrod.square_failure.
 
     The vertex map phi is read off the unit vertex images when it is
     order-preserving and simplicial (_vertex_map_of).  On a simplex s write
@@ -141,7 +141,8 @@ def is_steenrod_morphism(f, source, target, types=None):
     reads f on the faces of s only, and faces come before their simplex in
     scan order, so before s0 the square is N(phi)'s and its type decides
     it, with the pair the scan would report.  From s0 on, and from the
-    first simplex when there is no phi, every pair is formed and compared.
+    first simplex when there is no phi, every square reads f and the
+    entries of both structures.
     types, when given, is a dict from theta to its j (or None) shared by
     calls on the same tables.
 
@@ -151,8 +152,8 @@ def is_steenrod_morphism(f, source, target, types=None):
     """
     S_src = structure_for(source)
     S_tgt = structure_for(target)
-    NA = S_src.chains
-    if f.source.basis != NA.basis or f.target.basis != S_tgt.chains.basis:
+    if (f.source.basis != S_src.chains.basis
+            or f.target.basis != S_tgt.chains.basis):
         raise ValueError("map is not between the chains of the given complexes")
     if f.shift != 0:
         return MorphismVerdict("not_chain_map", witness=f.shift)
@@ -165,25 +166,20 @@ def is_steenrod_morphism(f, source, target, types=None):
     phi = _vertex_map_of(f, source, target)
     m = phi.as_dict() if phi is not None else None
     types = {} if types is None else types
-    bound = 2 * target.dim
     for s in source.all_simplices():
         if phi is not None:
             theta, tau = epi_mono_factor([m[v] for v in s])
             if f.apply_label(s) == ({tau: 1} if len(tau) == len(s) else {}):
                 if theta not in types:
                     types[theta] = _type_failure(theta)
-                if types[theta] is not None:
-                    return MorphismVerdict("not_morphism",
-                                           witness=(types[theta], s))
-                continue
-            phi = None  # s is s0: f leaves N(phi) here
-        k = simplex_degree(s)
-        # for j > k both sides vanish: f keeps degrees, Delta_j is 0 there
-        for j in range(min(k, max(bound - k, 0)) + 1):
-            left = S_src.delta(j, s).map_factors(f)
-            right = S_tgt.xi(BarElement.e(j), f.apply(NA.generator(s)))
-            if left != right:
-                return MorphismVerdict("not_morphism", witness=(j, s))
+                j = types[theta]
+            else:
+                phi = None  # s is s0: f leaves N(phi) here
+        if phi is None:
+            j = square_failure(S_src.delta, S_tgt.delta, f.apply_label, s,
+                               2 * target.dim)
+        if j is not None:
+            return MorphismVerdict("not_morphism", witness=(j, s))
     return MorphismVerdict("morphism", certificate=phi)
 
 
@@ -202,41 +198,20 @@ def _vertex_map_of(f, source, target):
     return vmap
 
 
-class _OnPositions:
-    """N(theta) on the faces of a standard simplex, read as position tuples:
-    a face goes to its image when theta is injective on it, to zero
-    otherwise (the apply_label that map_factors reads)."""
-
-    def __init__(self, theta):
-        self.theta = theta
-
-    def apply_label(self, face):
-        image = tuple([self.theta[p] for p in face])
-        if face and all(a < b for a, b in zip(image, image[1:])):
+def _type_failure(theta):
+    """The first j at which the structure square of N(theta) fails on the
+    top simplex, for a codegeneracy theta: [n] ->> [k], or None.  Both sides
+    read higher_diagonal, as SteenrodStructure.delta does, and N(theta) sends
+    a face of positions to its image when theta is injective on it, to zero
+    otherwise."""
+    def on_positions(face):
+        image = tuple([theta[p] for p in face])
+        if all(a < b for a, b in zip(image, image[1:])):
             return {image: 1}
         return {}
 
-
-def _type_failure(theta):
-    """The first j at which the structure square of N(theta) fails on the
-    top simplex, for a codegeneracy theta: [n] ->> [k], or None.
-
-    Left: Delta_j of the top n-simplex with its factors mapped by theta.
-    Right: Delta_j of the top k-simplex when theta is the identity, zero
-    otherwise.  Both are read from higher_diagonal, as SteenrodStructure.delta
-    reads them.  For j > min(n, max(2k - n, 0)) both sides vanish: every
-    factor of a left term of degree j + n > 2k has dimension above k.
-    """
-    n, k = len(theta) - 1, theta[-1]
-    top = identity_map(n)
-    on_positions = _OnPositions(theta)
-    for j in range(min(n, max(2 * k - n, 0)) + 1):
-        left = higher_diagonal(j, top).map_factors(on_positions)
-        right = (higher_diagonal(j, top) if k == n
-                 else TensorChain(j + n, ()))
-        if left != right:
-            return j
-    return None
+    return square_failure(higher_diagonal, higher_diagonal, on_positions,
+                          identity_map(len(theta) - 1), 2 * theta[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +286,8 @@ def enumerate_morphisms(n, X):
                               source, target, dict(enumerate(theta)))))
             verdict = is_steenrod_morphism(f, source, target, types)
             if not verdict.ok:
-                raise AssertionError(
-                    f"induced map failed verification: {verdict}")
+                raise RuntimeError(
+                    f"internal: induced map failed verification: {verdict}")
             comps = components[theta] = f.comps
         f = GradedMap(NA, NB, 0, {
             s: {tuple([tau[p] for p in t]): c for t, c in image.items()}

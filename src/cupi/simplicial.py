@@ -332,11 +332,6 @@ class VertexMap(namedtuple("VertexMap", "source target mapping")):
     def as_dict(self):
         return dict(self.mapping)
 
-    def apply_simplex(self, simplex):
-        """Image vertex set of a simplex, as a sorted tuple (no repeats)."""
-        m = self.as_dict()
-        return tuple(sorted({m[v] for v in simplex}))
-
     def is_order_preserving(self):
         """phi(a) <= phi(b) on every edge (a, b) of the source.  An ordered
         complex orders only the vertices within each simplex, so vertices

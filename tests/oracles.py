@@ -683,7 +683,7 @@ def scan_morphism(f, source, target):
     for s in source.all_simplices():
         k = len(s) - 1
         for j in range(min(k, max(bound - k, 0)) + 1):
-            left = S_src.delta(j, s).map_factors(f)
+            left = S_src.delta(j, s).map_factors(f.apply_label)
             right = S_tgt.xi(BarElement.e(j), f.apply(NA.generator(s)))
             if left != right:
                 return MorphismVerdict("not_morphism", witness=(j, s))

@@ -228,7 +228,7 @@ def test_criterion_6_lifting(corpus):
             ok = sum(f.apply_label((v,)).values()) != 1
         else:
             j, s = w
-            left = higher_diagonal(j, s).map_factors(f)
+            left = higher_diagonal(j, s).map_factors(f.apply_label)
             right = structure_for(X).xi(
                 BarElement.e(j), f.apply(structure_for(X).chains.generator(s)))
             ok = left != right

@@ -235,6 +235,20 @@ class TestMorphismCommands:
             (0, '{"isomorphism":null,"status":"lifted",'
                 '"vertex_map":{"0":0}}\n')
 
+    def test_internal_fault_exits_3_with_one_line(self, files, capsys,
+                                                  monkeypatch):
+        # a fault of the program is neither a negative verdict (1) nor an
+        # input error (2), and shows no traceback
+        def fault(*args):
+            raise RuntimeError("internal: x")
+
+        monkeypatch.setattr(cli, "lift_morphism", fault)
+        assert main(["lift", files["d1.json"], files["d1.json"],
+                     files["id_d1.json"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: x\n"  # no traceback
+
     def test_homology_square(self, files, capsys):
         code, out = run(capsys, "homology-square", files["d1.json"],
                         files["d1.json"], files["id_d1.json"], "--i-max", "1")
@@ -607,6 +621,8 @@ def test_size_caps_refuse_before_enumerating(files, capsys, monkeypatch, argv,
     assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    # the refusal names the complex file
+    assert captured.err.startswith(f"error: {files[argv[1]]}: ")
     assert message in captured.err
 
 

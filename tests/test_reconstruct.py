@@ -168,7 +168,7 @@ class TestIsSteenrodMorphism:
         # the witness re-checks by direct evaluation; the reversal already
         # breaks the base square (front/back diagonals are order-sensitive)
         S = structure_for(X)
-        left = higher_diagonal(j, s).map_factors(f)
+        left = higher_diagonal(j, s).map_factors(f.apply_label)
         right = S.xi(BarElement.e(j), f.apply(N.generator(s)))
         assert left != right
         assert len(s) == 2
@@ -461,18 +461,20 @@ def test_a_map_off_n_phi_agrees_with_the_scan(projective_spaces, n, where):
 
 def test_squares_are_formed_only_from_where_f_leaves_n_phi(
         monkeypatch, projective_spaces):
-    # the right side of every (e_j, s) square is built from generator(s)
+    # the scan's squares read the structures' entries; the local types
+    # read higher_diagonal
     X = projective_spaces[4]
     f, t = _identity_plus_homotopy(X, "last")
     decided = spy_on_type_decisions(monkeypatch)
     formed = []
-    generator = chains.FreeChainComplex.generator
+    square = reconstruct.square_failure
 
-    def spy(self, label):
-        formed.append(label)
-        return generator(self, label)
+    def spy(delta_src, delta_tgt, image, s, bound):
+        if delta_src is not higher_diagonal:
+            formed.append(s)
+        return square(delta_src, delta_tgt, image, s, bound)
 
-    monkeypatch.setattr(chains.FreeChainComplex, "generator", spy)
+    monkeypatch.setattr(reconstruct, "square_failure", spy)
     assert not is_steenrod_morphism(f, X, X).ok
     position = {s: p for p, s in enumerate(X.all_simplices())}
     assert min(map(position.get, formed)) == position[t]
@@ -587,10 +589,10 @@ class TestEnumerate:
                             steenrod._TABLES[(1, 3)] + extra)
         # structures made before the tampering hold the true entries
         monkeypatch.setattr(steenrod, "_structure_cache", OrderedDict())
-        with pytest.raises(AssertionError) as err:
+        with pytest.raises(RuntimeError) as err:
             enumerate_morphisms(3, standard_simplex(2))
         assert str(err.value) == (
-            "induced map failed verification: MorphismVerdict("
+            "internal: induced map failed verification: MorphismVerdict("
             "status='not_morphism', witness=(1, (0, 1, 2, 3)), "
             "certificate=None)")
 

@@ -117,3 +117,43 @@ def test_chain_is_the_one_combination_type():
         assert not any(isinstance(stmt, ast.FunctionDef)
                        and stmt.name == "__init__" for stmt in node.body), \
             node.name
+
+
+def test_the_structure_square_is_formed_in_one_function():
+    # (f (x) f) . Delta_j = xi(e_j (x) f) has one copy: the scan, the local
+    # types and naturality all decide it by steenrod.square_failure
+    sites = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and \
+                    getattr(child.func, "attr", None) == "map_factors":
+                sites.append((path.name, scope))
+            visit(child, path, child.name
+                  if isinstance(child, ast.FunctionDef) else scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, None)
+    assert sites == [("steenrod.py", "square_failure")]
+
+
+def test_every_import_is_used():
+    # a name imported at the top of a module and never read there is left
+    # over from a refactor
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unused == []
