@@ -21,8 +21,8 @@ from .chains import (GradedMap, TensorChain, _add_into, _present, _terms,
                      chain_map_from_vertex_map, HomologyClasses,
                      induced_components, simplex_degree, unnormalized_chains)
 from .simplicial import (VertexMap, adjoin, coface, codegeneracy,
-                         epi_mono_factor, identity_map, simplicial_maps,
-                         standard_simplex)
+                         epi_mono_factor, identity_map, standard_simplex,
+                         surjections)
 from .steenrod import eta, higher_diagonal, square_failure, structure_for
 
 
@@ -237,8 +237,7 @@ class MorphismSimplex(namedtuple("MorphismSimplex",
 def image_pair(vmap, pair):
     """vmap applied to a (surjection, simplex) pair: the vertices
     simplex[surjection[t]], mapped by vmap and epi-mono factored into the
-    (surjection, simplex) pair of the image.  On the pair (identity,
-    identity) of the standard n-simplex it classifies vmap itself."""
+    (surjection, simplex) pair of the image."""
     m = vmap.as_dict()
     theta, tau = pair
     return epi_mono_factor(tuple(m[tau[t]] for t in theta))
@@ -247,40 +246,35 @@ def image_pair(vmap, pair):
 def enumerate_morphisms(n, X):
     """All diagonal-structure morphisms N(standard n-simplex) -> N(X).
 
-    Induce graded maps from the weakly order-preserving vertex maps
-    whose image spans a simplex (non-injective ones collapse simplices to
-    zero).  Each such map factors as a codegeneracy theta of the n-simplex
-    onto the k-simplex followed by the inclusion of a k-simplex tau of X
-    (image_pair), and the full decision procedure, chain-map law included,
-    runs once per theta, on N(theta) into the standard k-simplex, with one
-    memo of local types for the whole call, so each face type of the
-    n-simplex is decided once.  N(tau . theta) is then N(theta)'s
-    components relabeled by tau, with no second check.  That is sound:
-    Delta_j(t) is the universal table relabeled by t on both structures, and
-    relabeling by tau is injective and commutes with map_factors, the
-    boundary and the augmentation, so each square, the chain law and the
-    augmentation of N(tau . theta) are those of N(theta) relabeled by tau.
-    The bound 2 dim X in place of 2k only adds pairs whose two sides are
-    zero, being of degree above 2k.  Each theta is checked where
-    simplicial_maps first yields it, so a failing theta raises at the first
-    failing vertex map, with that map's verdict: the witness lies on the
-    same source.  Inputs above the output caps are refused before any work.
+    Each one is N(tau . theta) for one pair of a codegeneracy theta of the
+    n-simplex onto the k-simplex and a k-simplex tau of X, k <= dim X, and
+    the walk visits these pairs directly.  The full decision procedure,
+    chain-map law included, runs once per theta, on N(theta) into the
+    standard k-simplex, with one memo of local types for the whole call, so
+    each face type of the n-simplex is decided once.  N(tau . theta) is
+    then N(theta)'s components relabeled by tau, with no second check, and
+    its vertex map is p -> tau[theta[p]].  That is sound: Delta_j(t) is the
+    universal table relabeled by t on both structures, and relabeling by
+    tau is injective and commutes with map_factors, the boundary and the
+    augmentation, so each square, the chain law and the augmentation of
+    N(tau . theta) are those of N(theta) relabeled by tau.  The bound
+    2 dim X in place of 2k only adds pairs whose two sides are zero, being
+    of degree above 2k.  The thetas are decided in surjections order within
+    each k, so a failing theta raises with its own verdict: the witness lies
+    on the same source.  Inputs above the output caps are refused before
+    any work.
     """
     _refuse_oversized_output(X, (n,))
     if not X.simplices:
         return []
     source = standard_simplex(n)
-    ident = identity_map(n)
     NA = structure_for(source).chains
     NB = structure_for(X).chains
-    types = {}       # local type -> its first failing j, for every theta
-    components = {}  # theta -> the verified components of N(theta)
+    types = {}  # local type -> its first failing j, for every theta
     out = []
-    for vmap in simplicial_maps(n, X):
-        theta, tau = image_pair(vmap, (ident, ident))
-        comps = components.get(theta)
-        if comps is None:
-            target = standard_simplex(len(tau) - 1)
+    for k in range(min(n, X.dim) + 1):
+        target = standard_simplex(k)
+        for theta in surjections(n, k):
             f = GradedMap(NA, structure_for(target).chains, 0,
                           induced_components(VertexMap.from_dict(
                               source, target, dict(enumerate(theta)))))
@@ -288,11 +282,14 @@ def enumerate_morphisms(n, X):
             if not verdict.ok:
                 raise RuntimeError(
                     f"internal: induced map failed verification: {verdict}")
-            comps = components[theta] = f.comps
-        f = GradedMap(NA, NB, 0, {
-            s: {tuple([tau[p] for p in t]): c for t, c in image.items()}
-            for s, image in comps.items()})
-        out.append(MorphismSimplex(f, vmap, theta, tau))
+            for tau in X.simplices_of_dim(k):
+                g = GradedMap(NA, NB, 0, {
+                    s: {tuple([tau[p] for p in t]): c
+                        for t, c in image.items()}
+                    for s, image in f.comps.items()})
+                vmap = VertexMap.from_dict(
+                    source, X, {p: tau[v] for p, v in enumerate(theta)})
+                out.append(MorphismSimplex(g, vmap, theta, tau))
     out.sort(key=lambda ms: (ms.simplex, ms.surjection))
     return out
 

@@ -316,7 +316,7 @@ def core_comparison_is_iso(sset, up_to):
 
 
 # ---------------------------------------------------------------------------
-# vertex maps and the simplicial map count
+# vertex maps
 # ---------------------------------------------------------------------------
 
 class VertexMap(namedtuple("VertexMap", "source target mapping")):
@@ -345,18 +345,3 @@ class VertexMap(namedtuple("VertexMap", "source target mapping")):
         return all(self.target.has_simplex(tuple(sorted({m[v] for v in s})))
                    for s in self.source.all_simplices())
 
-
-def simplicial_maps(n, X):
-    """All weakly order-preserving maps {0..n} -> vertices(X) whose image
-    spans a simplex, as VertexMaps from the standard n-simplex.
-
-    These are in bijection with the dimension-n simplices of adjoin(X).
-    """
-    source = standard_simplex(n)
-    out = []
-    for k in range(min(n, X.dim) + 1):
-        for tau in X.simplices_of_dim(k):
-            for theta in surjections(n, k):
-                mapping = {i: tau[theta[i]] for i in range(n + 1)}
-                out.append(VertexMap.from_dict(source, X, mapping))
-    return out

@@ -106,10 +106,11 @@ def bar_augmentation(b):
 # mask pairs to coefficients.  Only the finished level is written back to
 # _TABLES, as sorted TensorChains.
 
-def _aw_table(k):
-    top = tuple(range(k + 1))
-    return TensorChain(k, _terms({(top[:p + 1], top[p:]): 1
-                                  for p in range(k + 1)}))
+def aw_diagonal(simplex):
+    """Alexander-Whitney diagonal: sum of front (x) back faces."""
+    k = simplex_degree(simplex)
+    out = {(simplex[:p + 1], simplex[p:]): 1 for p in range(k + 1)}
+    return TensorChain.from_dict(k, out)
 
 
 # _TABLES only grows: ensure_tables adds whole levels, and a built level is
@@ -117,7 +118,7 @@ def _aw_table(k):
 # transport a read of _TABLES now would give, which makes C5 hold by
 # construction.  Code that changes _TABLES (tests tamper with it) must read
 # fresh structures afterwards.
-_TABLES = {(0, 0): _aw_table(0)}
+_TABLES = {(0, 0): aw_diagonal((0,))}
 _LEVEL_BUILT = 0
 
 
@@ -202,7 +203,7 @@ def _build_level(k):
     side that is not a cycle is named first."""
     top = (1 << (k + 1)) - 1
     lower = [_masks(_TABLES[(i, k - 1)]) for i in range(k)]
-    level = [_masks(_aw_table(k))]
+    level = [_masks(aw_diagonal(tuple(range(k + 1))))]
     for i in range(1, k + 1):
         R = first = _mask_rhs(level, lower, i, k)
         D = _mask_contract(R)
@@ -241,13 +242,6 @@ def ensure_tables(k):
 # ---------------------------------------------------------------------------
 # diagonals on concrete simplices
 # ---------------------------------------------------------------------------
-
-def aw_diagonal(simplex):
-    """Alexander-Whitney diagonal: sum of front (x) back faces."""
-    k = simplex_degree(simplex)
-    out = {(simplex[:p + 1], simplex[p:]): 1 for p in range(k + 1)}
-    return TensorChain.from_dict(k, out)
-
 
 def higher_diagonal(i, simplex):
     """Delta_i(simplex) = xi(e_i (x) simplex); zero when i exceeds the
@@ -378,7 +372,7 @@ def verify_structure(S):
     level = None
     for k in range(X.dim + 1):
         top = (1 << (k + 1)) - 1
-        lower, level = level, [_masks(_aw_table(k))] + [
+        lower, level = level, [_masks(aw_diagonal(tuple(range(k + 1))))] + [
             _masks(_TABLES[(i, k)]) for i in range(1, min(k, S.max_i) + 1)]
         if k <= S.max_i and level[k] != {(top, top): eta(k)}:
             return _fail("C4", k, X.simplices[k][0])
@@ -474,13 +468,12 @@ class Mod2Cohomology:
     def __init__(self, X):
         self.X = X
         self.simplices = {j: list(X.simplices_of_dim(j)) for j in range(X.dim + 1)}
-        self._unit_cob = {}    # coboundaries of the unit cochains of degree j
         self._echelon = {}
         self._reps = {}        # H^j representatives (bitmasks)
         image = _Echelon()     # the coboundary image in degree j
         for j in range(X.dim + 1):
             index = {s: i for i, s in enumerate(self.simplices[j])}
-            units = self._unit_cob[j] = [0] * len(index)
+            units = [0] * len(index)  # coboundaries of the unit cochains
             for i, s in enumerate(self.simplices.get(j + 1, ())):
                 for p in range(len(s)):
                     units[index[s[:p] + s[p + 1:]]] ^= 1 << i
@@ -503,14 +496,6 @@ class Mod2Cohomology:
             self._reps[j] = reps
             image = _Echelon((row, 0) for row, _ in solver.rows())
 
-    def _coboundary(self, u, j):
-        """delta: C^j -> C^(j+1), (delta u)(s) = sum u(d_i s)."""
-        out = 0
-        for i, img in enumerate(self._unit_cob.get(j, ())):
-            if u >> i & 1:
-                out ^= img
-        return out
-
     def betti(self, j):
         return len(self._reps.get(j, []))
 
@@ -518,12 +503,12 @@ class Mod2Cohomology:
         return list(self._reps.get(j, []))
 
     def class_coords(self, u, j):
-        """Coordinates of the class [u] in the chosen H^j basis."""
-        if self._coboundary(u, j):
-            raise ValueError("cochain is not a cocycle")
+        """Coordinates of the class [u] in the chosen H^j basis.  The
+        echelon of degree j spans the cocycles Z^j, so u reduces to zero
+        exactly when it is a cocycle."""
         vec, tag = self._echelon[j].reduce(u)
         if vec:
-            raise ValueError("cocycle not reducible to the chosen basis")
+            raise ValueError("cochain is not a cocycle")
         return tuple((tag >> r) & 1 for r in range(len(self._reps[j])))
 
     def cochain_from_bits(self, u, j):

@@ -22,6 +22,8 @@
 - the integral cup-i tables built with TensorChain algebra on vertex
   tuples, against the package's build on position bitmasks;
 - the textbook front/back cochain cup product for the Sq^1 cross-check;
+- the GF(2) coboundary by the face rule, simplex by simplex, which
+  perturbs cocycle representatives without Mod2Cohomology;
 - the row-scanning GF(2) echelon and the cup-i product read simplex by
   simplex through SteenrodStructure.delta, against the pivot-indexed
   echelon and the positional evaluation of steenrod_square_matrix;
@@ -47,10 +49,9 @@ from cupi import steenrod
 from cupi.chains import (Chain, FreeChainComplex, GradedMap, HomologyGroup,
                          TensorChain, _add_into, _present, induced_components,
                          kernel_basis)
-from cupi.reconstruct import (MorphismSimplex, MorphismVerdict, image_pair,
+from cupi.reconstruct import (MorphismSimplex, MorphismVerdict,
                               is_steenrod_morphism)
-from cupi.simplicial import (VertexMap, epi_mono_factor, identity_map,
-                             standard_simplex)
+from cupi.simplicial import VertexMap, epi_mono_factor, standard_simplex
 from cupi.steenrod import BarElement, aw_diagonal, eta, higher_diagonal
 
 
@@ -495,6 +496,18 @@ def direct_cup_square(X, u_edges):
     return out
 
 
+def mod2_coboundary(X, u, j):
+    """delta u for a GF(2) j-cochain u, a bitmask over X.simplices_of_dim(j),
+    by the face rule (delta u)(s) = sum over i of u(d_i s), read simplex by
+    simplex: a bitmask over X.simplices_of_dim(j + 1)."""
+    cochain = {s for i, s in enumerate(X.simplices_of_dim(j)) if u >> i & 1}
+    out = 0
+    for n, s in enumerate(X.simplices_of_dim(j + 1)):
+        if sum(s[:i] + s[i + 1:] in cochain for i in range(len(s))) % 2:
+            out |= 1 << n
+    return out
+
+
 def mod2_cocycle_in_coboundaries(X, two_cochain):
     """Is a 2-cochain a coboundary?  Fraction-free GF(2) elimination over the
     edge-to-triangle incidence."""
@@ -726,7 +739,6 @@ def brute_morphisms(n, X):
     if len(X.vertices) > BRUTE_MAX_TARGET_VERTICES:
         raise ValueError(f"target has {len(X.vertices)} vertices")
     source = standard_simplex(n)
-    ident = identity_map(n)
     NA = steenrod.structure_for(source).chains
     NB = steenrod.structure_for(X).chains
     S_tgt = steenrod.structure_for(X)
@@ -785,8 +797,8 @@ def brute_morphisms(n, X):
                 if key not in seen:
                     seen.add(key)
                     vm = verdict.certificate
-                    pair = (None, None) if vm is None else \
-                        image_pair(vm, (ident, ident))
+                    pair = (None, None) if vm is None else epi_mono_factor(
+                        [vm.as_dict()[p] for p in range(n + 1)])
                     results.append(MorphismSimplex(f, vm, *pair))
             return
         if d == 0:

@@ -617,7 +617,7 @@ def test_size_caps_refuse_before_enumerating(files, capsys, monkeypatch, argv,
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(reconstruct, "standard_simplex", started)
-    monkeypatch.setattr(reconstruct, "simplicial_maps", started)
+    monkeypatch.setattr(reconstruct, "surjections", started)
     assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cupi.simplicial import (DeltaComplex, InvalidComplexError, VertexMap,
                              adjoin, build_complex, codegeneracy, coface,
                              core_comparison_is_iso, core_of, identity_map,
-                             simplicial_maps, standard_simplex, surjections)
+                             standard_simplex, surjections)
 
 import oracles
 from conftest import RP2_FACETS, circle, rp2
@@ -297,27 +297,3 @@ class TestUnitCounit:
                 assert v not in seen
                 seen.add(v)
 
-
-class TestSimplicialMaps:
-    def test_point(self):
-        assert len(simplicial_maps(0, standard_simplex(0))) == 1
-
-    def test_interval(self):
-        assert len(simplicial_maps(1, standard_simplex(1))) == 3
-
-    def test_circle_dim2(self):
-        maps = simplicial_maps(2, circle())
-        assert len(maps) == 9
-
-    def test_against_direct_enumeration(self, corpus):
-        for X in corpus.values():
-            for n in range(3):
-                got = {tuple(vm.as_dict()[i] for i in range(n + 1))
-                       for vm in simplicial_maps(n, X)}
-                want = set(oracles.monotone_spanning_maps(n, X))
-                assert got == want
-
-    def test_maps_are_simplicial_and_monotone(self):
-        for vm in simplicial_maps(2, rp2()):
-            assert vm.is_order_preserving()
-            assert vm.is_simplicial()

@@ -550,7 +550,7 @@ class TestSteenrodSquares:
             pert = 0
             for i in range(len(coh.simplices[0])):
                 if rng.random() < 0.5:
-                    pert ^= coh._coboundary(1 << i, 0)
+                    pert ^= oracles.mod2_coboundary(X, 1 << i, 0)
             u = coh.cochain_from_bits(rep ^ pert, 1)
             out = 0
             for idx, s in enumerate(coh.simplices[2]):
@@ -560,6 +560,14 @@ class TestSteenrodSquares:
             if base is None:
                 base = coords
             assert coords == base
+
+    def test_class_coords_refuses_a_non_cocycle(self):
+        # the unit cochain of an edge of RP^2 is no cocycle: the edge lies
+        # on two triangles
+        X = rp2()
+        assert oracles.mod2_coboundary(X, 1, 1)
+        with pytest.raises(ValueError, match="^cochain is not a cocycle$"):
+            Mod2Cohomology(X).class_coords(1, 1)
 
     def test_mod2_betti_of_rp2(self):
         coh = Mod2Cohomology(rp2())
@@ -687,7 +695,8 @@ def test_mod2_cohomology_against_integral_oracle(facets, rng):
             unit = tuple(int(c == r) for c in range(len(reps)))
             assert coh.class_coords(rep, j) == unit
             c = rng.getrandbits(n_below) if n_below else 0
-            assert coh.class_coords(rep ^ coh._coboundary(c, j - 1), j) == unit
+            cob = oracles.mod2_coboundary(X, c, j - 1)
+            assert coh.class_coords(rep ^ cob, j) == unit
 
 
 def test_structure_cache_is_a_bounded_lru():
