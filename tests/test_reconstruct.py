@@ -501,22 +501,6 @@ class TestEnumerate:
                            for k in range(X.dim + 1))
                 assert got == want
 
-    def test_vertex_maps_against_direct_enumeration(self, corpus):
-        # one morphism per weakly monotone vertex tuple spanning a simplex,
-        # with that tuple as its vertex map
-        for X in corpus.values():
-            for n in range(3):
-                found = enumerate_morphisms(n, X)
-                got = [tuple(ms.vertex_map.as_dict()[p] for p in range(n + 1))
-                       for ms in found]
-                assert sorted(got) == oracles.monotone_spanning_maps(n, X)
-                for ms in found:
-                    assert ms.vertex_map.is_order_preserving()
-                    assert ms.vertex_map.is_simplicial()
-        for n, X, count in ((0, standard_simplex(0), 1),
-                            (1, standard_simplex(1), 3), (2, circle(), 9)):
-            assert len(enumerate_morphisms(n, X)) == count
-
     def test_each_codegeneracy_is_decided_once(self, monkeypatch, corpus):
         # one decision per theta: [n] ->> [k], k <= min(n, dim X), in
         # order of k, however many k-simplices X has

@@ -11,6 +11,8 @@ from cupi.simplicial import (DeltaComplex, InvalidComplexError, VertexMap,
                              core_comparison_is_iso, core_of, identity_map,
                              standard_simplex, surjections)
 
+from cupi.reconstruct import enumerate_morphisms
+
 import oracles
 from conftest import RP2_FACETS, circle, rp2
 
@@ -297,3 +299,33 @@ class TestUnitCounit:
                 assert v not in seen
                 seen.add(v)
 
+
+
+def _vertex_maps(n, X):
+    """The vertex maps of the morphisms N(standard n-simplex) -> N(X)."""
+    return [ms.vertex_map for ms in enumerate_morphisms(n, X)]
+
+
+class TestSimplicialMaps:
+    def test_point(self):
+        assert len(_vertex_maps(0, standard_simplex(0))) == 1
+
+    def test_interval(self):
+        assert len(_vertex_maps(1, standard_simplex(1))) == 3
+
+    def test_circle_dim2(self):
+        assert len(_vertex_maps(2, circle())) == 9
+
+    def test_against_direct_enumeration(self, corpus):
+        # one morphism per weakly monotone vertex tuple spanning a simplex,
+        # with that tuple as its vertex map
+        for X in corpus.values():
+            for n in range(3):
+                got = [tuple(vm.as_dict()[p] for p in range(n + 1))
+                       for vm in _vertex_maps(n, X)]
+                assert sorted(got) == oracles.monotone_spanning_maps(n, X)
+
+    def test_maps_are_simplicial_and_monotone(self):
+        for vm in _vertex_maps(2, rp2()):
+            assert vm.is_order_preserving()
+            assert vm.is_simplicial()
