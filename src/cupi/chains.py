@@ -260,6 +260,21 @@ class GradedMap:
         return cls(C, C, 0, {lb: {lb: 1} for lb in C.degree_of})
 
 
+class RelabeledMap(GradedMap):
+    """base followed by the injective vertex relabeling t -> tau . t of its
+    target's simplices, into target; its components are formed when read."""
+
+    def __init__(self, base, tau, target):
+        self.source, self.target, self.shift = base.source, target, base.shift
+        self.base, self.tau = base, tau
+
+    @cached_property
+    def comps(self):
+        tau = self.tau
+        return {s: {tuple([tau[p] for p in t]): c for t, c in image.items()}
+                for s, image in self.base.comps.items()}
+
+
 # ---------------------------------------------------------------------------
 # chain functors
 # ---------------------------------------------------------------------------

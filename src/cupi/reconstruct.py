@@ -17,9 +17,10 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .chains import (GradedMap, TensorChain, _add_into, _present, _terms,
-                     chain_map_from_vertex_map, HomologyClasses,
-                     induced_components, simplex_degree, unnormalized_chains)
+from .chains import (GradedMap, RelabeledMap, TensorChain, _add_into,
+                     _present, _terms, chain_map_from_vertex_map,
+                     HomologyClasses, induced_components, simplex_degree,
+                     unnormalized_chains)
 from .simplicial import (VertexMap, adjoin, coface, codegeneracy,
                          epi_mono_factor, identity_map, standard_simplex,
                          surjections)
@@ -30,10 +31,10 @@ from .steenrod import eta, higher_diagonal, square_failure, structure_for
 # produce.  The largest benchmark command, reconstruct on sd^1 RP^2 through
 # dimension 3, produces 904.
 GUIDED_MAX_MORPHISMS = 20_000
-# ... and the most (morphism, face of the n-simplex) pairs it may walk:
-# building a morphism relabels the components of its codegeneracy's chain
-# map, at most one per face.  The largest benchmark command, enumerate on
-# sd^1 RP^2 at n = 4, walks 23 281.
+# ... and the most (morphism, face of the n-simplex) pairs: reading a
+# morphism's chain map relabels its codegeneracy's components, at most one
+# per face, though enumeration and reconstruction read none.  The largest
+# benchmark command, enumerate on sd^1 RP^2 at n = 4, has 23 281.
 GUIDED_MAX_FACE_CHECKS = 50_000
 
 
@@ -42,7 +43,7 @@ def _refuse_oversized_output(X, dims):
     n in dims, one per n-simplex of the degeneracy completion of X
     (sum over k of C(n, k) f_k), are more than GUIDED_MAX_MORPHISMS, or
     when those morphisms times the 2^(n+1) - 1 faces of the n-simplex (a
-    bound on the components of N(theta) that building each one's chain map
+    bound on the components of N(theta) that reading each one's chain map
     relabels) are more than GUIDED_MAX_FACE_CHECKS.  Each n is charged at
     least one morphism, so the scan ends within GUIDED_MAX_MORPHISMS + 1
     values of n also on the empty complex.  The exponent is bounded: past
@@ -221,8 +222,9 @@ def _type_failure(theta):
 class MorphismSimplex(namedtuple("MorphismSimplex",
                                  "chain_map vertex_map surjection simplex")):
     """A verified morphism out of simplex chains, with its classification:
-    surjection is the order-preserving surjection onto simplex, the image
-    simplex of the target."""
+    surjection is the order-preserving surjection theta onto simplex tau,
+    the image simplex of the target.  chain_map is theta's verified N(theta)
+    relabeled by tau, a RelabeledMap formed when first read."""
 
     __slots__ = ()
 
@@ -248,28 +250,23 @@ def enumerate_morphisms(n, X):
 
     Each one is N(tau . theta) for one pair of a codegeneracy theta of the
     n-simplex onto the k-simplex and a k-simplex tau of X, k <= dim X, and
-    the walk visits these pairs directly.  The full decision procedure,
-    chain-map law included, runs once per theta, on N(theta) into the
-    standard k-simplex, with one memo of local types for the whole call, so
-    each face type of the n-simplex is decided once.  N(tau . theta) is
-    then N(theta)'s components relabeled by tau, with no second check, and
-    its vertex map is p -> tau[theta[p]].  That is sound: Delta_j(t) is the
-    universal table relabeled by t on both structures, and relabeling by
-    tau is injective and commutes with map_factors, the boundary and the
-    augmentation, so each square, the chain law and the augmentation of
-    N(tau . theta) are those of N(theta) relabeled by tau.  The bound
-    2 dim X in place of 2k only adds pairs whose two sides are zero, being
-    of degree above 2k.  The thetas are decided in surjections order within
-    each k, so a failing theta raises with its own verdict: the witness lies
-    on the same source.  Inputs above the output caps are refused before
-    any work.
+    the walk visits these pairs directly.  The full decision procedure runs
+    once per theta, on N(theta) into the standard k-simplex, with one memo
+    of local types for the whole call.  N(tau . theta) is then N(theta)
+    relabeled by tau, with no second check and no component formed until
+    read, and its vertex map is p -> tau[theta[p]].  That is sound:
+    Delta_j(t) is the universal table relabeled by t on both structures,
+    and relabeling by tau is injective and commutes with map_factors, the
+    boundary and the augmentation.  The bound 2 dim X in place of 2k only
+    adds pairs whose two sides are zero.  The thetas are decided in
+    surjections order within each k, so a failing theta raises with its
+    own verdict.  Inputs above the output caps are refused before any work.
     """
     _refuse_oversized_output(X, (n,))
     if not X.simplices:
         return []
     source = standard_simplex(n)
-    NA = structure_for(source).chains
-    NB = structure_for(X).chains
+    NA, NB = structure_for(source).chains, structure_for(X).chains
     types = {}  # local type -> its first failing j, for every theta
     out = []
     for k in range(min(n, X.dim) + 1):
@@ -283,13 +280,10 @@ def enumerate_morphisms(n, X):
                 raise RuntimeError(
                     f"internal: induced map failed verification: {verdict}")
             for tau in X.simplices_of_dim(k):
-                g = GradedMap(NA, NB, 0, {
-                    s: {tuple([tau[p] for p in t]): c
-                        for t, c in image.items()}
-                    for s, image in f.comps.items()})
                 vmap = VertexMap.from_dict(
                     source, X, {p: tau[v] for p, v in enumerate(theta)})
-                out.append(MorphismSimplex(g, vmap, theta, tau))
+                out.append(MorphismSimplex(RelabeledMap(f, tau, NB), vmap,
+                                           theta, tau))
     out.sort(key=lambda ms: (ms.simplex, ms.surjection))
     return out
 
@@ -302,10 +296,17 @@ class ShomSimplicialSet:
     """The simplicial set whose n-simplices are the verified morphisms out
     of n-simplex chains, with faces and degeneracies by precomposition.
 
-    Materialized through dimension up_to; every operator call composes chain
-    maps and returns the stored simplex with the composite's classification
-    (None when the composite is not that stored morphism), so simplicial
-    identities are checkable directly.
+    Materialized through dimension up_to.  An operator returns the stored
+    simplex equal to the composite, or None, so simplicial identities are
+    checkable directly.  Write theta . delta = iota . theta' (epi-mono).
+    Relabeling by the injective tau is injective on chains and commutes
+    with precomposition, so (tau . N(theta)) . N(delta) is
+    (tau . iota) . N(theta') exactly when iota . N(theta') =
+    N(theta) . N(delta) on the standard k-simplex.  That square is decided
+    once per (theta, delta); per morphism simplex only the lookup of the
+    pair (theta', tau . iota) is left, and the check that its chain map and
+    the stored one are tau-relabelings of their codegeneracy's verified
+    N(theta).  Any other chain map fails the square.
     """
 
     def __init__(self, X, up_to):
@@ -316,24 +317,46 @@ class ShomSimplicialSet:
                        for n in range(up_to + 1)}
         self._by_pair = {n: {ms.pair: ms for ms in level}
                          for n, level in self.levels.items()}
+        self._verified = {ms.surjection: ms.chain_map.base  # N(theta)
+                          for level in self.levels.values() for ms in level}
         self._operators = {}  # (n, coface/codegeneracy values) -> chain map
+        self._squares = {}  # (theta, values) -> (theta', iota), or None
 
     def simplices_of_dim(self, n):
         return self.levels[n]
 
-    def _precompose(self, ms, values, dim):
-        """The stored dim-simplex equal to ms precomposed with the chain map
-        of the monotone map `values`, or None if the composite is not it."""
-        n = len(ms.surjection) - 1
+    def _relabels(self, f, pair):
+        return (isinstance(f, RelabeledMap) and f.tau == pair[1]
+                and f.base is self._verified.get(pair[0]))
+
+    def _square(self, theta, values, dim):
+        n = len(theta) - 1
         if (n, values) not in self._operators:
             small, big = standard_simplex(dim), standard_simplex(n)
             vm = VertexMap.from_dict(small, big, dict(enumerate(values)))
             self._operators[(n, values)] = chain_map_from_vertex_map(
                 vm, structure_for(small).chains, structure_for(big).chains)
-        stored = self._by_pair[dim].get(
-            image_pair(ms.vertex_map, (values, identity_map(n))))
-        if stored is None or not stored.chain_map.equals_composite(
-                ms.chain_map, self._operators[(n, values)]):
+        theta2, iota = epi_mono_factor([theta[v] for v in values])
+        f, g = self._verified[theta], self._verified.get(theta2)
+        if g is None or not RelabeledMap(g, iota, f.target).equals_composite(
+                f, self._operators[(n, values)]):
+            return None
+        return theta2, iota
+
+    def _precompose(self, ms, values, dim):
+        """The stored dim-simplex equal to ms precomposed with the chain map
+        of the monotone map `values`, or None if the composite is not it."""
+        if not self._relabels(ms.chain_map, ms.pair):
+            return None
+        theta, tau = ms.pair
+        if (theta, values) not in self._squares:
+            self._squares[theta, values] = self._square(theta, values, dim)
+        square = self._squares[theta, values]
+        if square is None:
+            return None
+        pair = (square[0], tuple([tau[t] for t in square[1]]))
+        stored = self._by_pair[dim].get(pair)
+        if stored is None or not self._relabels(stored.chain_map, pair):
             return None
         return stored
 
@@ -363,7 +386,9 @@ def verify_reconstruction(X, up_to):
     Both sides are enumerated independently (morphism search vs surjection
     combinatorics); the bijection must commute with every face and
     degeneracy operator, and the canonical inclusion of X must land exactly
-    on the nondegenerate simplices.
+    on the nondegenerate simplices.  Each operator square is decided once
+    per (codegeneracy, operator) on the standard simplex and read on every
+    morphism simplex by relabeling (ShomSimplicialSet).
     """
     shom = ShomSimplicialSet(X, up_to)
     levels = shom.levels

@@ -38,7 +38,13 @@
 - brute search over every chain map N(standard n-simplex) -> N(X) with
   coefficients in [-2, 2], filtered through is_steenrod_morphism, against
   the guided enumerate_morphisms, which takes the rigidity result (every
-  morphism out of simplex chains is induced by a vertex map) for granted.
+  morphism out of simplex chains is induced by a vertex map) for granted;
+- Steenrod's closed-form cup-i coproduct, mod 2, against the squares of
+  the pinned tables;
+- each face and degeneracy of the reconstruction decided by forming the
+  composite on its own morphism simplex, against ShomSimplicialSet, which
+  decides each (codegeneracy, operator) square once on the standard
+  simplex and relabels it.
 """
 
 import itertools
@@ -47,9 +53,10 @@ from unittest import mock
 
 from cupi import steenrod
 from cupi.chains import (Chain, FreeChainComplex, GradedMap, HomologyGroup,
-                         TensorChain, _add_into, _present, induced_components,
+                         TensorChain, _add_into, _present,
+                         chain_map_from_vertex_map, induced_components,
                          kernel_basis)
-from cupi.reconstruct import (MorphismSimplex, MorphismVerdict,
+from cupi.reconstruct import (MorphismSimplex, MorphismVerdict, image_pair,
                               is_steenrod_morphism)
 from cupi.simplicial import VertexMap, epi_mono_factor, standard_simplex
 from cupi.steenrod import BarElement, aw_diagonal, eta, higher_diagonal
@@ -574,13 +581,33 @@ def cup_product_value(struct, m, u_set, v_set, simplex, p, q):
     return total
 
 
-def scan_squares(X, i):
+class ClosedFormDiagonal:
+    """Steenrod's closed-form cup-i coproduct, mod 2, read as a structure's
+    delta(i, s): over U in {0..n} with |U| = n - i, the pair
+    (d_(U^1) s, d_(U^0) s), where d_V s drops the vertices at the positions
+    in V, U^0 holds the u_j = j (mod 2), j counted from 0 in increasing
+    order, and U^1 = U minus U^0 (Medina-Mardones, "New formulas for cup-i
+    products and fast computation of Steenrod squares").  The pair names
+    the positions it drops, so no two U share one.  Mod 2 it gives the
+    squares of the pinned tables; over Z it is not those tables."""
+
+    def delta(self, i, s):
+        n, pairs = len(s) - 1, {}
+        for U in itertools.combinations(range(n + 1), n - i) if i <= n else ():
+            parts = [{u for j, u in enumerate(U) if (u - j) % 2 == e}
+                     for e in (1, 0)]
+            pairs[tuple(tuple(v for p, v in enumerate(s) if p not in V)
+                        for V in parts)] = 1
+        return TensorChain.from_dict(n + i, pairs)
+
+
+def scan_squares(X, i, struct=None):
     """steenrod_squares(X, i) by the slow path: Mod2Cohomology on the
     scanning echelon, and u cup_(j-i) u summed simplex by simplex over the
-    entries of a fresh SteenrodStructure."""
+    entries of struct, by default a fresh SteenrodStructure."""
     with mock.patch.object(steenrod, "_Echelon", ScanEchelon):
         coh = steenrod.Mod2Cohomology(X)
-    struct = steenrod.SteenrodStructure(X)
+    struct = struct or steenrod.SteenrodStructure(X)
     out = {}
     for j in range(X.dim + 1):
         source = coh.representatives(j)
@@ -831,3 +858,27 @@ def brute_morphisms(n, X):
     results.sort(key=lambda ms: (ms.simplex is None, ms.simplex or (),
                                  ms.surjection or ()))
     return results
+
+
+# ---------------------------------------------------------------------------
+# faces and degeneracies of the reconstruction, one composite per simplex
+# ---------------------------------------------------------------------------
+
+def precompose_by_composite(shom, ms, values, dim, operators):
+    """The stored dim-simplex of shom equal to ms precomposed with N(values),
+    found by the image pair of ms's vertex map and compared by forming
+    stored = ms . N(values) on this morphism simplex, or None.  operators,
+    the caller's dict, keeps each N(values) by (n, values)."""
+    n = len(ms.surjection) - 1
+    if (n, values) not in operators:
+        small, big = standard_simplex(dim), standard_simplex(n)
+        operators[n, values] = chain_map_from_vertex_map(
+            VertexMap.from_dict(small, big, dict(enumerate(values))),
+            steenrod.structure_for(small).chains,
+            steenrod.structure_for(big).chains)
+    stored = shom._by_pair[dim].get(
+        image_pair(ms.vertex_map, (values, tuple(range(n + 1)))))
+    if stored is None or not stored.chain_map.equals_composite(
+            ms.chain_map, operators[n, values]):
+        return None
+    return stored

@@ -1,6 +1,8 @@
 """Iterated diagonals, morphism decisions, enumeration, reconstruction,
 lifting, and the homology square."""
 
+import copy
+import functools
 import itertools
 import random
 from collections import OrderedDict
@@ -707,6 +709,117 @@ class TestVerifyReconstruction:
     def test_counts_recorded(self):
         report = verify_reconstruction(standard_simplex(1), 2)
         assert report.counts == ((0, 2, 2), (1, 3, 3), (2, 4, 4))
+
+    @pytest.mark.parametrize("X, up_to, want", [
+        (rp2(), None, 144), (rp2(), 3, 61), (rp(2), None, 144),
+        (build_complex(barycentric(RP2_FACETS)), 3, 61),
+        (build_complex(barycentric(RP2_FACETS)), 4, 144),
+    ], ids=["rp2", "rp2-3", "rp(2)", "sd1rp2-3", "sd1rp2-4"])
+    def test_each_square_is_decided_once_per_codegeneracy_and_operator(
+            self, monkeypatch, X, up_to, want):
+        # one composite per (theta, face or degeneracy) through up_to, by
+        # default dim X + 2 as in the CLI, however many simplices X has;
+        # one per (morphism simplex, operator) made 1644 calls on rp2 and
+        # 4065 on sd1rp2 through 3
+        calls = []
+        compare = GradedMap.equals_composite
+
+        def spy(self, outer, inner):
+            calls.append(outer)
+            return compare(self, outer, inner)
+
+        monkeypatch.setattr(GradedMap, "equals_composite", spy)
+        assert verify_reconstruction(X, up_to or X.dim + 2).ok
+        assert len(calls) == want
+
+
+def _by_composites(shom):
+    """shom with each face and degeneracy decided by the oracle, forming the
+    composite on every morphism simplex, on the same stored simplices."""
+    oracle = copy.copy(shom)
+    oracle._precompose = functools.partial(oracles.precompose_by_composite,
+                                           shom, operators={})
+    return oracle
+
+
+def _store(shom, ms):
+    """Put ms in place of the stored simplex of its pair."""
+    level = shom.levels[len(ms.surjection) - 1]
+    level[[m.pair for m in level].index(ms.pair)] = ms
+    shom._by_pair[len(ms.surjection) - 1][ms.pair] = ms
+
+
+def _double(shom):
+    """Twice the chain map of the last stored 2-simplex, a plain GradedMap."""
+    ms = shom.levels[2][-1]
+    f = ms.chain_map
+    _store(shom, ms._replace(chain_map=GradedMap(
+        f.source, f.target, 0, {lb: {t: 2 * c for t, c in img.items()}
+                                for lb, img in f.comps.items()})))
+
+
+def _swap(shom, a, b):
+    """Swap the chain maps of two stored simplices."""
+    _store(shom, a._replace(chain_map=b.chain_map))
+    _store(shom, b._replace(chain_map=a.chain_map))
+
+
+def _swap_bases(shom):
+    """The two stored 2-simplices on the last edge, each then a view on the
+    other codegeneracy's N(theta)."""
+    edge = shom.complex.simplices_of_dim(1)[-1]
+    _swap(shom, *[ms for ms in shom.levels[2] if ms.simplex == edge])
+
+
+def _swap_vertices(shom):
+    """The stored 0-simplices of the first two vertices, each then N((0,))
+    relabeled onto the other vertex."""
+    _swap(shom, *shom.levels[0][:2])
+
+
+_OPERATOR_CASES = [
+    pytest.param(X, up_to, tamper, id=f"{name}-{tamper_id}")
+    for name, X, up_to in [(name, X, X.dim + 2)
+                           for name, X in named_corpus().items()]
+    + [("rp(2)", rp(2), 3),
+       ("sd1rp2", build_complex(barycentric(RP2_FACETS)), 3)]
+    for tamper_id, tamper in [("as-built", None), ("doubled", _double),
+                              ("swapped-bases", _swap_bases),
+                              ("swapped-vertices", _swap_vertices)]
+    if tamper is None or X.dim >= 1]
+
+
+@pytest.mark.parametrize("X, up_to, tamper", _OPERATOR_CASES)
+def test_operators_agree_with_the_composite_oracle(monkeypatch, X, up_to,
+                                                   tamper):
+    # every face and degeneracy of ShomSimplicialSet is the stored simplex
+    # the per-simplex composite finds, and verify_reconstruction's report is
+    # the oracle's.  With stored chain maps tampered with (twice a chain
+    # map, or two views swapped: on the other codegeneracy's N(theta), or
+    # onto the other vertex), the reports still agree and fail, and an
+    # operator gives the oracle's simplex or None: a chain map that is not
+    # its pair's relabeled N(theta) fails every square, also where its
+    # composite happens to be right
+    shom = ShomSimplicialSet(X, up_to)
+    if tamper:
+        tamper(shom)
+    oracle = _by_composites(shom)
+    for n, level in shom.levels.items():
+        for ms in level:
+            for i in range(n + 1):
+                for op, top in (("face", 0), ("degeneracy", up_to)):
+                    if n == top:
+                        continue
+                    got = getattr(shom, op)(ms, i)
+                    want = getattr(oracle, op)(ms, i)
+                    assert got is want or (tamper and got is None)
+    reports = []
+    for built in (shom, oracle):
+        monkeypatch.setattr(reconstruct, "ShomSimplicialSet",
+                            lambda X, up_to, built=built: built)
+        reports.append(verify_reconstruction(X, up_to))
+    assert reports[0] == reports[1]
+    assert reports[0].ok == (tamper is None)
 
 
 class TestLift:
