@@ -3,7 +3,12 @@
 Exit codes: 0 success / verdict positive, 1 verdict negative, 2 input error,
 3 internal fault (a RuntimeError: a check of the program's own work failed).
 All reports are canonical JSON on stdout (byte-identical across runs for
-identical inputs and flags).
+identical inputs and flags).  Each command but `xi-dump` writes one object
+through `io.write_json`, which encodes its long arrays (the boundary
+triples of `chains`, the morphisms of `enumerate`), given as generators
+over results already computed, a slice at a time, so every check and
+refusal runs before the first byte.  `xi-dump` writes one object per line,
+each by one `io.dumps` call.
 """
 
 from __future__ import annotations
@@ -19,14 +24,15 @@ from .reconstruct import (enumerate_morphisms, homology_square,
 from .steenrod import (SteenrodStructure, higher_diagonal, structure_for,
                        steenrod_squares, verify_structure)
 
-# xi-dump writes one line per simplex per i <= max_i: about 9 us a line
-# whose entry is zero (a point at --max-i 999999: 8.7 s) and 20 us a line
-# of RP^4 at the default --max-i (110 169 lines: 2.2 s), on a 2-core x86 VM.
+# xi-dump writes one line per simplex per i <= max_i: about 4 us a line
+# whose entry is zero (a point at --max-i 999999: 4.0 s) and 9 us a line
+# of RP^4 at the default --max-i (110 169 lines: 0.96 s), on a 2-core x86 VM.
 MAX_DUMP_LINES = 1_000_000
 
 
 def _emit(obj):
-    sys.stdout.write(cio.dumps(obj) + "\n")
+    cio.write_json(obj, sys.stdout.write)
+    sys.stdout.write("\n")
 
 
 def cmd_validate(args):
@@ -38,15 +44,15 @@ def cmd_validate(args):
 def cmd_chains(args):
     X = cio.load_complex(args.complex)
     N = normalized_chains(X)
-    out = {"ranks": [N.rank(n) for n in range(N.top_degree + 1)],
-           "boundaries": {}}
-    for n in range(1, N.top_degree + 1):
-        triples = []
+
+    def triples(n):
         for s in N.basis.get(n, ()):
             for face, c in sorted(N.boundary_of(s).items()):
-                triples.append([list(face), list(s), c])
-        out["boundaries"][str(n)] = triples
-    _emit(out)
+                yield [list(face), list(s), c]
+
+    _emit({"ranks": [N.rank(n) for n in range(N.top_degree + 1)],
+           "boundaries": {str(n): triples(n)
+                          for n in range(1, N.top_degree + 1)}})
     return 0
 
 
@@ -63,11 +69,13 @@ def cmd_xi_dump(args):
     if sum(X.f_vector()) * (max_i + 1) > MAX_DUMP_LINES:
         raise cio.InputError(f"{args.complex}: over {MAX_DUMP_LINES} lines "
                              "to dump")
+    write = sys.stdout.write
     for s in X.all_simplices():
         for i in range(max_i + 1):
             value = [[c, list(a), list(b)]
                      for (a, b), c in higher_diagonal(i, s).coeffs]
-            _emit({"i": i, "simplex": list(s), "value": value})
+            write(cio.dumps({"i": i, "simplex": list(s), "value": value})
+                  + "\n")
     return 0
 
 
@@ -98,10 +106,10 @@ def _refusing_on(path, fn, *args):
 def cmd_enumerate(args):
     X = cio.load_complex(args.complex)
     morphisms = _refusing_on(args.complex, enumerate_morphisms, args.n, X)
-    out = [{"surjection": list(ms.surjection), "simplex": list(ms.simplex),
-            "vertex_map": {str(k): v for k, v in ms.vertex_map.mapping}}
-           for ms in morphisms]
-    _emit({"n": args.n, "count": len(morphisms), "morphisms": out})
+    records = ({"surjection": list(ms.surjection), "simplex": list(ms.simplex),
+                "vertex_map": {str(k): v for k, v in ms.vertex_map.mapping}}
+               for ms in morphisms)
+    _emit({"n": args.n, "count": len(morphisms), "morphisms": records})
     return 0
 
 

@@ -14,11 +14,16 @@ Vertex ids and coefficients must be JSON integers; true and false are not.
 A key given twice in one object is an input error in either format.  Reader
 errors are InputErrors that start with the path, and a complex file is
 refused before its closure is built if its facets F sum 2^|F| - 1 > MAX_FACES.
+
+Output is canonical JSON (`dumps`: sorted keys, no spaces); `write_json`
+writes the same bytes with its generators encoded a slice at a time.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
+from types import GeneratorType
 
 from .chains import GradedMap
 from .simplicial import InvalidComplexError, build_complex
@@ -147,6 +152,44 @@ def load_chain_map(path, source_chains, target_chains):
         raise InputError(f"{path}: {exc}") from exc
 
 
+# the one canonical encoder: json.dumps would build a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# items of a generator that write_json encodes per dumps call: 64 boundary
+# triples or morphism records are a few KB of text, and the encoder's
+# transient pieces (about 20 bytes per byte of output) stay small with them
+WRITE_SLICE = 64
+
+
 def dumps(obj):
     """Canonical JSON: sorted keys, no trailing whitespace drift."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
+
+
+def write_json(obj, write):
+    """Write dumps(obj) through write, with every generator that is obj or
+    a value of its dicts, at any depth of dicts, written as a JSON array
+    WRITE_SLICE items at a time: so a long output is never held whole.
+    Any other value is encoded by one dumps call, so a generator inside a
+    list, or a value that is not JSON (a set), still raises TypeError;
+    so does a key of a dict walked here that is not a str, which dumps
+    would silently turn into one."""
+    if isinstance(obj, dict):
+        write("{")
+        sep = ""
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(sep + dumps(key) + ":")
+            write_json(obj[key], write)
+            sep = ","
+        write("}")
+    elif isinstance(obj, GeneratorType):
+        write("[")
+        sep = ""
+        while chunk := list(islice(obj, WRITE_SLICE)):
+            write(sep + dumps(chunk)[1:-1])
+            sep = ","
+        write("]")
+    else:
+        write(dumps(obj))

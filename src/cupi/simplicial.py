@@ -158,8 +158,15 @@ def build_complex(facets):
     return OrderedComplex(vertices=vertices, simplices=by_dim)
 
 
+# Keys are n; the (morphism, face) cap of enumeration and reconstruction
+# admits no n above 14, and a command reads each n it reaches many times.
+_STANDARD_SIMPLEX_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_STANDARD_SIMPLEX_CACHE_SIZE)
 def standard_simplex(n):
-    """The full n-simplex on vertices 0..n."""
+    """The full n-simplex on vertices 0..n, built once per n (it is
+    immutable, so every caller shares it)."""
     return build_complex([tuple(range(n + 1))])
 
 

@@ -13,7 +13,7 @@ from io import StringIO
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cupi import cli, io as cio, reconstruct, steenrod
+from cupi import cli, io as cio, reconstruct, simplicial, steenrod
 from cupi.chains import normalized_chains, unnormalized_chains
 from cupi.cli import main
 from cupi.simplicial import build_complex
@@ -146,10 +146,10 @@ class TestXi:
     def test_dump_refuses_an_unbounded_dump_before_its_first_line(
             self, files, capsys, monkeypatch):
         # a point at --max-i 10**12 would write 10**12 zero lines
-        def emitted(obj):
-            raise AssertionError("a line was written")
+        def encoded(obj):
+            raise AssertionError("a line was encoded")
 
-        monkeypatch.setattr(cli, "_emit", emitted)
+        monkeypatch.setattr(cio, "dumps", encoded)
         start = time.perf_counter()
         assert main(["xi-dump", files["point.json"],
                      "--max-i", str(10 ** 12)]) == 2
@@ -383,6 +383,32 @@ def test_xi_dump_output_is_pinned(files, capsys, name, argv, lines, digest):
     code, out = run(capsys, "xi-dump", files[name], *argv)
     assert code == 0
     assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("facets, argv, digest", [
+    (RP2_FACETS, ["chains"],
+     "5d977e034715614cd3018c49112f96356d473601d17acd09d52c63472df6136a"),
+    (barycentric(RP2_FACETS), ["chains"],
+     "f834a680aaa9af7fcf98ab4ab2d93e6b5c5b3762065789165d2114af2afd33c4"),
+    (rp(3).simplices[-1], ["chains"],
+     "58fe88bbed7d10b2fef85ed25163ba8757dbd23ce35668fa4bf3503237f50a1f"),
+    (RP2_FACETS, ["enumerate", "--n", "4"],
+     "d829fea9fb5c395179c1824d8928db98719850dd4673aa67791ee463364bda24"),
+    (barycentric(RP2_FACETS), ["enumerate", "--n", "4"],
+     "40daae5be78beda5a77a608021211b074a65df09e8a54497fa9da14838e0fdf2"),
+    (rp(3).simplices[-1], ["enumerate", "--n", "2"],
+     "cdc907443798d732cbd74d7e8e56346a115689be6b518002b8c7395f8f5172bd"),
+], ids=["chains-rp2", "chains-sd1rp2", "chains-rp3", "enumerate-rp2",
+        "enumerate-sd1rp2", "enumerate-rp3"])
+def test_streamed_output_is_pinned(tmp_path, capsys, facets, argv, digest):
+    # chains and enumerate write their long arrays a slice at a time, and
+    # the bytes stay those of one canonical dump
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"facets": [list(f) for f in facets]}))
+    code, out = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert out == cio.dumps(json.loads(out)) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -809,3 +835,139 @@ def test_loaders_return_or_raise_an_input_error(value):
                 load(path)
             except cio.InputError as exc:
                 assert str(exc).startswith(f"{path}: ")
+
+
+_SLICE = cio.WRITE_SLICE
+_plain = st.recursive(
+    st.integers(-3, 3) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def _arrays(draw):
+    """("gen" or "list", items): an array at a slice boundary or short."""
+    n = draw(st.sampled_from([0, 1, 2, _SLICE - 1, _SLICE, _SLICE + 1,
+                              3 * _SLICE]))
+    base = draw(st.lists(_plain, min_size=1, max_size=3))
+    items = list(itertools.islice(itertools.cycle(base), n))
+    return draw(st.sampled_from(["gen", "list"])), items
+
+
+_lazy_specs = st.recursive(
+    _arrays() | _plain.map(lambda value: ("plain", value)),
+    lambda inner: st.dictionaries(st.text(max_size=2), inner,
+                                  max_size=4).map(lambda d: ("dict", d)),
+    max_leaves=6)
+
+
+def _build(spec, lazy):
+    """The value of a spec, its "gen" arrays as generators when lazy and as
+    lists otherwise."""
+    kind, body = spec
+    if kind == "dict":
+        return {key: _build(value, lazy) for key, value in body.items()}
+    if kind == "gen" and lazy:
+        return (item for item in body)
+    return body
+
+
+@given(_lazy_specs)
+@settings(max_examples=200, deadline=None)
+def test_write_json_writes_the_bytes_of_one_dump(spec):
+    parts = []
+    cio.write_json(_build(spec, lazy=True), parts.append)
+    assert "".join(parts) == cio.dumps(_build(spec, lazy=False))
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, {"a": {"b": {1}}}, {"a": [(x for x in ())]}, {1: "a"}],
+    ids=["set", "nested-set", "generator-in-list", "int-key"])
+def test_write_json_refuses_what_it_cannot_write_exactly(value):
+    # no silent coercion: a set is not written as an array, a generator is
+    # read only as a dict value, and a key that is not a str is refused
+    with pytest.raises(TypeError):
+        cio.write_json(value, [].append)
+
+
+def _longest_list(value):
+    if isinstance(value, dict):
+        return max(map(_longest_list, value.values()), default=0)
+    if isinstance(value, list):
+        return max([len(value), *map(_longest_list, value)])
+    return 0
+
+
+@pytest.mark.parametrize("facets, argv, items", [
+    # (n + 1) f_n triples in degree n: f = (40, 232, 384, 192)
+    (rp(3).simplices[-1], ["chains"], 2 * 232 + 3 * 384 + 4 * 192),
+    (barycentric(RP2_FACETS), ["enumerate", "--n", "4"], 751),
+], ids=["chains-rp3", "enumerate-sd1rp2"])
+def test_long_outputs_are_encoded_a_slice_at_a_time(tmp_path, capsys,
+                                                    monkeypatch, facets,
+                                                    argv, items):
+    # no dumps call during the command encodes a list longer than a slice,
+    # so neither the whole list nor its whole text is ever held
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"facets": [list(f) for f in facets]}))
+    longest = []
+    dumps = cio.dumps
+
+    def spy(obj):
+        longest.append(_longest_list(obj))
+        return dumps(obj)
+
+    monkeypatch.setattr(cio, "dumps", spy)
+    code, out = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    data = json.loads(out)
+    arrays = data.get("boundaries", {"n": data.get("morphisms")}).values()
+    assert sum(map(len, arrays)) == items
+    assert max(longest) == _SLICE
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "tri.json", "--n", "200"],
+    ["reconstruct", "tri.json", "--up-to", "60"],
+    ["is-morphism", "d1.json", "d1.json", "/no/such/map.json"],
+    ["lift", "d1.json", "d1.json", "cut.json"],
+    ["enumerate", "circle.json", "--n", "01"],
+], ids=["enumerate-cap", "reconstruct-cap", "missing-map", "cut-map",
+        "bad-n"])
+def test_refusals_start_no_output(files, tmp_path, capsys, monkeypatch,
+                                  argv):
+    # every check runs before the writer is entered: a refusal leaves
+    # stdout empty with output streamed
+    cut = tmp_path / "cut.json"
+    cut.write_text('{"0": [[[0], [0], 1]')
+    files = dict(files, **{"cut.json": str(cut)})
+
+    def written(*args):
+        raise AssertionError("output was started")
+
+    monkeypatch.setattr(cio, "write_json", written)
+    try:
+        code = main([files.get(a, a) for a in argv])
+    except SystemExit as exc:  # argparse refuses a malformed count
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_each_standard_simplex_is_built_once(files, capsys, monkeypatch):
+    # reconstruct reads the standard simplices per level, per k and per
+    # operator; each is built once
+    built = []
+    build = simplicial.build_complex
+
+    def spy(facets):
+        facets = list(facets)
+        built.extend(len(f) - 1 for f in facets)
+        return build(facets)
+
+    simplicial.standard_simplex.cache_clear()
+    monkeypatch.setattr(simplicial, "build_complex", spy)
+    assert main(["reconstruct", files["rp2.json"], "--up-to", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert sorted(built) == [0, 1, 2, 3]

@@ -171,3 +171,21 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+def test_json_is_written_only_by_the_io_module():
+    # one canonical encoder: every other module writes through io.dumps or
+    # io.write_json, never json.dumps or json.dump
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) \
+                    and node.attr in ("dump", "dumps") \
+                    and getattr(node.value, "id", None) == "json":
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json" \
+                    and {"dump", "dumps"} & {a.name for a in node.names}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
