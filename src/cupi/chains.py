@@ -184,9 +184,8 @@ class GradedMap:
         self.source = source
         self.target = target
         self.shift = shift
-        self.comps = {lb: {k: v for k, v in d.items() if v}
-                      for lb, d in comps.items()}
-        self.comps = {lb: d for lb, d in self.comps.items() if d}
+        self.comps = {lb: image for lb, d in comps.items()
+                      if (image := {k: v for k, v in d.items() if v})}
         for lb, d in self.comps.items():
             n = source.degree_of[lb] + shift
             for tgt in d:
@@ -258,21 +257,6 @@ class GradedMap:
     @classmethod
     def identity(cls, C):
         return cls(C, C, 0, {lb: {lb: 1} for lb in C.degree_of})
-
-
-class RelabeledMap(GradedMap):
-    """base followed by the injective vertex relabeling t -> tau . t of its
-    target's simplices, into target; its components are formed when read."""
-
-    def __init__(self, base, tau, target):
-        self.source, self.target, self.shift = base.source, target, base.shift
-        self.base, self.tau = base, tau
-
-    @cached_property
-    def comps(self):
-        tau = self.tau
-        return {s: {tuple([tau[p] for p in t]): c for t, c in image.items()}
-                for s, image in self.base.comps.items()}
 
 
 # ---------------------------------------------------------------------------

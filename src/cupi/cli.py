@@ -107,7 +107,8 @@ def cmd_enumerate(args):
     X = cio.load_complex(args.complex)
     morphisms = _refusing_on(args.complex, enumerate_morphisms, args.n, X)
     records = ({"surjection": list(ms.surjection), "simplex": list(ms.simplex),
-                "vertex_map": {str(k): v for k, v in ms.vertex_map.mapping}}
+                "vertex_map": {str(p): ms.simplex[t]
+                               for p, t in enumerate(ms.surjection)}}
                for ms in morphisms)
     _emit({"n": args.n, "count": len(morphisms), "morphisms": records})
     return 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .chains import (GradedMap, RelabeledMap, TensorChain, _add_into,
+from .chains import (GradedMap, TensorChain, _add_into,
                      _present, _terms, chain_map_from_vertex_map,
                      HomologyClasses, induced_components, simplex_degree,
                      unnormalized_chains)
@@ -27,42 +27,42 @@ from .simplicial import (VertexMap, adjoin, coface, codegeneracy,
 from .steenrod import eta, higher_diagonal, square_failure, structure_for
 
 
-# Enumeration and reconstruction: the most morphisms one call may
-# produce.  The largest benchmark command, reconstruct on sd^1 RP^2 through
-# dimension 3, produces 904.
-GUIDED_MAX_MORPHISMS = 20_000
-# ... and the most (morphism, face of the n-simplex) pairs: reading a
-# morphism's chain map relabels its codegeneracy's components, at most one
-# per face, though enumeration and reconstruction read none.  The largest
-# benchmark command, enumerate on sd^1 RP^2 at n = 4, has 23 281.
-GUIDED_MAX_FACE_CHECKS = 50_000
+# Enumeration and reconstruction: the most units of work one call may do,
+# summed over the dimensions n it reaches (_refuse_oversized_work).  A unit
+# took 0.26 us (enumerate on a triangle at n = 10: 2 684 475 units, 0.70 s)
+# to 5.6 us (reconstruct on RP^4 through 4: 370 323 units, 2.1 s, 55 MB) on
+# a 2-core x86 VM, so an admitted run takes at most about 12 s.  The cap
+# admits every input of the earlier caps of 20 000 morphisms and 50 000
+# (morphism, face) pairs; the largest is enumerate on a point at n = 14,
+# 2 031 569 units.
+GUIDED_MAX_WORK = 2_100_000
 
 
-def _refuse_oversized_output(X, dims):
-    """Raise before any work when the morphisms out of n-simplex chains for
-    n in dims, one per n-simplex of the degeneracy completion of X
-    (sum over k of C(n, k) f_k), are more than GUIDED_MAX_MORPHISMS, or
-    when those morphisms times the 2^(n+1) - 1 faces of the n-simplex (a
-    bound on the components of N(theta) that reading each one's chain map
-    relabels) are more than GUIDED_MAX_FACE_CHECKS.  Each n is charged at
-    least one morphism, so the scan ends within GUIDED_MAX_MORPHISMS + 1
-    values of n also on the empty complex.  The exponent is bounded: past
-    the cap's bit length, one morphism's faces alone exceed the cap."""
-    total = checks = 0
+def _refuse_oversized_work(X, dims):
+    """Raise before any work when the work at the n in dims is more than
+    GUIDED_MAX_WORK units.  At n there are M = sum over k of C(n, k) f_k
+    morphism simplices, one per n-simplex of the degeneracy completion of
+    X, each read by about n + 1 operator lookups, and T = sum over
+    k <= min(n, dim X) of C(n, k) codegeneracies.  Each codegeneracy is
+    decided over the 2^(n+1) - 1 faces of the n-simplex, and each of its
+    2n + 3 face and degeneracy squares, like the chain map of each of those
+    operators, reads about as many faces.  So work(n) is
+    (n + 1) M + (2^(n+1) - 1)(T + 1)(2n + 3) on a nonempty X, and n + 1 on
+    the empty complex, where nothing is built: the scan of a huge range
+    ends within a few thousand values of n.  The exponent is bounded: past
+    the cap's bit length, one face term alone exceeds the cap."""
+    f = X.f_vector()  # () on the empty complex
+    total = 0
     for n in dims:
-        count = max(1, sum(comb(n, k) * len(X.simplices_of_dim(k))
-                           for k in range(X.dim + 1)))
-        total += count
-        if checks <= GUIDED_MAX_FACE_CHECKS:  # past the cap, its sum is moot
-            exponent = min(n + 1, GUIDED_MAX_FACE_CHECKS.bit_length() + 1)
-            checks += count * (2 ** exponent - 1)
-        if total > GUIDED_MAX_MORPHISMS:
+        total += (n + 1) * max(1, sum(comb(n, k) * fk
+                                      for k, fk in enumerate(f)))
+        if f:
+            faces = 2 ** min(n + 1, GUIDED_MAX_WORK.bit_length() + 1) - 1
+            thetas = sum(comb(n, k) for k in range(min(n, X.dim) + 1))
+            total += faces * (thetas + 1) * (2 * n + 3)
+        if total > GUIDED_MAX_WORK:
             raise ValueError(
-                f"more than {GUIDED_MAX_MORPHISMS} morphisms to enumerate")
-    if checks > GUIDED_MAX_FACE_CHECKS:
-        raise ValueError(
-            f"more than {GUIDED_MAX_FACE_CHECKS} (morphism, face) pairs "
-            "to verify")
+                f"more than {GUIDED_MAX_WORK} units of work to enumerate")
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +220,12 @@ def _type_failure(theta):
 # ---------------------------------------------------------------------------
 
 class MorphismSimplex(namedtuple("MorphismSimplex",
-                                 "chain_map vertex_map surjection simplex")):
-    """A verified morphism out of simplex chains, with its classification:
-    surjection is the order-preserving surjection theta onto simplex tau,
-    the image simplex of the target.  chain_map is theta's verified N(theta)
-    relabeled by tau, a RelabeledMap formed when first read."""
+                                 "surjection simplex target")):
+    """The verified morphism N(tau . theta): N(standard n-simplex) ->
+    N(target) of a codegeneracy theta = surjection: [n] ->> [k] and a
+    k-simplex tau = simplex of the target.  Every morphism is one such
+    pair, so the pair is the morphism: its vertex map and its chain map
+    are formed when read."""
 
     __slots__ = ()
 
@@ -234,6 +235,28 @@ class MorphismSimplex(namedtuple("MorphismSimplex",
 
     def is_nondegenerate(self):
         return self.surjection == identity_map(len(self.surjection) - 1)
+
+    @property
+    def vertex_map(self):
+        """p -> tau[theta[p]] on the standard n-simplex."""
+        return VertexMap.from_dict(
+            standard_simplex(len(self.surjection) - 1), self.target,
+            {p: self.simplex[t] for p, t in enumerate(self.surjection)})
+
+    @property
+    def chain_map(self):
+        return _induced(tuple([self.simplex[t] for t in self.surjection]),
+                        self.target)
+
+
+def _induced(values, target):
+    """N(phi): N(standard m-simplex) -> N(target) of the vertex map
+    phi: p -> values[p], given by its m + 1 values."""
+    source = standard_simplex(len(values) - 1)
+    return GradedMap(structure_for(source).chains,
+                     structure_for(target).chains, 0,
+                     induced_components(VertexMap.from_dict(
+                         source, target, dict(enumerate(values)))))
 
 
 def image_pair(vmap, pair):
@@ -252,38 +275,32 @@ def enumerate_morphisms(n, X):
     n-simplex onto the k-simplex and a k-simplex tau of X, k <= dim X, and
     the walk visits these pairs directly.  The full decision procedure runs
     once per theta, on N(theta) into the standard k-simplex, with one memo
-    of local types for the whole call.  N(tau . theta) is then N(theta)
-    relabeled by tau, with no second check and no component formed until
-    read, and its vertex map is p -> tau[theta[p]].  That is sound:
+    of local types for the whole call; every k-simplex tau then gives the
+    record (theta, tau, X), and nothing is built per tau.  That is sound:
     Delta_j(t) is the universal table relabeled by t on both structures,
     and relabeling by tau is injective and commutes with map_factors, the
-    boundary and the augmentation.  The bound 2 dim X in place of 2k only
-    adds pairs whose two sides are zero.  The thetas are decided in
+    boundary and the augmentation, so N(tau . theta), N(theta) relabeled
+    by tau, is a morphism with N(theta).  The bound 2 dim X in place of 2k
+    only adds pairs whose two sides are zero.  The thetas are decided in
     surjections order within each k, so a failing theta raises with its
-    own verdict.  Inputs above the output caps are refused before any work.
+    own verdict.  Inputs above the work cap are refused before any work.
     """
-    _refuse_oversized_output(X, (n,))
+    _refuse_oversized_work(X, (n,))
     if not X.simplices:
         return []
     source = standard_simplex(n)
-    NA, NB = structure_for(source).chains, structure_for(X).chains
     types = {}  # local type -> its first failing j, for every theta
     out = []
     for k in range(min(n, X.dim) + 1):
         target = standard_simplex(k)
         for theta in surjections(n, k):
-            f = GradedMap(NA, structure_for(target).chains, 0,
-                          induced_components(VertexMap.from_dict(
-                              source, target, dict(enumerate(theta)))))
-            verdict = is_steenrod_morphism(f, source, target, types)
+            verdict = is_steenrod_morphism(_induced(theta, target), source,
+                                           target, types)
             if not verdict.ok:
                 raise RuntimeError(
                     f"internal: induced map failed verification: {verdict}")
-            for tau in X.simplices_of_dim(k):
-                vmap = VertexMap.from_dict(
-                    source, X, {p: tau[v] for p, v in enumerate(theta)})
-                out.append(MorphismSimplex(RelabeledMap(f, tau, NB), vmap,
-                                           theta, tau))
+            out.extend(MorphismSimplex(theta, tau, X)
+                       for tau in X.simplices_of_dim(k))
     out.sort(key=lambda ms: (ms.simplex, ms.surjection))
     return out
 
@@ -296,67 +313,62 @@ class ShomSimplicialSet:
     """The simplicial set whose n-simplices are the verified morphisms out
     of n-simplex chains, with faces and degeneracies by precomposition.
 
-    Materialized through dimension up_to.  An operator returns the stored
-    simplex equal to the composite, or None, so simplicial identities are
-    checkable directly.  Write theta . delta = iota . theta' (epi-mono).
-    Relabeling by the injective tau is injective on chains and commutes
-    with precomposition, so (tau . N(theta)) . N(delta) is
-    (tau . iota) . N(theta') exactly when iota . N(theta') =
-    N(theta) . N(delta) on the standard k-simplex.  That square is decided
-    once per (theta, delta); per morphism simplex only the lookup of the
-    pair (theta', tau . iota) is left, and the check that its chain map and
-    the stored one are tau-relabelings of their codegeneracy's verified
-    N(theta).  Any other chain map fails the square.
+    Materialized through dimension up_to, as (theta, tau) records.  An
+    operator returns the stored simplex equal to the composite, or None, so
+    simplicial identities are checkable directly.  Write
+    theta . delta = iota . theta' (epi-mono).  Relabeling by the injective
+    tau is injective on chains and commutes with precomposition, so
+    N(tau . theta) . N(delta) is N(tau . iota . theta') exactly when
+    N(iota . theta') = N(theta) . N(delta) on the standard simplices.  That
+    square is decided once per (theta, delta); per morphism simplex only
+    the lookup of the pair (theta', tau . iota) is left, and the check that
+    the record filed under it is that pair's.
     """
 
     def __init__(self, X, up_to):
-        _refuse_oversized_output(X, range(up_to + 1))
+        _refuse_oversized_work(X, range(up_to + 1))
         self.complex = X
         self.up_to = up_to
         self.levels = {n: enumerate_morphisms(n, X)
                        for n in range(up_to + 1)}
         self._by_pair = {n: {ms.pair: ms for ms in level}
                          for n, level in self.levels.items()}
-        self._verified = {ms.surjection: ms.chain_map.base  # N(theta)
-                          for level in self.levels.values() for ms in level}
         self._operators = {}  # (n, coface/codegeneracy values) -> chain map
+        self._codegeneracies = {}  # theta -> N(theta), decided when enumerated
         self._squares = {}  # (theta, values) -> (theta', iota), or None
 
     def simplices_of_dim(self, n):
         return self.levels[n]
 
-    def _relabels(self, f, pair):
-        return (isinstance(f, RelabeledMap) and f.tau == pair[1]
-                and f.base is self._verified.get(pair[0]))
-
-    def _square(self, theta, values, dim):
+    def _square(self, theta, values):
         n = len(theta) - 1
         if (n, values) not in self._operators:
-            small, big = standard_simplex(dim), standard_simplex(n)
-            vm = VertexMap.from_dict(small, big, dict(enumerate(values)))
-            self._operators[(n, values)] = chain_map_from_vertex_map(
-                vm, structure_for(small).chains, structure_for(big).chains)
+            small, big = standard_simplex(len(values) - 1), standard_simplex(n)
+            self._operators[n, values] = chain_map_from_vertex_map(
+                VertexMap.from_dict(small, big, dict(enumerate(values))),
+                structure_for(small).chains, structure_for(big).chains)
+        target = standard_simplex(theta[-1])
+        if theta not in self._codegeneracies:
+            self._codegeneracies[theta] = _induced(theta, target)
         theta2, iota = epi_mono_factor([theta[v] for v in values])
-        f, g = self._verified[theta], self._verified.get(theta2)
-        if g is None or not RelabeledMap(g, iota, f.target).equals_composite(
-                f, self._operators[(n, values)]):
+        image = _induced(tuple([iota[t] for t in theta2]), target)
+        if not image.equals_composite(self._codegeneracies[theta],
+                                      self._operators[n, values]):
             return None
         return theta2, iota
 
     def _precompose(self, ms, values, dim):
         """The stored dim-simplex equal to ms precomposed with the chain map
         of the monotone map `values`, or None if the composite is not it."""
-        if not self._relabels(ms.chain_map, ms.pair):
-            return None
         theta, tau = ms.pair
         if (theta, values) not in self._squares:
-            self._squares[theta, values] = self._square(theta, values, dim)
+            self._squares[theta, values] = self._square(theta, values)
         square = self._squares[theta, values]
         if square is None:
             return None
         pair = (square[0], tuple([tau[t] for t in square[1]]))
         stored = self._by_pair[dim].get(pair)
-        if stored is None or not self._relabels(stored.chain_map, pair):
+        if stored is None or stored.pair != pair:  # filed under another pair
             return None
         return stored
 
@@ -386,9 +398,11 @@ def verify_reconstruction(X, up_to):
     Both sides are enumerated independently (morphism search vs surjection
     combinatorics); the bijection must commute with every face and
     degeneracy operator, and the canonical inclusion of X must land exactly
-    on the nondegenerate simplices.  Each operator square is decided once
-    per (codegeneracy, operator) on the standard simplex and read on every
-    morphism simplex by relabeling (ShomSimplicialSet).
+    on the nondegenerate simplices.  Both sides hold (surjection, simplex)
+    pairs, and a morphism simplex is its pair: each operator square is
+    decided once per (codegeneracy, operator) on the standard simplices and
+    read on every morphism simplex as a lookup of its image pair
+    (ShomSimplicialSet).
     """
     shom = ShomSimplicialSet(X, up_to)
     levels = shom.levels

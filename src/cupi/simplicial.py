@@ -158,9 +158,10 @@ def build_complex(facets):
     return OrderedComplex(vertices=vertices, simplices=by_dim)
 
 
-# Keys are n; the (morphism, face) cap of enumeration and reconstruction
-# admits no n above 14, and a command reads each n it reaches many times.
-_STANDARD_SIMPLEX_CACHE_SIZE = 16
+# Keys are n; the work cap of enumeration and reconstruction admits no n
+# above 14 on a nonempty complex (a point at n = 15 is 4 325 343 units), and
+# a command reads each n it reaches many times.
+_STANDARD_SIMPLEX_CACHE_SIZE = 15
 
 
 @lru_cache(maxsize=_STANDARD_SIMPLEX_CACHE_SIZE)

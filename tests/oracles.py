@@ -48,6 +48,7 @@
 """
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from unittest import mock
 
@@ -56,8 +57,7 @@ from cupi.chains import (Chain, FreeChainComplex, GradedMap, HomologyGroup,
                          TensorChain, _add_into, _present,
                          chain_map_from_vertex_map, induced_components,
                          kernel_basis)
-from cupi.reconstruct import (MorphismSimplex, MorphismVerdict, image_pair,
-                              is_steenrod_morphism)
+from cupi.reconstruct import MorphismVerdict, image_pair, is_steenrod_morphism
 from cupi.simplicial import VertexMap, epi_mono_factor, standard_simplex
 from cupi.steenrod import BarElement, aw_diagonal, eta, higher_diagonal
 
@@ -754,6 +754,12 @@ def _bounded_vectors(length):
                              repeat=length)
 
 
+# a morphism found by brute search, with the vertex map of its certificate
+# and the (surjection, simplex) pair read off it, (None, None) without one
+BruteMorphism = namedtuple("BruteMorphism",
+                           "chain_map vertex_map surjection simplex")
+
+
 def brute_morphisms(n, X):
     """All morphisms N(standard n-simplex) -> N(X) with coefficients in
     [-2, 2], by exhausting chain maps degree by degree: degree-0 candidates
@@ -826,7 +832,7 @@ def brute_morphisms(n, X):
                     vm = verdict.certificate
                     pair = (None, None) if vm is None else epi_mono_factor(
                         [vm.as_dict()[p] for p in range(n + 1)])
-                    results.append(MorphismSimplex(f, vm, *pair))
+                    results.append(BruteMorphism(f, vm, *pair))
             return
         if d == 0:
             for assignment in itertools.product(vertex_candidates,

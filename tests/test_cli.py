@@ -622,17 +622,19 @@ def test_face_closure_is_bounded_before_it_is_built(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv, message", [
-    # sum over k of C(n, k) f_k on the triangle: 20503 morphisms at n = 200
-    (["enumerate", "tri.json", "--n", "200"], "more than 20000 morphisms"),
-    # and 41663 summed over n <= 60
-    (["reconstruct", "tri.json", "--up-to", "60"], "more than 20000 morphisms"),
-    # one morphism, whose chain map reads the 2^17 - 1 = 131071 faces of
-    # Delta^16
-    (["enumerate", "point.json", "--n", "16"],
-     "more than 50000 (morphism, face) pairs"),
-    # no morphisms at all, but each n is charged one: refused at n = 20000
+    # work(n) = (n + 1) M + (2^(n+1) - 1)(T + 1)(2n + 3): on the triangle,
+    # 2684475 units at n = 10, against 1010361 at n = 9
+    (["enumerate", "tri.json", "--n", "10"],
+     "more than 2100000 units of work to enumerate"),
+    # and 4258519 summed over n <= 10, against 1574044 over n <= 9
+    (["reconstruct", "tri.json", "--up-to", "10"],
+     "more than 2100000 units of work to enumerate"),
+    # one morphism and one codegeneracy: 4325343 units at n = 15
+    (["enumerate", "point.json", "--n", "15"],
+     "more than 2100000 units of work to enumerate"),
+    # no morphisms at all, but each n is charged n + 1: refused at n = 2048
     (["reconstruct", "empty.json", "--up-to", "1000000000"],
-     "more than 20000 morphisms"),
+     "more than 2100000 units of work to enumerate"),
 ], ids=["enumerate", "reconstruct", "enumerate-work",
         "reconstruct-empty"])
 def test_size_caps_refuse_before_enumerating(files, capsys, monkeypatch, argv,
@@ -652,12 +654,31 @@ def test_size_caps_refuse_before_enumerating(files, capsys, monkeypatch, argv,
     assert message in captured.err
 
 
-@pytest.mark.parametrize("name, small", [("tri.json", "200"),
+def test_rp3_reconstructs_at_the_default_depth(tmp_path, capsys):
+    # dim + 2 = 5: 14280 morphism simplices in all, 102608 units of work
+    path = tmp_path / "rp3.json"
+    path.write_text(json.dumps({"facets": [list(f) for f in
+                                           rp(3).simplices[3]]}))
+    assert main(["reconstruct", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["counts"][-1] == [5, 6960, 6960]
+
+
+def test_an_input_just_under_the_work_cap_runs(files, capsys):
+    # enumerate on a point at n = 14 is 2031569 units, the largest input
+    # the earlier caps admitted
+    assert main(["enumerate", files["point.json"], "--n", "14"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1
+
+
+@pytest.mark.parametrize("name, small", [("tri.json", "10"),
                                          ("point.json", "15")])
 def test_a_huge_n_is_refused_without_growing_memory(files, capsys, name,
                                                     small):
-    # the face bound 2^(n + 1) - 1 is capped before it is formed, so a huge
-    # --n gets the refusal of a small one at once, in bounded memory
+    # the face term 2^(n + 1) - 1 is capped before it is formed, so a huge
+    # --n gets the refusal of the smallest refused one at once, in bounded
+    # memory
     assert main(["enumerate", files[name], "--n", small]) == 2
     want = capsys.readouterr().err
     tracemalloc.start()

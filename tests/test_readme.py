@@ -41,3 +41,20 @@ def test_the_cli_block_lists_every_subcommand_and_its_options():
                   for flag in action.option_strings
                   if flag not in ("-h", "--help")}
         for command, parser in subparsers.choices.items()}
+
+
+def test_every_cap_in_the_readme_is_its_constant():
+    # each cap is written "`module.NAME` = 2 100 000" and must equal the
+    # constant, so a changed cap cannot leave a stale number behind
+    from cupi import cli, io, reconstruct
+    caps = {"io.MAX_FACES": io.MAX_FACES,
+            "cli.MAX_DUMP_LINES": cli.MAX_DUMP_LINES,
+            "reconstruct.GUIDED_MAX_WORK": reconstruct.GUIDED_MAX_WORK}
+    text = " ".join((ROOT / "README.md").read_text().split())
+    for name, value in caps.items():
+        written = re.findall(rf"`{re.escape(name)}` = (\d{{1,3}}(?: \d{{3}})*)",
+                             text)
+        assert written, name
+        assert {int(w.replace(" ", "")) for w in written} == {value}, name
+    stated = set(re.findall(r"`(\w+\.[A-Z_]+)` = \d", text))
+    assert stated == set(caps)

@@ -503,6 +503,30 @@ class TestEnumerate:
                            for k in range(X.dim + 1))
                 assert got == want
 
+    def test_one_vertex_map_per_codegeneracy_and_none_per_simplex(
+            self, monkeypatch, corpus):
+        # a morphism simplex is its pair (theta, tau): the decision of each
+        # theta builds theta's vertex map into the standard k-simplex (as
+        # N(theta) and as its certificate), and no tau builds one into X
+        built = []
+        from_dict = VertexMap.from_dict.__func__
+
+        def spy(cls, source, target, mapping):
+            built.append((target.dim, tuple(sorted(mapping.items()))))
+            assert target is not X
+            return from_dict(cls, source, target, mapping)
+
+        monkeypatch.setattr(VertexMap, "from_dict", classmethod(spy))
+        X = corpus["rp2"]
+        for n in range(4):
+            del built[:]
+            found = enumerate_morphisms(n, X)
+            thetas = [(k, tuple(enumerate(theta)))
+                      for k in range(min(n, X.dim) + 1)
+                      for theta in surjections(n, k)]
+            assert set(built) == set(thetas)
+            assert len(built) == 2 * len(thetas) < len(found)
+
     def test_each_codegeneracy_is_decided_once(self, monkeypatch, corpus):
         # one decision per theta: [n] ->> [k], k <= min(n, dim X), in
         # order of k, however many k-simplices X has
@@ -633,6 +657,35 @@ def test_guided_morphisms_pass_the_per_map_check(X, n):
                              for k in range(X.dim + 1))
 
 
+def _admitted_by_the_earlier_caps(X, dims):
+    """The caps the work cap replaced: at most 20000 morphisms, one charged
+    per n at least, and 50000 (morphism, face of the n-simplex) pairs."""
+    morphisms = pairs = 0
+    for n in dims:
+        count = max(1, sum(comb(n, k) * len(X.simplices_of_dim(k))
+                           for k in range(X.dim + 1)))
+        morphisms += count
+        pairs += count * (2 ** (n + 1) - 1)
+        if morphisms > 20000 or pairs > 50000:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("X", [
+    build_complex([]), standard_simplex(0), build_complex([(0,), (1,)]),
+    standard_simplex(1), standard_simplex(2), standard_simplex(4), circle(),
+    rp2(), build_complex(barycentric(RP2_FACETS)),
+], ids=["empty", "point", "two-points", "delta1", "delta2", "delta4",
+        "circle", "rp2", "sd1rp2"])
+def test_the_work_cap_admits_what_the_earlier_caps_admitted(X):
+    # so every enumerate and reconstruct run the earlier caps let through
+    # still runs, with the same output
+    for n in range(40):
+        for dims in ((n,), range(n + 1)):
+            if _admitted_by_the_earlier_caps(X, dims):
+                reconstruct._refuse_oversized_work(X, dims)
+
+
 class TestSFunctor:
     def test_point_tower(self):
         shom = ShomSimplicialSet(standard_simplex(0), 4)
@@ -688,18 +741,14 @@ class TestVerifyReconstruction:
         assert report.ok, report.detail
 
     def test_wrong_stored_morphism_is_a_failing_report(self, monkeypatch):
-        # a stored simplex whose chain map is not the precomposite: the
-        # report fails instead of raising
+        # a stored record filed under another pair: the face that looks
+        # that pair up finds another morphism, and the report fails
+        # instead of raising
         from cupi import reconstruct
         X = standard_simplex(1)
         shom = ShomSimplicialSet(X, 2)
-        ms = shom.levels[0][0]
-        f = ms.chain_map
-        doubled = GradedMap(f.source, f.target, 0,
-                            {lb: {t: 2 * c for t, c in img.items()}
-                             for lb, img in f.comps.items()})
-        bad = ms._replace(chain_map=doubled)
-        shom.levels[0][0] = shom._by_pair[0][ms.pair] = bad
+        ms, other = shom.levels[0]
+        shom._by_pair[0][ms.pair] = other
         monkeypatch.setattr(reconstruct, "ShomSimplicialSet",
                             lambda X, up_to: shom)
         report = verify_reconstruction(X, 2)
@@ -742,38 +791,38 @@ def _by_composites(shom):
     return oracle
 
 
-def _store(shom, ms):
-    """Put ms in place of the stored simplex of its pair."""
-    level = shom.levels[len(ms.surjection) - 1]
-    level[[m.pair for m in level].index(ms.pair)] = ms
-    shom._by_pair[len(ms.surjection) - 1][ms.pair] = ms
+def _file(shom, ms, pair):
+    """File the record ms under pair, in its level and its lookup, in place
+    of the record of that pair."""
+    n = len(pair[0]) - 1
+    level = shom.levels[n]
+    level[[m.pair for m in level].index(pair)] = ms
+    shom._by_pair[n][pair] = ms
 
 
 def _double(shom):
-    """Twice the chain map of the last stored 2-simplex, a plain GradedMap."""
-    ms = shom.levels[2][-1]
-    f = ms.chain_map
-    _store(shom, ms._replace(chain_map=GradedMap(
-        f.source, f.target, 0, {lb: {t: 2 * c for t, c in img.items()}
-                                for lb, img in f.comps.items()})))
+    """The first stored 2-simplex filed a second time, under the pair of
+    the last one."""
+    level = shom.levels[2]
+    shom._by_pair[2][level[-1].pair] = level[0]
 
 
 def _swap(shom, a, b):
-    """Swap the chain maps of two stored simplices."""
-    _store(shom, a._replace(chain_map=b.chain_map))
-    _store(shom, b._replace(chain_map=a.chain_map))
+    """Two stored records, each filed under the other's pair."""
+    _file(shom, a, b.pair)
+    _file(shom, b, a.pair)
 
 
 def _swap_bases(shom):
-    """The two stored 2-simplices on the last edge, each then a view on the
-    other codegeneracy's N(theta)."""
+    """The two stored 2-simplices on the last edge, each filed under the
+    other codegeneracy's pair."""
     edge = shom.complex.simplices_of_dim(1)[-1]
     _swap(shom, *[ms for ms in shom.levels[2] if ms.simplex == edge])
 
 
 def _swap_vertices(shom):
-    """The stored 0-simplices of the first two vertices, each then N((0,))
-    relabeled onto the other vertex."""
+    """The stored 0-simplices of the first two vertices, each filed under
+    the other vertex."""
     _swap(shom, *shom.levels[0][:2])
 
 
@@ -794,12 +843,11 @@ def test_operators_agree_with_the_composite_oracle(monkeypatch, X, up_to,
                                                    tamper):
     # every face and degeneracy of ShomSimplicialSet is the stored simplex
     # the per-simplex composite finds, and verify_reconstruction's report is
-    # the oracle's.  With stored chain maps tampered with (twice a chain
-    # map, or two views swapped: on the other codegeneracy's N(theta), or
-    # onto the other vertex), the reports still agree and fail, and an
-    # operator gives the oracle's simplex or None: a chain map that is not
-    # its pair's relabeled N(theta) fails every square, also where its
-    # composite happens to be right
+    # the oracle's.  With stored records filed under another pair (one
+    # record filed twice, or two swapped: the two codegeneracies onto one
+    # edge, or two vertices), the reports still agree and fail, and an
+    # operator gives the oracle's simplex or None: a record found under a
+    # pair that is not its own is not the composite
     shom = ShomSimplicialSet(X, up_to)
     if tamper:
         tamper(shom)
