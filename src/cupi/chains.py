@@ -107,13 +107,14 @@ class FreeChainComplex:
     """Nonnegatively graded free Z-complex with labeled bases.
 
     basis[n] lists the degree-n labels (globally unique across degrees);
-    diff maps each label to the sparse dict of its boundary.  d.d = 0 is
-    checked at construction.
+    diff maps each label to the sparse dict of its boundary.  diff is kept
+    as given, not copied, so neither it nor its dicts may change after
+    construction.  d.d = 0 is checked at construction.
     """
 
     def __init__(self, basis, diff):
         self.basis = {n: tuple(labels) for n, labels in basis.items() if labels}
-        self.diff = {label: dict(d) for label, d in diff.items()}
+        self.diff = diff
         self.degree_of = {}
         for n, labels in self.basis.items():
             for lb in labels:
@@ -279,9 +280,9 @@ def _face_sum(cells, face):
 
 
 def normalized_chains(X):
-    """N(X) of an ordered complex: one generator per simplex, d_i drops
-    vertex i.  The empty complex gives the zero complex."""
-    return _face_sum(X.simplices, lambda s, i: s[:i] + s[i + 1:])
+    """N(X) of an ordered complex: one generator per simplex, faces X.face.
+    The empty complex gives the zero complex."""
+    return _face_sum(X.simplices, X.face)
 
 
 def unnormalized_chains(sset, up_to):

@@ -130,12 +130,12 @@ def is_steenrod_morphism(f, source, target, types=None):
     j + dim(simplex) <= 2 dim(target) (both sides vanish above that range),
     one simplex at a time in scan order, each by steenrod.square_failure.
 
-    The vertex map phi is read off the unit vertex images when it is
-    order-preserving and simplicial (_vertex_map_of).  On a simplex s write
-    phi|s = tau . theta with theta: [n] ->> [k] a codegeneracy and tau
-    injective.  Delta_j(s) is the universal table relabeled by s on both
-    structures, and relabeling by tau is injective and commutes with
-    map_factors, so the square of N(phi) on s is the square of N(theta) on
+    The vertex map phi is read off the unit vertex images, in the loop of
+    the augmentation check, when it is order-preserving and simplicial.
+    On a simplex s write phi|s = tau . theta with theta: [n] ->> [k] a
+    codegeneracy and tau injective.  Delta_j(s) is the universal table
+    relabeled by s on both structures, and relabeling by tau is injective
+    and commutes with map_factors, so the square of N(phi) on s is the square of N(theta) on
     the top simplex of the standard n-simplex, relabeled by tau: each local
     type theta is decided once (_type_failure), with its first failing j.
     Let s0 be the first simplex with f(s0) != N(phi)(s0).  The square on s
@@ -161,11 +161,19 @@ def is_steenrod_morphism(f, source, target, types=None):
     bad_deg = f.first_commutator_witness()
     if bad_deg is not None:
         return MorphismVerdict("not_chain_map", witness=bad_deg)
+    m = {}  # phi's mapping, or None when a vertex image is not one vertex
     for (v,) in source.simplices_of_dim(0):
-        if sum(f.apply_label((v,)).values()) != 1:
+        image = f.apply_label((v,))
+        if sum(image.values()) != 1:
             return MorphismVerdict("not_morphism", witness=("augmentation", (v,)))
-    phi = _vertex_map_of(f, source, target)
-    m = phi.as_dict() if phi is not None else None
+        if m is not None and list(image.values()) == [1]:
+            (m[v],), = image
+        else:
+            m = None
+    phi = None if m is None else VertexMap.from_dict(source, target, m)
+    if phi is not None and not (phi.is_order_preserving()
+                                and phi.is_simplicial()):
+        phi = None
     types = {} if types is None else types
     for s in source.all_simplices():
         if phi is not None:
@@ -182,21 +190,6 @@ def is_steenrod_morphism(f, source, target, types=None):
         if j is not None:
             return MorphismVerdict("not_morphism", witness=(j, s))
     return MorphismVerdict("morphism", certificate=phi)
-
-
-def _vertex_map_of(f, source, target):
-    """The vertex map phi read off f's unit vertex images, when it is
-    order-preserving (on every edge) and simplicial, else None."""
-    mapping = {}
-    for (v,) in source.simplices_of_dim(0):
-        image = f.apply_label((v,))
-        if list(image.values()) != [1]:
-            return None
-        (mapping[v],), = image
-    vmap = VertexMap.from_dict(source, target, mapping)
-    if not (vmap.is_order_preserving() and vmap.is_simplicial()):
-        return None
-    return vmap
 
 
 def _type_failure(theta):
@@ -259,11 +252,10 @@ def _induced(values, target):
                          source, target, dict(enumerate(values)))))
 
 
-def image_pair(vmap, pair):
-    """vmap applied to a (surjection, simplex) pair: the vertices
-    simplex[surjection[t]], mapped by vmap and epi-mono factored into the
-    (surjection, simplex) pair of the image."""
-    m = vmap.as_dict()
+def image_pair(m, pair):
+    """The vertex map m, a dict, applied to a (surjection, simplex) pair: the
+    vertices simplex[surjection[t]], mapped by m and epi-mono factored into
+    the (surjection, simplex) pair of the image."""
     theta, tau = pair
     return epi_mono_factor(tuple(m[tau[t]] for t in theta))
 
@@ -406,7 +398,7 @@ def verify_reconstruction(X, up_to):
     """
     shom = ShomSimplicialSet(X, up_to)
     levels = shom.levels
-    df = adjoin(X.to_delta())
+    df = adjoin(X)
     counts = []
     for n in range(up_to + 1):
         ms_pairs = sorted(m.pair for m in levels[n])
@@ -471,7 +463,7 @@ def lift_morphism(g, verdict, X, Y):
 
     Refuses unverified input.  The lift acts on morphism-simplices by
     postcomposition; on (surjection, simplex) pairs this is
-    image_pair(vertex_map, pair).
+    image_pair(vertex_map.as_dict(), pair).
     """
     if verdict is None or not verdict.ok:
         raise ValueError("refusing to lift an unverified morphism")
@@ -491,7 +483,7 @@ def nondegenerate_inclusion(X, up_to):
     """j_X: N(X) -> C(adjoin X) truncated, sending a simplex to its
     identity-surjection pair."""
     NX = structure_for(X).chains
-    CX = unnormalized_chains(adjoin(X.to_delta()), up_to)
+    CX = unnormalized_chains(adjoin(X), up_to)
     comps = {}
     for s in X.all_simplices():
         k = simplex_degree(s)
@@ -502,10 +494,9 @@ def nondegenerate_inclusion(X, up_to):
 
 def unnormalized_map_of_lift(lift, CX, CY):
     """C(g-hat): basis pairs go to their image pairs, coefficient 1."""
-    comps = {}
-    for pair in CX.degree_of:
-        comps[pair] = {image_pair(lift.vertex_map, pair): 1}
-    return GradedMap(CX, CY, 0, comps)
+    m = lift.vertex_map.as_dict()
+    return GradedMap(CX, CY, 0, {pair: {image_pair(m, pair): 1}
+                                 for pair in CX.degree_of})
 
 
 class HomologySquareReport(namedtuple("HomologySquareReport", "ok detail",

@@ -1,13 +1,13 @@
 """Ordered simplicial complexes, delta-complexes, and degeneracy-free simplicial sets.
 
 An ordered simplicial complex stores its simplices as strictly increasing
-vertex tuples, closed under taking faces.  A delta-complex keeps indexed cells
-with face operators only.  Freely adding degeneracies to a delta-complex gives
-a degeneracy-free simplicial set, represented here as pairs (theta, c) of an
-order-preserving surjection theta and a core cell c; the full simplicial set is
-never materialized, every dimension is enumerated on demand.  Faces and
-degeneracies of (theta, c) are read off their formulas (May, Simplicial
-Objects in Algebraic Topology, section 1).
+vertex tuples, closed under taking faces, and d_i drops vertex i.  A
+delta-complex keeps indexed cells with face operators only.  Freely adding
+degeneracies to either gives a degeneracy-free simplicial set, represented
+here as pairs (theta, c) of an order-preserving surjection theta and a core
+cell c; the full simplicial set is never materialized, every dimension is
+enumerated on demand.  Faces and degeneracies of (theta, c) are read off
+their formulas (May, Simplicial Objects in Algebraic Topology, section 1).
 """
 
 from __future__ import annotations
@@ -123,13 +123,16 @@ class OrderedComplex:
         k = len(simplex) - 1
         return 0 <= k < len(self.simplices) and simplex in self._simplex_sets[k]
 
+    def face(self, simplex, i):
+        """d_i: drop vertex i.  The one copy of the face rule, so an ordered
+        complex is its own delta-core: the face identities hold by it."""
+        return simplex[:i] + simplex[i + 1:]
+
     def to_delta(self):
-        """View as a delta-complex: cells are the simplices, d_i drops vertex i."""
+        """A copy as a delta-complex: cells are the simplices, faces self.face."""
         cells = {k: tuple(self.simplices[k]) for k in range(self.dim + 1)}
-        faces = {}
-        for k in range(1, self.dim + 1):
-            for s in self.simplices[k]:
-                faces[s] = tuple(s[:i] + s[i + 1:] for i in range(len(s)))
+        faces = {s: tuple(self.face(s, i) for i in range(len(s)))
+                 for level in self.simplices[1:] for s in level}
         return DeltaComplex(cells=cells, faces=faces)
 
 
@@ -211,7 +214,7 @@ class DeltaComplex:
     def dim(self):
         return max(self.cells) if self.cells else -1
 
-    def cells_of_dim(self, n):
+    def simplices_of_dim(self, n):
         return self.cells.get(n, ())
 
     def face(self, cell, i):
@@ -247,7 +250,8 @@ class DeltaComplex:
 # ---------------------------------------------------------------------------
 
 class SimplicialSetDF(namedtuple("SimplicialSetDF", "core")):
-    """Degeneracy-free simplicial set presented by its core delta-complex.
+    """Degeneracy-free simplicial set presented by its core, a
+    delta-complex or an ordered complex.
 
     m-simplices are pairs (theta, c) with theta an order-preserving
     surjection m -> n (a value tuple) and c an n-cell of the core; only the
@@ -257,14 +261,10 @@ class SimplicialSetDF(namedtuple("SimplicialSetDF", "core")):
     __slots__ = ()
 
     def simplices_of_dim(self, m):
-        out = []
-        for n in sorted(self.core.cells):
-            if n > m:
-                break
-            for theta in surjections(m, n):
-                for c in self.core.cells_of_dim(n):
-                    out.append((theta, c))
-        return tuple(out)
+        core = self.core
+        return tuple((theta, c) for n in range(min(m, core.dim) + 1)
+                     for theta in surjections(m, n)
+                     for c in core.simplices_of_dim(n))
 
     def face(self, simplex, i):
         """d_i(theta, c): drop entry v = theta[i]; if v is then missed,
@@ -282,9 +282,11 @@ class SimplicialSetDF(namedtuple("SimplicialSetDF", "core")):
 
 
 def adjoin(core):
-    """Freely add degenerate simplices to a delta-complex."""
-    if not isinstance(core, DeltaComplex):
-        raise InvalidComplexError("adjoin expects a DeltaComplex")
+    """Freely add degenerate simplices to a delta-complex or to an ordered
+    complex, which is read as its own delta-core."""
+    if not isinstance(core, (DeltaComplex, OrderedComplex)):
+        raise InvalidComplexError(
+            "adjoin expects a DeltaComplex or an OrderedComplex")
     return SimplicialSetDF(core=core)
 
 

@@ -30,8 +30,8 @@ verify_structure reads the universal tables on masks, as the build does.
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
-from functools import cached_property
+from collections import namedtuple
+from functools import cached_property, lru_cache
 
 from .chains import (Chain, TensorChain, _add_into, _add_scaled, _terms,
                      chain_map_from_vertex_map, normalized_chains,
@@ -315,22 +315,16 @@ class SteenrodStructure:
         return out + TensorChain(degree, _terms(parts[1])).swap()
 
 
-# Least recently used first.  verify_reconstruction(X, n) touches
-# Delta^0 ... Delta^n and X: n + 2 entries, six for reconstruct through
-# dimension 4, the most any command of the benchmark workloads uses.
+# verify_reconstruction(X, n) touches Delta^0 ... Delta^n and X: n + 2
+# entries, six for reconstruct through dimension 4, the most any command of
+# the benchmark workloads uses.
 _STRUCTURE_CACHE_SIZE = 16
-_structure_cache = OrderedDict()
 
 
+@lru_cache(maxsize=_STRUCTURE_CACHE_SIZE)
 def structure_for(X):
     """The SteenrodStructure of X, shared through a bounded LRU cache."""
-    S = _structure_cache.pop(X, None)
-    if S is None:
-        S = SteenrodStructure(X)
-        if len(_structure_cache) >= _STRUCTURE_CACHE_SIZE:
-            _structure_cache.popitem(last=False)
-    _structure_cache[X] = S
-    return S
+    return SteenrodStructure(X)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +470,7 @@ class Mod2Cohomology:
             units = [0] * len(index)  # coboundaries of the unit cochains
             for i, s in enumerate(self.simplices.get(j + 1, ())):
                 for p in range(len(s)):
-                    units[index[s[:p] + s[p + 1:]]] ^= 1 << i
+                    units[index[X.face(s, p)]] ^= 1 << i
             # kernel of delta_j: tag each unit cochain with its own bit
             solver = _Echelon()
             kernel = []

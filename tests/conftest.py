@@ -20,6 +20,7 @@ os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 import pytest  # noqa: E402
 
 from cupi.simplicial import build_complex, standard_simplex  # noqa: E402
+from cupi.steenrod import structure_for  # noqa: E402
 
 
 RP2_FACETS = [(1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),
@@ -125,3 +126,13 @@ def projective_spaces():
 @pytest.fixture(scope="session")
 def full_corpus(corpus, random_corpus):
     return list(corpus.values()) + random_corpus
+
+
+@pytest.fixture
+def fresh_structures():
+    """structure_for's cache emptied before and after the test.  A structure
+    built on tampered tables keeps its tampered entries, so none may outlive
+    the test; the fixture's value is cache_clear, for clears between steps."""
+    structure_for.cache_clear()
+    yield structure_for.cache_clear
+    structure_for.cache_clear()

@@ -120,12 +120,12 @@ def delta_normalized_chains(X):
     alternating sum of the stored faces; the DeltaComplex checks the face
     identities on every cell."""
     D = X.to_delta()
-    basis = {n: tuple(D.cells_of_dim(n)) for n in D.cells}
+    basis = {n: tuple(D.simplices_of_dim(n)) for n in D.cells}
     diff = {}
     for n in D.cells:
         if n == 0:
             continue
-        for c in D.cells_of_dim(n):
+        for c in D.simplices_of_dim(n):
             acc = {}
             for i in range(n + 1):
                 _add_into(acc, D.face(c, i), (-1) ** i)
@@ -883,7 +883,7 @@ def precompose_by_composite(shom, ms, values, dim, operators):
             steenrod.structure_for(small).chains,
             steenrod.structure_for(big).chains)
     stored = shom._by_pair[dim].get(
-        image_pair(ms.vertex_map, (values, tuple(range(n + 1)))))
+        image_pair(ms.vertex_map.as_dict(), (values, tuple(range(n + 1)))))
     if stored is None or not stored.chain_map.equals_composite(
             ms.chain_map, operators[n, values]):
         return None

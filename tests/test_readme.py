@@ -2,6 +2,7 @@
 block lists the parser's subcommands and options."""
 
 import argparse
+import ast
 import os
 import re
 import subprocess
@@ -58,3 +59,30 @@ def test_every_cap_in_the_readme_is_its_constant():
         assert {int(w.replace(" ", "")) for w in written} == {value}, name
     stated = set(re.findall(r"`(\w+\.[A-Z_]+)` = \d", text))
     assert stated == set(caps)
+
+
+def test_every_name_in_the_module_table_exists():
+    # each backticked name in the "What is inside" table, dotted parts and
+    # all, is a module, a definition in the package or the test oracles, or
+    # a subcommand, so a rename or a deletion cannot leave a stale name
+    section = (ROOT / "README.md").read_text().split(
+        "\n## What is inside\n")[1].split("\n## ")[0]
+    spans = re.findall(r"`([^`]+)`",
+                       "\n".join(line for line in section.splitlines()
+                                 if line.startswith("| `")))
+    sources = sorted((ROOT / "src" / "cupi").glob("*.py"))
+    known = {"cupi", "oracles"} | {path.stem for path in sources}
+    for path in sources + [ROOT / "tests" / "oracles.py"]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                known.add(node.name)
+            elif isinstance(node, ast.Assign):
+                known |= {t.id for t in node.targets
+                          if isinstance(t, ast.Name)}
+    subparsers, = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    names = [m.group(1) for span in spans
+             if (m := re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", span))]
+    assert len(names) > 50
+    assert [name for name in names if name not in subparsers.choices
+            and not set(name.split(".")) <= known] == []

@@ -5,11 +5,10 @@ import copy
 import functools
 import itertools
 import random
-from collections import OrderedDict
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cupi.chains import (Chain, GradedMap, HomologyClasses, TensorChain,
                          _add_into, chain_map_from_vertex_map,
@@ -17,14 +16,15 @@ from cupi.chains import (Chain, GradedMap, HomologyClasses, TensorChain,
 from cupi.simplicial import (VertexMap, adjoin, build_complex,
                              epi_mono_factor, identity_map, standard_simplex,
                              surjections)
-from cupi import chains, reconstruct, steenrod
+from cupi import chains, reconstruct, simplicial, steenrod
 from cupi.steenrod import (BarElement, SteenrodStructure, aw_diagonal, eta,
                            higher_diagonal, structure_for)
 from cupi.reconstruct import (MorphismVerdict, ShomSimplicialSet,
                               _inclusion_is_iso, enumerate_morphisms,
                               homology_square,
                               image_pair, is_steenrod_morphism, lift_morphism,
-                              nondegenerate_inclusion, verify_reconstruction,
+                              nondegenerate_inclusion,
+                              unnormalized_map_of_lift, verify_reconstruction,
                               xi_iterate)
 
 import oracles
@@ -358,9 +358,10 @@ def test_first_commutator_witness_is_the_lowest_residual_degree(case):
                       maps(corpus_complexes,
                            ("none", "perturb", "cycle", "homotopy"))),
        data=st.data())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_per_type_decision_agrees_with_the_scan_on_tampered_tables(
-        kind, case, data):
+        fresh_structures, kind, case, data):
     """One universal table (i, k), 1 <= i <= k <= dim X, changed: its sign
     flipped, its first term dropped, doubled, or one term of its degree
     added; both decisions read fresh structures.  Only a local type theta:
@@ -402,10 +403,13 @@ def test_per_type_decision_agrees_with_the_scan_on_tampered_tables(
         table = table + TensorChain.from_dict(i + k, {term: 1})
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(steenrod._TABLES, key, table)
-        mp.setattr(steenrod, "_structure_cache", OrderedDict())
-        got = is_steenrod_morphism(f, X, Y)
-        mp.setattr(steenrod, "_structure_cache", OrderedDict())
-        want = oracles.scan_morphism(f, X, Y)
+        try:
+            fresh_structures()
+            got = is_steenrod_morphism(f, X, Y)
+            fresh_structures()
+            want = oracles.scan_morphism(f, X, Y)
+        finally:
+            fresh_structures()
     assert steenrod._LEVEL_BUILT == built
     assert got == want
 
@@ -622,7 +626,8 @@ class TestEnumerate:
         assert len(enumerate_morphisms(3, standard_simplex(2))) == 15
         assert len(decided) == len(set(decided))
 
-    def test_tampered_table_fails_the_codegeneracy_check(self, monkeypatch):
+    def test_tampered_table_fails_the_codegeneracy_check(self, monkeypatch,
+                                                         fresh_structures):
         # the extra term of Delta_1 on the 3-simplex survives the
         # codegeneracy (0, 1, 2, 2) onto the 2-simplex, which kills the
         # 3-simplex itself: the first failing vertex map's verdict
@@ -632,7 +637,7 @@ class TestEnumerate:
         monkeypatch.setitem(steenrod._TABLES, (1, 3),
                             steenrod._TABLES[(1, 3)] + extra)
         # structures made before the tampering hold the true entries
-        monkeypatch.setattr(steenrod, "_structure_cache", OrderedDict())
+        fresh_structures()
         with pytest.raises(RuntimeError) as err:
             enumerate_morphisms(3, standard_simplex(2))
         assert str(err.value) == (
@@ -883,7 +888,7 @@ class TestLift:
         for m in range(3):
             for theta, tau in dX.simplices_of_dim(m):
                 values = tuple(vm.as_dict()[tau[t]] for t in theta)
-                assert image_pair(lift.vertex_map, (theta, tau)) == \
+                assert image_pair(lift.vertex_map.as_dict(), (theta, tau)) == \
                     epi_mono_factor(values)
 
     def test_identity_on_rp2(self):
@@ -920,7 +925,7 @@ class TestLift:
         dX = adjoin(X.to_delta())
         for m in range(3):
             for pair in dX.simplices_of_dim(m):
-                assert image_pair(lift.vertex_map, pair) == pair
+                assert image_pair(lift.vertex_map.as_dict(), pair) == pair
 
     def test_lift_composes(self):
         A = build_complex([(3, 5), (3, 9), (5, 9)])
@@ -936,8 +941,8 @@ class TestLift:
         dA = adjoin(A.to_delta())
         for m in range(3):
             for pair in dA.simplices_of_dim(m):
-                once = image_pair(l1.vertex_map, pair)
-                assert image_pair(l2.vertex_map, once) == pair
+                once = image_pair(l1.vertex_map.as_dict(), pair)
+                assert image_pair(l2.vertex_map.as_dict(), once) == pair
 
     def test_direct_route_agrees(self):
         A = build_complex([(3, 5), (3, 9), (5, 9)])
@@ -952,7 +957,7 @@ class TestLift:
             lifted = lift.vertex_map.as_dict()
             values = tuple(lifted[ms.vertex_map.as_dict()[i]] for i in range(2))
             assert epi_mono_factor(values) == \
-                image_pair(lift.vertex_map, ms.pair)
+                image_pair(lift.vertex_map.as_dict(), ms.pair)
             induced = chain_map_from_vertex_map(
                 VertexMap.from_dict(standard_simplex(1), B,
                                     dict(enumerate(values))),
@@ -1040,12 +1045,11 @@ def test_homology_square_agrees_with_the_kernel_oracle(
 
 @pytest.mark.parametrize("n, want", [(2, 20), (3, 21)])
 def test_homology_square_runs_one_elimination_per_boundary_map(
-        monkeypatch, n, want):
+        monkeypatch, fresh_structures, n, want):
     # identity on RP^n, --i-max 2: one cleared pass of N(X), shared by both
     # sides (n eliminations), and of each C(adjoin X) through degree 3
     # (3 + 3); generators() once per degree 0..2 on each side (3 + 3); one
     # onto check per inclusion and degree (6)
-    monkeypatch.setattr(steenrod, "_structure_cache", OrderedDict())
     X = rp(n)
     g = GradedMap.identity(structure_for(X).chains)
     verdict = is_steenrod_morphism(g, X, X)
@@ -1063,6 +1067,37 @@ def test_homology_square_builds_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(chains.FreeChainComplex, "boundary_matrix", refuse)
     monkeypatch.setattr(chains, "kernel_basis", refuse)
     assert homology_square(g, verdict, X, X, 2) == (True, "square commutes")
+
+
+def test_reconstruction_and_homology_square_copy_no_delta_complex(
+        monkeypatch):
+    # adjoin reads the ordered complex as its own core
+    def refuse(self, cells, faces):
+        raise AssertionError("a DeltaComplex was built")
+    X = rp2()
+    g = GradedMap.identity(structure_for(X).chains)
+    verdict = is_steenrod_morphism(g, X, X)
+    monkeypatch.setattr(simplicial.DeltaComplex, "__init__", refuse)
+    assert verify_reconstruction(X, 3).ok
+    assert homology_square(g, verdict, X, X, 2) == (True, "square commutes")
+
+
+def test_the_lift_on_chains_reads_the_vertex_map_once(monkeypatch):
+    X = rp2()
+    g = GradedMap.identity(structure_for(X).chains)
+    lift = lift_morphism(g, is_steenrod_morphism(g, X, X), X, X)
+    _, C = nondegenerate_inclusion(X, 3)
+    calls = []
+    as_dict = VertexMap.as_dict
+
+    def counted(self):
+        calls.append(self)
+        return as_dict(self)
+
+    monkeypatch.setattr(VertexMap, "as_dict", counted)
+    chat = unnormalized_map_of_lift(lift, C, C)
+    assert calls == [lift.vertex_map]
+    assert chat.equals(GradedMap.identity(C))
 
 
 @pytest.mark.parametrize("X", [

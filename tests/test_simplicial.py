@@ -11,6 +11,7 @@ from cupi.simplicial import (DeltaComplex, InvalidComplexError, VertexMap,
                              core_comparison_is_iso, core_of, identity_map,
                              standard_simplex, surjections)
 
+from cupi.chains import unnormalized_chains
 from cupi.reconstruct import enumerate_morphisms
 
 import oracles
@@ -146,6 +147,29 @@ class TestSurjections:
 
 
 class TestAdjoin:
+    def test_an_ordered_complex_is_its_own_delta_core(self, full_corpus,
+                                                      projective_spaces):
+        # adjoin(X) against the reference adjoin(X.to_delta()) through
+        # dim X + 2: the same simplices, faces, degeneracies and chains
+        for X in [*full_corpus, projective_spaces[3]]:
+            direct, ref = adjoin(X), adjoin(X.to_delta())
+            top = X.dim + 2
+            for m in range(top + 1):
+                level = direct.simplices_of_dim(m)
+                assert level == ref.simplices_of_dim(m)
+                for s in level:
+                    for i in range(m + 1):
+                        if m:
+                            assert direct.face(s, i) == ref.face(s, i)
+                        assert direct.degeneracy(s, i) == ref.degeneracy(s, i)
+            C, R = unnormalized_chains(direct, top), unnormalized_chains(ref, top)
+            assert (C.basis, C.diff) == (R.basis, R.diff)
+
+    def test_adjoin_refuses_other_cores(self):
+        for core in (None, {0: ((0,),)}, adjoin(standard_simplex(1))):
+            with pytest.raises(InvalidComplexError, match="adjoin expects"):
+                adjoin(core)
+
     def test_point_one_simplex_per_dimension(self):
         dpt = adjoin(standard_simplex(0).to_delta())
         assert [len(dpt.simplices_of_dim(m)) for m in range(6)] == [1] * 6
@@ -211,11 +235,11 @@ class TestForget:
     def test_point_tower(self):
         dpt = adjoin(standard_simplex(0).to_delta())
         f = forget(dpt, 4)
-        assert [len(f.cells_of_dim(m)) for m in range(5)] == [1] * 5
+        assert [len(f.simplices_of_dim(m)) for m in range(5)] == [1] * 5
 
     def test_interval_dim1_three_cells(self):
         f = forget(adjoin(standard_simplex(1).to_delta()), 2)
-        assert len(f.cells_of_dim(1)) == 3
+        assert len(f.simplices_of_dim(1)) == 3
 
     def test_cell_count_formula(self, corpus):
         for X in corpus.values():
@@ -224,7 +248,7 @@ class TestForget:
             for m in range(5):
                 want = sum(comb(m, n) * len(X.simplices_of_dim(n))
                            for n in range(X.dim + 1))
-                assert len(f.cells_of_dim(m)) == want
+                assert len(f.simplices_of_dim(m)) == want
 
 
 class TestCoreAndComparison:
@@ -235,7 +259,7 @@ class TestCoreAndComparison:
 
     def test_core_of_triangle(self):
         Y = core_of(adjoin(standard_simplex(2).to_delta()))
-        assert tuple(len(Y.cells_of_dim(k)) for k in range(3)) == (3, 3, 1)
+        assert tuple(len(Y.simplices_of_dim(k)) for k in range(3)) == (3, 3, 1)
 
     def test_comparison_iso_rp2(self):
         assert core_comparison_is_iso(adjoin(rp2().to_delta()), 3)
@@ -257,9 +281,9 @@ class TestUnitCounit:
         X = adjoin(Y)
         iota = unit(Y)
         fdY = forget(X, 1)
-        image = {iota(c) for n in Y.cells for c in Y.cells_of_dim(n)}
+        image = {iota(c) for n in Y.cells for c in Y.simplices_of_dim(n)}
         nondeg = {(theta, c) for m in range(2)
-                  for theta, c in fdY.cells_of_dim(m)
+                  for theta, c in fdY.simplices_of_dim(m)
                   if theta == identity_map(m)}
         assert image == nondeg
         assert len(image) == 6  # 3 vertices + 3 edges
@@ -271,7 +295,7 @@ class TestUnitCounit:
         g = counit(X)
         iota = unit(fX)
         for m in range(3):
-            for cell in fX.cells_of_dim(m):
+            for cell in fX.simplices_of_dim(m):
                 assert g(iota(cell)) == cell
 
     def test_triangle_identity_gd_diota(self):

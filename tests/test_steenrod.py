@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import random
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -622,12 +621,12 @@ class TestProjectiveSpaces:
                     oracles.scan_squares(X, i, closed), i
 
     def test_squares_read_no_entry_of_the_structure(self, monkeypatch,
-                                                     projective_spaces):
+                                                     projective_spaces,
+                                                     fresh_structures):
         def refuse(self, i, simplex):
             raise AssertionError(f"delta({i}, {simplex}) read")
 
         monkeypatch.setattr(SteenrodStructure, "delta", refuse)
-        monkeypatch.setattr(steenrod, "_structure_cache", OrderedDict())
         for n in (2, 4):
             X = projective_spaces[n]
             for i in (1, 2):
@@ -713,16 +712,19 @@ def test_mod2_cohomology_against_integral_oracle(facets, rng):
             assert coh.class_coords(rep ^ cob, j) == unit
 
 
-def test_structure_cache_is_a_bounded_lru():
+def test_structure_cache_is_a_bounded_lru(fresh_structures):
+    # an entry is cached when structure_for hands back the same object
     size = steenrod._STRUCTURE_CACHE_SIZE
     paths = [build_complex([(0, k)]) for k in range(1, size + 4)]
     structures = [structure_for(X) for X in paths]
-    assert len(steenrod._structure_cache) <= size
+    assert structure_for.cache_info().maxsize == size
+    assert structure_for.cache_info().currsize == size
     assert structure_for(paths[-1]) is structures[-1]
-    assert paths[0] not in steenrod._structure_cache
     # a hit makes an entry the most recent: the next miss evicts another
     oldest = paths[-size]
     assert structure_for(oldest) is structures[-size]
     structure_for(build_complex([(0, size + 4)]))
-    assert oldest in steenrod._structure_cache
-    assert paths[-size + 1] not in steenrod._structure_cache
+    assert structure_for(oldest) is structures[-size]
+    assert structure_for(paths[-size + 1]) is not structures[-size + 1]
+    # the first entries were evicted when the cache was full
+    assert structure_for(paths[0]) is not structures[0]
