@@ -103,6 +103,16 @@ def _add_scaled(acc, combination, c=1):
         _add_into(acc, k, c * v)
 
 
+def _apply(image, terms):
+    """The coefficient dict of sum c * image(label) over the (label, c)
+    pairs of terms, zeros dropped; image(label) is a dict."""
+    out = {}
+    for label, c in terms:
+        for tgt, v in image(label).items():
+            _add_into(out, tgt, c * v)
+    return out
+
+
 class FreeChainComplex:
     """Nonnegatively graded free Z-complex with labeled bases.
 
@@ -143,11 +153,8 @@ class FreeChainComplex:
         return self.diff.get(label, {})
 
     def boundary(self, chain):
-        out = {}
-        for label, c in chain.coeffs:
-            for face, s in self.boundary_of(label).items():
-                _add_into(out, face, c * s)
-        return Chain.from_dict(chain.degree - 1, out)
+        return Chain.from_dict(chain.degree - 1,
+                               _apply(self.boundary_of, chain.coeffs))
 
     def boundary_matrix(self, n):
         """Matrix of d_n : C_n -> C_{n-1}, rows indexed by degree n-1 basis."""
@@ -197,11 +204,8 @@ class GradedMap:
         return self.comps.get(label, {})
 
     def apply(self, chain):
-        out = {}
-        for label, c in chain.coeffs:
-            for tgt, v in self.apply_label(label).items():
-                _add_into(out, tgt, c * v)
-        return Chain.from_dict(chain.degree + self.shift, out)
+        return Chain.from_dict(chain.degree + self.shift,
+                               _apply(self.apply_label, chain.coeffs))
 
     def _residuals(self, labels):
         """Yield (label, df(label)) over the given source labels, where
@@ -231,14 +235,6 @@ class GradedMap:
                 return n
         return None
 
-    def _image_of(self, d):
-        """The image of the combination {label: coeff} d, zeros dropped."""
-        acc = {}
-        for mid, c in d.items():
-            for tgt, v in self.apply_label(mid).items():
-                _add_into(acc, tgt, c * v)
-        return acc
-
     def equals(self, other):
         return (self.shift == other.shift and self.comps == other.comps)
 
@@ -249,7 +245,7 @@ class GradedMap:
             return False
         hits = 0
         for lb, d in inner.comps.items():
-            image = outer._image_of(d)
+            image = _apply(outer.apply_label, d.items())
             if image != self.comps.get(lb, {}):
                 return False
             hits += bool(image)
@@ -292,22 +288,25 @@ def unnormalized_chains(sset, up_to):
                      sset.face)
 
 
-def induced_components(vmap):
-    """Components of N(theta) for a simplicial vertex map: a simplex goes to
-    its image when the map is injective on it, to zero otherwise."""
-    m = vmap.as_dict()
-    comps = {}
-    for s in vmap.source.all_simplices():
-        image = tuple(sorted({m[v] for v in s}))
-        if len(image) == len(s):
-            comps[s] = {image: 1}
-    return comps
+def induced_image(phi, s):
+    """N(phi)(s) of the normalized chain functor: {phi(s): 1} when the
+    vertex map phi is injective on the simplex s, zero (an empty dict)
+    otherwise.  phi is anything indexed by the vertices of s: a dict, or a
+    tuple of values on positions.  The one copy of the rule."""
+    image = {phi[v] for v in s}
+    return {tuple(sorted(image)): 1} if len(image) == len(s) else {}
+
+
+def induced_components(phi, simplices):
+    """Components of N(phi) on the given simplices, the zero ones left out."""
+    return {s: image for s in simplices if (image := induced_image(phi, s))}
 
 
 def chain_map_from_vertex_map(vmap, NA, NB):
     """The chain map N(theta): NA -> NB of a simplicial vertex map, with the
     chain-map law checked."""
-    f = GradedMap(NA, NB, 0, induced_components(vmap))
+    f = GradedMap(NA, NB, 0, induced_components(
+        vmap.as_dict(), vmap.source.all_simplices()))
     bad = f.first_commutator_witness()
     if bad is not None:
         raise ValueError(f"not a chain map: fails in degree {bad}")

@@ -17,10 +17,9 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .chains import (GradedMap, TensorChain, _add_into,
-                     _present, _terms, chain_map_from_vertex_map,
-                     HomologyClasses, induced_components, simplex_degree,
-                     unnormalized_chains)
+from .chains import (GradedMap, TensorChain, _add_into, _present, _terms,
+                     HomologyClasses, induced_components, induced_image,
+                     simplex_degree, unnormalized_chains)
 from .simplicial import (VertexMap, adjoin, coface, codegeneracy,
                          epi_mono_factor, identity_map, standard_simplex,
                          surjections)
@@ -177,8 +176,8 @@ def is_steenrod_morphism(f, source, target, types=None):
     types = {} if types is None else types
     for s in source.all_simplices():
         if phi is not None:
-            theta, tau = epi_mono_factor([m[v] for v in s])
-            if f.apply_label(s) == ({tau: 1} if len(tau) == len(s) else {}):
+            if f.apply_label(s) == induced_image(m, s):
+                theta = epi_mono_factor([m[v] for v in s])[0]
                 if theta not in types:
                     types[theta] = _type_failure(theta)
                 j = types[theta]
@@ -195,16 +194,10 @@ def is_steenrod_morphism(f, source, target, types=None):
 def _type_failure(theta):
     """The first j at which the structure square of N(theta) fails on the
     top simplex, for a codegeneracy theta: [n] ->> [k], or None.  Both sides
-    read higher_diagonal, as SteenrodStructure.delta does, and N(theta) sends
-    a face of positions to its image when theta is injective on it, to zero
-    otherwise."""
-    def on_positions(face):
-        image = tuple([theta[p] for p in face])
-        if all(a < b for a, b in zip(image, image[1:])):
-            return {image: 1}
-        return {}
-
-    return square_failure(higher_diagonal, higher_diagonal, on_positions,
+    read higher_diagonal, as SteenrodStructure.delta does, and N(theta) is
+    read by induced_image on faces of positions."""
+    return square_failure(higher_diagonal, higher_diagonal,
+                          lambda face: induced_image(theta, face),
                           identity_map(len(theta) - 1), 2 * theta[-1])
 
 
@@ -248,8 +241,7 @@ def _induced(values, target):
     source = standard_simplex(len(values) - 1)
     return GradedMap(structure_for(source).chains,
                      structure_for(target).chains, 0,
-                     induced_components(VertexMap.from_dict(
-                         source, target, dict(enumerate(values)))))
+                     induced_components(values, source.all_simplices()))
 
 
 def image_pair(m, pair):
@@ -335,10 +327,12 @@ class ShomSimplicialSet:
     def _square(self, theta, values):
         n = len(theta) - 1
         if (n, values) not in self._operators:
-            small, big = standard_simplex(len(values) - 1), standard_simplex(n)
-            self._operators[n, values] = chain_map_from_vertex_map(
-                VertexMap.from_dict(small, big, dict(enumerate(values))),
-                structure_for(small).chains, structure_for(big).chains)
+            operator = _induced(values, standard_simplex(n))
+            bad = operator.first_commutator_witness()
+            if bad is not None:  # N of a monotone map is a chain map
+                raise RuntimeError(f"internal: N{values} is not a chain "
+                                   f"map: fails in degree {bad}")
+            self._operators[n, values] = operator
         target = standard_simplex(theta[-1])
         if theta not in self._codegeneracies:
             self._codegeneracies[theta] = _induced(theta, target)

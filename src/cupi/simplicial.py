@@ -29,12 +29,6 @@ def identity_map(n):
     return tuple(range(n + 1))
 
 
-# Keys are (m, n) with n <= m, so a command reaching dimension M uses at
-# most (M + 1)(M + 2) / 2 of them; a benchmark workload command uses 12.
-_SURJECTIONS_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_SURJECTIONS_CACHE_SIZE)
 def surjections(m, n):
     """All order-preserving surjections m -> n as value tuples, sorted.
 
@@ -68,9 +62,8 @@ def epi_mono_factor(values):
     Returns (surj_values, image_values): the surjection onto {0..r} followed
     by the injection picking out the (sorted) image values.
     """
-    image = sorted(set(values))
-    pos = {v: i for i, v in enumerate(image)}
-    return tuple(pos[v] for v in values), tuple(image)
+    image = sorted(set(values))  # a simplex's few values: no index dict
+    return tuple(map(image.index, values)), tuple(image)
 
 
 # ---------------------------------------------------------------------------

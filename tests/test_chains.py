@@ -14,7 +14,8 @@ from cupi.chains import (Chain, FreeChainComplex, GradedMap, HomologyClasses,
                          TensorChain, _present, homology, kernel_basis,
                          normalized_chains, smith_normal_form,
                          unnormalized_chains)
-from cupi.simplicial import adjoin, build_complex, standard_simplex
+from cupi.simplicial import (VertexMap, adjoin, build_complex,
+                             standard_simplex)
 
 import oracles
 from conftest import circle, rp2, sphere
@@ -123,6 +124,24 @@ def test_equals_composite_agrees_with_compose():
     shifted = GradedMap(N, N, 1, {})
     assert not shifted.equals_composite(GradedMap(N, N, 0, {}),
                                         GradedMap(N, N, 0, {}))
+
+
+def test_induced_image_reads_a_dict_or_values_on_positions(full_corpus):
+    # N(phi)(s) is phi(s) when phi is injective on s and zero otherwise,
+    # for phi a dict on vertices or a tuple of values on positions; the
+    # components agree with the oracle's own loop
+    rng = random.Random(11)
+    for X in full_corpus:
+        values = tuple(sorted(rng.choice(range(4)) for _ in X.vertices))
+        phi = dict(zip(X.vertices, values))
+        assert chains.induced_components(phi, X.all_simplices()) == \
+            oracles.vertex_map_components(VertexMap.from_dict(X, X, phi))
+    for values in [(0, 0, 1, 2), (0, 1, 1, 1), (1, 3, 4, 5), (2, 0, 1, 0)]:
+        for s in standard_simplex(3).all_simplices():
+            image = sorted(values[p] for p in s)
+            want = {tuple(image): 1} if len(set(image)) == len(s) else {}
+            assert chains.induced_image(values, s) == want
+            assert chains.induced_image(dict(enumerate(values)), s) == want
 
 
 class TestTensorChain:

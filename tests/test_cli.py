@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cupi import cli, io as cio, reconstruct, simplicial, steenrod
-from cupi.chains import normalized_chains, unnormalized_chains
+from cupi.chains import GradedMap, normalized_chains, unnormalized_chains
 from cupi.cli import main
 from cupi.simplicial import build_complex
 
@@ -248,6 +248,24 @@ class TestMorphismCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: internal: x\n"  # no traceback
+
+    def test_a_broken_operator_map_is_an_internal_fault(self, files, capsys,
+                                                       monkeypatch):
+        # only a coface operator N(delta) raises the top degree; one that
+        # breaks the chain-map law is the program's fault, not the file's
+        law = GradedMap.first_commutator_witness
+
+        def broken(self):
+            if self.target.top_degree > self.source.top_degree:
+                return 1
+            return law(self)
+
+        monkeypatch.setattr(GradedMap, "first_commutator_witness", broken)
+        assert main(["reconstruct", files["rp2.json"], "--up-to", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: ")
+        assert captured.err.count("\n") == 1
 
     def test_homology_square(self, files, capsys):
         code, out = run(capsys, "homology-square", files["d1.json"],

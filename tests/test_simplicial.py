@@ -136,15 +136,6 @@ class TestSurjections:
             assert theta[0] == 0 and theta[-1] == 2
             assert all(b - a in (0, 1) for a, b in zip(theta, theta[1:]))
 
-    def test_cache_is_bounded(self):
-        bound = surjections.cache_info().maxsize
-        assert bound is not None
-        for m in range(bound + 10):  # more distinct keys than the bound
-            assert surjections(m, m) == (identity_map(m),)
-            assert surjections.cache_info().currsize <= bound
-        # an evicted entry is recomputed, not lost
-        assert len(surjections(5, 2)) == comb(5, 2)
-
 
 class TestAdjoin:
     def test_an_ordered_complex_is_its_own_delta_core(self, full_corpus,

@@ -151,6 +151,26 @@ def test_the_structure_square_is_formed_in_one_function():
     assert sites == [("steenrod.py", "square_failure")]
 
 
+def test_every_runtime_error_is_marked_internal():
+    # cli.main maps a RuntimeError to exit 3, a fault of the program: each
+    # one says so in its message
+    raises, found = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if not (isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "RuntimeError"):
+                continue
+            raises += 1
+            message = call.args[0] if call.args else None
+            if isinstance(message, ast.JoinedStr):
+                message = message.values[0]
+            if not (isinstance(message, ast.Constant)
+                    and str(message.value).startswith("internal: ")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert raises and found == []
+
+
 def test_every_import_is_used():
     # a name imported at the top of a module and never read there is left
     # over from a refactor
