@@ -11,10 +11,11 @@ degree-by-degree extension with the cone contraction of
 N(Delta^k) (x) N(Delta^k) (prepend vertex 0), then the top coefficient is
 pinned to eta_k = (-1)^(k(k+1)/2) by an even cycle correction one level
 down.  Each level is built on position bitmasks and stored as TensorChains.
-It is checked by the chain-map law once per entry; that the right side is
-a cycle is implied by it, and is read only to name a failed check.  Tables
-are built lazily, cached per dimension, and transported to concrete
-simplices by vertex position.  The construction satisfies, exactly over Z:
+Each entry is checked by the chain-map law once per process, as it is
+stored, where it is written; that the right side is a cycle is implied by
+it, and is read only to name a failed check.  Tables are built lazily,
+cached per dimension, and transported to concrete simplices by vertex
+position.  The construction satisfies, exactly over Z:
 
   C1  chain map:      d xi(e_i (x) s) = xi(d e_i (x) s) + (-1)^i xi(e_i (x) ds)
   C2  equivariance:   xi(T b (x) s) = Tswap xi(b (x) s), by construction:
@@ -25,7 +26,9 @@ simplices by vertex position.  The construction satisfies, exactly over Z:
       positional table relabeled by the simplex, and a built table is
       never rewritten
 
-verify_structure reads the universal tables on masks, as the build does.
+verify_structure reads each universal table once, and keeps the build's
+verdict on the law at an entry while the tables it read are unchanged; it
+re-derives the law, on masks as the build does, only where one has changed.
 """
 
 from __future__ import annotations
@@ -120,6 +123,10 @@ def aw_diagonal(simplex):
 # fresh structures afterwards.
 _TABLES = {(0, 0): aw_diagonal((0,))}
 _LEVEL_BUILT = 0
+# (i, k) -> the entries (i - 1, k), (i, k) and (i, k - 1) on which the build
+# decided C1 at (i, k), as _c1_holds reads them: one record per entry
+# i >= 1, holding the very TensorChains of _TABLES it read and wrote.
+_CHECKED = {}
 
 
 def _masks(table):
@@ -171,41 +178,51 @@ def _mask_contract(t):
     return {(a | 1, b): c for (a, b), c in t.items() if not a & 1}
 
 
-def _mask_rhs(level, lower, i, k):
-    """Right side of the chain-map law for the level-(i, k) table: the
-    entries (i - 1, k) and (i, k - 1) are level[i - 1] and lower[i]."""
-    prev = level[i - 1]
+def _mask_rhs(prev, face, i, k):
+    """Right side of the chain-map law for the level-(i, k) table: prev is
+    the entry (i - 1, k) and face the entry (i, k - 1), or {} for i = k."""
     out = dict(prev)
     sign = (-1) ** i
     for (a, b), c in prev.items():
         # the swap, with sign (-1)^(deg A * deg B): -1 when both are odd
         both_odd = not (a.bit_count() & 1 or b.bit_count() & 1)
         _add_into(out, (b, a), -sign * c if both_odd else sign * c)
-    if i < k:
-        for j in range(k + 1):
-            # the face d_j: top[:j] + top[j+1:] on masks
-            lo = (1 << j) - 1
-            sign = (-1) ** (i + j)
-            for (a, b), c in lower[i].items():
-                _add_into(out, ((a & lo) | ((a & ~lo) << 1),
-                                (b & lo) | ((b & ~lo) << 1)), sign * c)
+    for j in range(k + 1):
+        # the face d_j: top[:j] + top[j+1:] on masks
+        lo = (1 << j) - 1
+        sign = (-1) ** (i + j)
+        for (a, b), c in face.items():
+            _add_into(out, ((a & lo) | ((a & ~lo) << 1),
+                            (b & lo) | ((b & ~lo) << 1)), sign * c)
     return out
 
 
 def _build_level(k):
     """Tables (0, k) ... (k, k) from level k - 1: each (i, k) contracts the
     right side R of the chain-map law, and (k - 1, k) is corrected by an
-    even cycle so that (k, k) is eta_k top (x) top.  Each entry takes one
-    boundary, for the law dD = R on its contraction D.  That makes R a
-    cycle, dR = ddD = 0, and so the right side from before the top
-    correction too, which differs from R by c + (-1)^k Tc with c a
-    boundary.  Its boundary is taken only to name a failed check: a right
-    side that is not a cycle is named first."""
+    even cycle so that (k, k) is eta_k top (x) top.  Each entry D is checked
+    as it is stored, with one boundary, for the law dD = R: (k - 1, k) after
+    the top correction, and (k, k) after its top identity.  That makes R a
+    cycle, dR = ddD = 0, so R's boundary is taken only to name a failed
+    check: a right side that is not a cycle is named first.  Each (i, k - 1)
+    is read once, and dropped.  Once the level is written, each verdict of
+    the law is recorded in _CHECKED with the entries it read."""
     top = (1 << (k + 1)) - 1
-    lower = [_masks(_TABLES[(i, k - 1)]) for i in range(k)]
+
+    def check(i, R):
+        failed = ("top identity" if i == k and level[k] != {(top, top): eta(k)}
+                  else "chain-map law" if _mask_boundary(level[i]) != R
+                  else None)
+        if failed:
+            if _mask_boundary(R):
+                failed = "rhs not a cycle"
+            raise RuntimeError(f"internal: {failed} at {(i, k)}")
+
+    below = {i: _TABLES[(i, k - 1)] for i in range(1, k)}
+    lower = {i: _masks(t) for i, t in below.items()}
     level = [_masks(aw_diagonal(tuple(range(k + 1))))]
     for i in range(1, k + 1):
-        R = first = _mask_rhs(level, lower, i, k)
+        R = _mask_rhs(level[i - 1], lower.pop(i, {}), i, k)
         D = _mask_contract(R)
         if i == k:
             lam = D.get((top, top), 0)
@@ -214,20 +231,23 @@ def _build_level(k):
                 mu = (eta(k) - lam) // 2
                 for key, c in _mask_boundary({(top, top): 1}).items():
                     _add_into(level[k - 1], key, mu * c)
-                R = _mask_rhs(level, lower, i, k)
+                R = _mask_rhs(level[k - 1], {}, i, k)
                 D = _mask_contract(R)
-        failed = ("top identity" if i == k and D != {(top, top): eta(k)} else
-                  "chain-map law" if _mask_boundary(D) != R else None)
-        if failed:
-            if _mask_boundary(first):
-                failed = "rhs not a cycle"
-            raise RuntimeError(f"internal: {failed} at {(i, k)}")
+            if k > 1:
+                check(k - 1, pending)
         level.append(D)
+        if i == k - 1:
+            pending = R  # checked once the top correction is made
+        else:
+            check(i, R)
     positions = {m: tuple(p for p in range(k + 1) if m >> p & 1)
                  for m in {m for t in level for key in t for m in key}}
     for i, t in enumerate(level):
         _TABLES[(i, k)] = TensorChain(i + k, _terms(
             {(positions[a], positions[b]): c for (a, b), c in t.items()}))
+    for i in range(1, k + 1):
+        _CHECKED[(i, k)] = (_TABLES[(i - 1, k)] if i > 1 else None,
+                            _TABLES[(i, k)], below.get(i))
 
 
 def ensure_tables(k):
@@ -347,31 +367,50 @@ def _fail(check, *witness):
     return StructureReport(False, check, witness)
 
 
+def _c1_holds(i, k, read):
+    """C1 at (i, k), from the entries it reads: read is ((i - 1, k), (i, k),
+    (i, k - 1)), with None for Delta_0, which is Alexander-Whitney, and for
+    (k, k - 1), which is not read.  The verdict is a function of their
+    contents, so the one recorded by the build stands while they are equal
+    to the entries it read; otherwise the law is re-derived on masks."""
+    record = _CHECKED.get((i, k))
+    if record and all(a is b or a == b for a, b in zip(record, read)):
+        return True
+    prev, table, face = read
+    if prev is None:
+        prev = aw_diagonal(tuple(range(k + 1)))
+    return _mask_boundary(_masks(table)) == _mask_rhs(
+        _masks(prev), {} if face is None else _masks(face), i, k)
+
+
 def verify_structure(S):
     """Check C4 and C1 through max_i; return the first violation found (as
     re-checkable data) or success.
 
     Each k-simplex holds the universal tables of dimension k relabeled, so
     every k-simplex gets their verdict, and the first, X.simplices[k][0], is
-    the first witness a full scan finds.  They are read once, as masks, with
-    the build's right side: C4 when k <= max_i, then C1 for 1 <= i <=
-    min(max_i, k).  C2 holds as xi defines the T e_i part as the swap of the
-    e_i part, C3 and C1 at i = 0 as Delta_0 is Alexander-Whitney, vanishing
-    and C1 at i = k + 1 by construction and C4, and C5 as a built level is
-    never rewritten; none of them is read.
+    the first witness a full scan finds.  Each table is read once: C4 when
+    k <= max_i, on masks, then C1 for 1 <= i <= min(max_i, k).  C1 at (i, k)
+    was decided once in this process, where the build wrote the entry, and
+    is re-derived, with the build's boundary and right side, only when an
+    entry it reads has changed since.  C2 holds as xi defines the T e_i part
+    as the swap of the e_i part, C3 and C1 at i = 0 as Delta_0 is
+    Alexander-Whitney, vanishing and C1 at i = k + 1 by construction and
+    C4, and C5 as a built level is never rewritten; none of them is read.
     """
     X = S.complex
     if S.max_i >= 1:
         ensure_tables(X.dim)
-    level = None
+    tables = None
     for k in range(X.dim + 1):
         top = (1 << (k + 1)) - 1
-        lower, level = level, [_masks(aw_diagonal(tuple(range(k + 1))))] + [
-            _masks(_TABLES[(i, k)]) for i in range(1, min(k, S.max_i) + 1)]
-        if k <= S.max_i and level[k] != {(top, top): eta(k)}:
+        lower, tables = tables, [None] + [
+            _TABLES[(i, k)] for i in range(1, min(k, S.max_i) + 1)]
+        if 0 < k <= S.max_i and _masks(tables[k]) != {(top, top): eta(k)}:
             return _fail("C4", k, X.simplices[k][0])
-        for i in range(1, len(level)):
-            if _mask_boundary(level[i]) != _mask_rhs(level, lower, i, k):
+        for i in range(1, len(tables)):
+            if not _c1_holds(i, k, (tables[i - 1], tables[i],
+                                    lower[i] if i < k else None)):
                 return _fail("C1", i, X.simplices[k][0])
     return StructureReport(True)
 

@@ -25,10 +25,12 @@ from test_chains import facet_lists
 
 @pytest.fixture
 def cold_tables(monkeypatch):
-    """No table level built: the next ensure_tables builds from level 0."""
+    """No table level built and no verdict recorded: the next ensure_tables
+    builds from level 0."""
     monkeypatch.setattr(steenrod, "_TABLES",
                         {(0, 0): steenrod._TABLES[(0, 0)]})
     monkeypatch.setattr(steenrod, "_LEVEL_BUILT", 0)
+    monkeypatch.setattr(steenrod, "_CHECKED", {})
 
 
 class TestBarResolution:
@@ -189,8 +191,9 @@ class TestHigherDiagonal:
 
     def test_each_entry_takes_one_boundary(self, cold_tables, monkeypatch):
         # the law dD = R is checked on each entry (i, k), 1 <= i <= k <= 9,
-        # and top (x) top takes a boundary once per top correction; no right
-        # side's boundary is taken, since dR = ddD = 0 is implied
+        # as stored, and top (x) top takes a boundary once per top
+        # correction, before (k - 1, k) is checked; no right side's boundary
+        # is taken, since dR = ddD = 0 is implied
         calls = {}
         boundary = steenrod._mask_boundary
 
@@ -207,11 +210,18 @@ class TestHigherDiagonal:
         for k, tables in calls.items():
             top = (1 << (k + 1)) - 1
             assert tables[-1] == {(top, top): eta(k)}
-            if len(tables) == k + 1:
+            fixed = len(tables) == k + 1
+            if fixed:
                 corrected += 1
-                assert tables.pop(-2) == {(top, top): 1}
+                assert tables.pop(-3) == {(top, top): 1}
             assert len(tables) == k
-            # contracted: h sets bit 0 of every A
+            # each checked table is the stored entry (i, k)
+            assert tables == [steenrod._masks(steenrod._TABLES[(i, k)])
+                              for i in range(1, k + 1)]
+            # contracted: h sets bit 0 of every A, except in (k - 1, k)
+            # after the top correction adds mu d(top (x) top)
+            if fixed:
+                del tables[k - 2]
             assert all(a & 1 for t in tables for a, _ in t)
         assert corrected == 4
 
@@ -474,6 +484,87 @@ def test_every_tampered_universal_table_of_delta5_agrees_with_the_scan(
         want = oracles.scan_structure(SteenrodStructure(X, max_i=max_i))
         assert report_of(got) == want
         assert got.ok == (max_i < key[0])
+
+
+
+def spy_on_the_law(monkeypatch):
+    """The (i, k) of every _mask_rhs call, and the count of _mask_boundary
+    calls: the two halves of deciding C1."""
+    derived, boundaries = [], []
+    rhs, boundary = steenrod._mask_rhs, steenrod._mask_boundary
+
+    def spy_rhs(prev, face, i, k):
+        derived.append((i, k))
+        return rhs(prev, face, i, k)
+
+    def spy_boundary(t):
+        boundaries.append(1)
+        return boundary(t)
+
+    monkeypatch.setattr(steenrod, "_mask_rhs", spy_rhs)
+    monkeypatch.setattr(steenrod, "_mask_boundary", spy_boundary)
+    return derived, boundaries
+
+
+def test_xi_check_decides_each_entry_once(cold_tables, monkeypatch, tmp_path,
+                                          capsys):
+    # the build decides the law on the 45 entries (i, k), 1 <= i <= k <= 9,
+    # with a second right side and a boundary of top (x) top for each of
+    # the 4 top corrections; the check reuses every verdict
+    derived, boundaries = spy_on_the_law(monkeypatch)
+    path = tmp_path / "delta9.json"
+    path.write_text(json.dumps({"facets": [list(range(10))]}))
+    assert cli.main(["xi-check", str(path)]) == 0
+    assert capsys.readouterr().out == '{"status":"pass"}\n'
+    assert (len(derived), len(boundaries)) == (45 + 4, 45 + 4)
+    derived.clear()
+    boundaries.clear()
+    assert verify_structure(SteenrodStructure(standard_simplex(9))).ok
+    assert (derived, boundaries) == ([], [])
+
+
+ENTRIES_OF_DELTA5 = [(i, k) for k in range(1, 6) for i in range(1, k + 1)]
+
+
+def test_an_entry_equal_to_the_built_one_is_not_re_derived(cold_tables,
+                                                            monkeypatch):
+    # new TensorChains with new coefficient tuples of the same content
+    steenrod.ensure_tables(5)
+    for key in ENTRIES_OF_DELTA5:
+        t = steenrod._TABLES[key]
+        monkeypatch.setitem(steenrod._TABLES, key,
+                            TensorChain(t.degree, tuple(list(t.coeffs))))
+        assert steenrod._TABLES[key] is not t
+    derived, boundaries = spy_on_the_law(monkeypatch)
+    assert verify_structure(SteenrodStructure(standard_simplex(5))).ok
+    assert (derived, boundaries) == ([], [])
+
+
+@pytest.mark.parametrize("kind", ["flip", "drop", "double"])
+def test_a_changed_entry_re_derives_c1_where_it_is_read(cold_tables,
+                                                        monkeypatch, kind):
+    # C1 at (i, k) reads (i - 1, k), (i, k) and (i, k - 1), so a change to
+    # (i, k) re-derives the law at (i, k), (i + 1, k) and (i, k + 1) only
+    X = standard_simplex(5)
+    steenrod.ensure_tables(X.dim)
+    derived, _ = spy_on_the_law(monkeypatch)
+    for key in ENTRIES_OF_DELTA5:
+        with monkeypatch.context() as mp:
+            mp.setitem(steenrod._TABLES, key,
+                       tampered(steenrod._TABLES[key], kind))
+            derived.clear()
+            tables = steenrod._TABLES
+            for i, k in ENTRIES_OF_DELTA5:
+                steenrod._c1_holds(i, k, (
+                    tables[(i - 1, k)] if i > 1 else None, tables[(i, k)],
+                    tables[(i, k - 1)] if i < k else None))
+            i, k = key
+            assert sorted(derived) == sorted(
+                {key, (i + 1, k), (i, k + 1)} & set(ENTRIES_OF_DELTA5))
+            got = verify_structure(SteenrodStructure(X))
+            assert report_of(got) == oracles.scan_structure(
+                SteenrodStructure(X))
+            assert not got.ok
 
 
 class TestNaturality:
