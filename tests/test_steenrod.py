@@ -198,7 +198,7 @@ class TestHigherDiagonal:
         boundary = steenrod._mask_boundary
 
         def spy(t):
-            # a copy: the top correction adds to (k - 1, k) afterwards
+            # a copy: the table as it was when its boundary was taken
             calls.setdefault(steenrod._LEVEL_BUILT + 1, []).append(dict(t))
             return boundary(t)
 
