@@ -195,10 +195,15 @@ class GradedMap:
         self.comps = {lb: image for lb, d in comps.items()
                       if (image := {k: v for k, v in d.items() if v})}
         for lb, d in self.comps.items():
+            if lb not in source.degree_of:
+                raise ValueError(f"{lb!r} is not a source basis label")
             n = source.degree_of[lb] + shift
             for tgt in d:
-                if target.degree_of[tgt] != n:
-                    raise ValueError(f"{lb!r} -> {tgt!r} breaks the degree shift")
+                if target.degree_of.get(tgt) != n:
+                    raise ValueError(
+                        f"{tgt!r} is not a target basis label"
+                        if tgt not in target.degree_of
+                        else f"{lb!r} -> {tgt!r} breaks the degree shift")
 
     def apply_label(self, label):
         return self.comps.get(label, {})
@@ -338,20 +343,6 @@ class TensorChain(Chain):
             if sum(simplex_degree(s) for s in key) != degree:
                 raise ValueError("degree mismatch in tensor label")
         return cls(degree, _terms(d))
-
-    def boundary(self):
-        """Koszul alternating-face boundary of each tensor factor."""
-        out = {}
-        for key, c in self.coeffs:
-            for pos, s in enumerate(key):
-                if len(s) > 1:
-                    head, tail, sign = key[:pos], key[pos + 1:], c
-                    for i in range(len(s)):
-                        _add_into(out, (*head, s[:i] + s[i + 1:], *tail), sign)
-                        sign = -sign
-                if len(s) % 2 == 0:  # odd degree: Koszul sign for later factors
-                    c = -c
-        return self._with(self.degree - 1, out)
 
     def swap(self):
         """Transposition of an arity-2 tensor with the Koszul sign

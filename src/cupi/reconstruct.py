@@ -130,19 +130,23 @@ def is_steenrod_morphism(f, source, target, types=None):
     one simplex at a time in scan order, each by steenrod.square_failure.
 
     The vertex map phi is read off the unit vertex images, in the loop of
-    the augmentation check, when it is order-preserving and simplicial.
-    On a simplex s write phi|s = tau . theta with theta: [n] ->> [k] a
-    codegeneracy and tau injective.  Delta_j(s) is the universal table
-    relabeled by s on both structures, and relabeling by tau is injective
-    and commutes with map_factors, so the square of N(phi) on s is the square of N(theta) on
+    the augmentation check, when it is order-preserving; the scan alone
+    decides whether it is simplicial.  On a simplex s write
+    phi|s = tau . theta with theta: [n] ->> [k] a codegeneracy and tau
+    injective.  Delta_j(s) is the universal table relabeled by s on both
+    structures, and relabeling by tau is injective and commutes with
+    map_factors, so the square of N(phi) on s is the square of N(theta) on
     the top simplex of the standard n-simplex, relabeled by tau: each local
     type theta is decided once (_type_failure), with its first failing j.
     Let s0 be the first simplex with f(s0) != N(phi)(s0).  The square on s
     reads f on the faces of s only, and faces come before their simplex in
     scan order, so before s0 the square is N(phi)'s and its type decides
-    it, with the pair the scan would report.  From s0 on, and from the
-    first simplex when there is no phi, every square reads f and the
-    entries of both structures.
+    it, with the pair the scan would report, whatever phi does on later
+    simplices.  From s0 on, and from the first simplex when there is no
+    phi, every square reads f and the entries of both structures.
+    When no s0 is met, phi is simplicial: f's labels are simplices of the
+    target, so the image of each s on which phi is injective is one, and
+    any other image is the image of such a face of s.
     types, when given, is a dict from theta to its j (or None) shared by
     calls on the same tables.
 
@@ -170,8 +174,7 @@ def is_steenrod_morphism(f, source, target, types=None):
         else:
             m = None
     phi = None if m is None else VertexMap.from_dict(source, target, m)
-    if phi is not None and not (phi.is_order_preserving()
-                                and phi.is_simplicial()):
+    if phi is not None and not phi.is_order_preserving():
         phi = None
     types = {} if types is None else types
     for s in source.all_simplices():
@@ -210,8 +213,7 @@ class MorphismSimplex(namedtuple("MorphismSimplex",
     """The verified morphism N(tau . theta): N(standard n-simplex) ->
     N(target) of a codegeneracy theta = surjection: [n] ->> [k] and a
     k-simplex tau = simplex of the target.  Every morphism is one such
-    pair, so the pair is the morphism: its vertex map and its chain map
-    are formed when read."""
+    pair, so the pair is the morphism: its chain map is formed when read."""
 
     __slots__ = ()
 
@@ -221,13 +223,6 @@ class MorphismSimplex(namedtuple("MorphismSimplex",
 
     def is_nondegenerate(self):
         return self.surjection == identity_map(len(self.surjection) - 1)
-
-    @property
-    def vertex_map(self):
-        """p -> tau[theta[p]] on the standard n-simplex."""
-        return VertexMap.from_dict(
-            standard_simplex(len(self.surjection) - 1), self.target,
-            {p: self.simplex[t] for p, t in enumerate(self.surjection)})
 
     @property
     def chain_map(self):
@@ -432,24 +427,26 @@ def verify_reconstruction(X, up_to):
 # lifting morphisms to simplicial maps
 # ---------------------------------------------------------------------------
 
-class LiftedMap(namedtuple("LiftedMap", "source target vertex_map")):
+class LiftedMap(namedtuple("LiftedMap", "vertex_map")):
     """The simplicial map between freely degenerate complexes induced by a
-    verified morphism, in (surjection, simplex) coordinates."""
+    verified morphism, in (surjection, simplex) coordinates: its vertex
+    map is the verdict's certificate, simplicial by the scan that gave it."""
 
     __slots__ = ()
 
     def recovered_bijection(self):
         """When the underlying morphism is an isomorphism, the vertex map is
-        a bijection exhibiting source = target as ordered complexes."""
-        m = self.vertex_map.as_dict()
-        image = set(m.values())
-        if len(image) != len(m) or image != set(self.target.vertices):
+        a bijection exhibiting source = target as ordered complexes.  An
+        injective simplicial map sends the k-simplices of the source
+        injectively to k-simplices of the target, so with equal f-vectors
+        every target simplex is an image and the inverse is simplicial."""
+        phi = self.vertex_map
+        image = {w for _, w in phi.mapping}
+        if (len(image) != len(phi.mapping)
+                or image != set(phi.target.vertices)
+                or phi.source.f_vector() != phi.target.f_vector()):
             return None
-        inverse = VertexMap.from_dict(self.target, self.source,
-                                      {w: v for v, w in m.items()})
-        if inverse.is_simplicial() and self.vertex_map.is_simplicial():
-            return self.vertex_map
-        return None
+        return phi
 
 
 def lift_morphism(g, verdict, X, Y):
@@ -461,12 +458,15 @@ def lift_morphism(g, verdict, X, Y):
     """
     if verdict is None or not verdict.ok:
         raise ValueError("refusing to lift an unverified morphism")
-    if verdict.certificate is None:
+    phi = verdict.certificate
+    if phi is None:
         # every morphism is N(phi) for an order-preserving simplicial phi,
         # so a verified one without phi is a fault here, not in the input
         raise RuntimeError(
             "internal: verified morphism lacks a vertex-map certificate")
-    return LiftedMap(source=X, target=Y, vertex_map=verdict.certificate)
+    if (phi.source, phi.target) != (X, Y):
+        raise ValueError("refusing to lift a verdict on other complexes")
+    return LiftedMap(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@
 - a degree-by-degree GF(2) equivariant-extension solver certifying that a
   mod-2 diagonal structure with the pinned top classes exists, and
   re-deriving the mod-2 chain-map equations from scratch;
-- the integral cup-i tables built with TensorChain algebra on vertex
-  tuples, against the package's build on position bitmasks;
+- the Koszul boundary of a tensor chain on vertex tuples, and the
+  integral cup-i tables built with it in TensorChain algebra, against the
+  package's build and its boundary on position bitmasks;
 - the textbook front/back cochain cup product for the Sq^1 cross-check;
 - the GF(2) coboundary by the face rule, simplex by simplex, which
   perturbs cocycle representatives without Mod2Cohomology;
@@ -31,6 +32,10 @@
   inside xi_iterate;
 - the exhaustive per-simplex check of C1-C5 and vanishing, against
   verify_structure, which reads each universal table once, on masks;
+- the vertex map of a morphism simplex, read off its (theta, tau) pair,
+  and the isomorphism a lift recovers, decided by forming both the map's
+  and its inverse's simplex images, against recovered_bijection, which
+  compares f-vectors;
 - the morphism decision with the structure square formed on every
   (e_j, simplex) pair and the certificate read after it, against
   is_steenrod_morphism, which decides each local type of the vertex map
@@ -423,6 +428,23 @@ def mod2_law_holds(table_getter, kmax):
 # the integral tables with TensorChain algebra
 # ---------------------------------------------------------------------------
 
+def tensor_boundary(t):
+    """Koszul alternating-face boundary of each factor of a TensorChain, on
+    vertex tuples: the tuple-side d that steenrod._mask_boundary, on
+    position bitmasks, is checked against."""
+    out = {}
+    for key, c in t.coeffs:
+        for pos, s in enumerate(key):
+            if len(s) > 1:
+                head, tail, sign = key[:pos], key[pos + 1:], c
+                for i in range(len(s)):
+                    _add_into(out, (*head, s[:i] + s[i + 1:], *tail), sign)
+                    sign = -sign
+            if len(s) % 2 == 0:  # odd degree: Koszul sign for later factors
+                c = -c
+    return TensorChain.from_dict(t.degree - 1, out)
+
+
 def _contract(t):
     """Tensor-square cone contraction H = h (x) 1 + e (x) h, h = prepend 0."""
     out = {}
@@ -463,7 +485,7 @@ def build_tables(kmax):
         tables[(0, k)] = aw_diagonal(top)
         for i in range(1, k + 1):
             R = _rhs(tables, i, k)
-            if not R.boundary().is_zero():
+            if not tensor_boundary(R).is_zero():
                 raise AssertionError(f"rhs not a cycle at {(i, k)}")
             D = _contract(R)
             if i == k:
@@ -471,13 +493,14 @@ def build_tables(kmax):
                 lam = D.as_dict().get((top, top), 0)
                 if lam != eta(k):
                     mu = (eta(k) - lam) // 2
-                    corr = TensorChain(2 * k, (((top, top), 1),)).boundary()
+                    corr = tensor_boundary(
+                        TensorChain(2 * k, (((top, top), 1),)))
                     tables[(k - 1, k)] = tables[(k - 1, k)] + corr.scale(mu)
                     R = _rhs(tables, i, k)
                     D = _contract(R)
                 if D != want:
                     raise AssertionError(f"top identity at {(i, k)}")
-            if D.boundary() != R:
+            if tensor_boundary(D) != R:
                 raise AssertionError(f"chain-map law at {(i, k)}")
             tables[(i, k)] = D
     return tables
@@ -685,7 +708,8 @@ def scan_structure(S):
                 for key, v in S.delta(i, face).coeffs:
                     rhs[key] = rhs.get(key, 0) + c * (-1) ** i * v
             rhs = tuple(sorted((key, c) for key, c in rhs.items() if c))
-            if S.delta(i, s).boundary() != TensorChain(i + k - 1, rhs):
+            if tensor_boundary(S.delta(i, s)) != \
+                    TensorChain(i + k - 1, rhs):
                 return False, "C1", (i, s)
             if S.xi(BarElement.te(i), gen) != S.xi(BarElement.e(i), gen).swap():
                 return False, "C2", (i, s)
@@ -710,6 +734,29 @@ def vertex_map_components(vm):
         if all(a != b for a, b in zip(image, image[1:])):
             comps[s] = {tuple(image): 1}
     return comps
+
+
+def morphism_vertex_map(ms):
+    """The vertex map p -> tau[theta[p]] of a morphism simplex
+    (theta, tau), on the standard n-simplex."""
+    return VertexMap.from_dict(
+        standard_simplex(len(ms.surjection) - 1), ms.target,
+        {p: ms.simplex[t] for p, t in enumerate(ms.surjection)})
+
+
+def inverse_simplicial_bijection(vm):
+    """vm when it is a bijection of vertices whose inverse vertex map is
+    simplicial too, else None: recovered_bijection by its definition,
+    with both simplicial checks formed here."""
+    m = vm.as_dict()
+    if sorted(m.values()) != sorted(vm.target.vertices):
+        return None
+    inverse = {w: v for v, w in m.items()}
+    for A, B, g in ((vm.source, vm.target, m), (vm.target, vm.source, inverse)):
+        if not all(B.has_simplex(tuple(sorted(g[v] for v in s)))
+                   for s in A.all_simplices()):
+            return None
+    return vm
 
 
 def scan_morphism(f, source, target):
@@ -895,7 +942,8 @@ def precompose_by_composite(shom, ms, values, dim, operators):
             steenrod.structure_for(small).chains,
             steenrod.structure_for(big).chains)
     stored = shom._by_pair[dim].get(
-        image_pair(ms.vertex_map.as_dict(), (values, tuple(range(n + 1)))))
+        image_pair(morphism_vertex_map(ms).as_dict(),
+                   (values, tuple(range(n + 1)))))
     if stored is None or not stored.chain_map.equals_composite(
             ms.chain_map, operators[n, values]):
         return None

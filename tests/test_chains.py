@@ -126,6 +126,23 @@ def test_equals_composite_agrees_with_compose():
                                         GradedMap(N, N, 0, {}))
 
 
+def test_a_label_outside_either_complex_is_refused_by_name():
+    # N(phi) of the edge onto two points names (0, 1), which the target
+    # lacks; a component on a label the source lacks is named too
+    edge = build_complex([(0, 1)])
+    points = build_complex([(0,), (1,)])
+    NE, NP = normalized_chains(edge), normalized_chains(points)
+    with pytest.raises(ValueError,
+                       match=r"^\(0, 1\) is not a target basis label$"):
+        chains.chain_map_from_vertex_map(
+            VertexMap.from_dict(edge, points, {0: 0, 1: 1}), NE, NP)
+    with pytest.raises(ValueError,
+                       match=r"^\(0, 1\) is not a source basis label$"):
+        GradedMap(NP, NE, 0, {(0, 1): {(0, 1): 1}})
+    with pytest.raises(ValueError, match="breaks the degree shift"):
+        GradedMap(NE, NE, 0, {(0,): {(0, 1): 1}})
+
+
 def test_induced_image_reads_a_dict_or_values_on_positions(full_corpus):
     # N(phi)(s) is phi(s) when phi is injective on s and zero otherwise,
     # for phi a dict on vertices or a tuple of values on positions; the
@@ -147,7 +164,7 @@ def test_induced_image_reads_a_dict_or_values_on_positions(full_corpus):
 class TestTensorChain:
     def test_boundary_koszul_sign(self):
         t = TensorChain.from_dict(2, {((0, 1), (0, 1)): 1})
-        b = t.boundary().as_dict()
+        b = oracles.tensor_boundary(t).as_dict()
         assert b == {((1,), (0, 1)): 1, ((0,), (0, 1)): -1,
                      ((0, 1), (1,)): -1, ((0, 1), (0,)): 1}
 

@@ -19,7 +19,7 @@ from cupi.simplicial import (VertexMap, adjoin, build_complex,
 from cupi import chains, reconstruct, simplicial, steenrod
 from cupi.steenrod import (BarElement, SteenrodStructure, aw_diagonal, eta,
                            higher_diagonal, structure_for)
-from cupi.reconstruct import (MorphismVerdict, ShomSimplicialSet,
+from cupi.reconstruct import (LiftedMap, MorphismVerdict, ShomSimplicialSet,
                               _inclusion_is_iso, enumerate_morphisms,
                               homology_square,
                               image_pair, is_steenrod_morphism, lift_morphism,
@@ -244,17 +244,45 @@ def _add_homotopy(comps, NA, NB, t, u):
         _add_into(comps.setdefault(s, {}), u, NA.boundary_of(s).get(t, 0))
 
 
+def _fill_in_the_cone(comps, NA, NB, apex):
+    """Complete the components of a map NA -> NB, in place and degree by
+    degree, to a chain map into a cone NB whose apex is its last vertex:
+    where f(ds) - d f(s) = r is not zero, add h(r), for the cone
+    contraction h(t) = (-1)^(dim t + 1) (t, apex) on the simplices t
+    without the apex and zero on the others.  dh + hd is the identity in
+    positive degrees and on the 0-chains of augmentation 0, so r = dh(r)."""
+    for n in sorted(NA.basis):
+        for s in NA.basis[n]:
+            img = comps.setdefault(s, {})
+            r = {}
+            for face, c in NA.boundary_of(s).items():
+                for t, v in comps.get(face, {}).items():
+                    _add_into(r, t, c * v)
+            for t, v in img.items():
+                for face, c in NB.boundary_of(t).items():
+                    _add_into(r, face, -c * v)
+            for t, v in r.items():
+                if t[-1] != apex:
+                    _add_into(img, t + (apex,), (-1) ** len(t) * v)
+
+
 @st.composite
 def maps(draw, complexes,
          changes=("none", "negate", "perturb", "cycle", "homotopy")):
-    """(f, X, Y, phi): N(phi) for an order-preserving simplicial vertex map phi
-    (a relabeling, a relabeling that permutes the components, a collapse
-    onto a simplex of X, or a weakly monotone map into a standard simplex),
+    """(f, X, Y, phi): N(phi) for an order-preserving vertex map phi (a
+    relabeling, a relabeling that permutes the components, a collapse onto
+    a simplex of X, a weakly monotone map into a standard simplex, or one
+    spread over the vertices of a cone, on X's codimension-1 skeleton or
+    on another complex, which need not be simplicial),
     taken as is, negated, with one coefficient perturbed, with a cycle added
     to the image of a maximal simplex, or plus dh + hd for h sending a
-    simplex t to a coface of its image."""
+    simplex t to a coface of its image.  A spread phi keeps only the
+    components whose image is a simplex of Y, and may have the others
+    filled in by the cone contraction, so f can be a chain map and meet
+    the augmentation although phi is not simplicial."""
     X = draw(complexes)
-    kind = draw(st.sampled_from(["relabel", "permute", "collapse", "simplex"]))
+    kind = draw(st.sampled_from(["relabel", "permute", "collapse", "simplex",
+                                 "spread"]))
     if kind == "relabel":
         Y, vm = _shifted(X)
     elif kind == "permute":
@@ -265,6 +293,20 @@ def maps(draw, complexes,
         Y = build_complex([tuple(new[v] for v in s)
                            for s in X.all_simplices()])
         vm = VertexMap.from_dict(X, Y, new)
+    elif kind == "spread":
+        # the cone on X's codimension-1 skeleton holds no top simplex of X
+        skeleton = build_complex(X.simplices[max(X.dim - 1, 0)])
+        Z = draw(st.one_of(st.just(skeleton), complexes))
+        apex = Z.vertices[-1] + 1
+        Y = build_complex([s + (apex,) for s in Z.all_simplices()])
+        # distinct images where Y has enough vertices: phi is then
+        # injective, so it sends each simplex of X to a simplex of Y or
+        # to a vertex set that Y lacks
+        images = sorted(draw(st.lists(
+            st.sampled_from(Y.vertices), min_size=len(X.vertices),
+            max_size=len(X.vertices),
+            unique=len(X.vertices) <= len(Y.vertices))))
+        vm = VertexMap.from_dict(X, Y, dict(zip(X.vertices, images)))
     else:
         if kind == "collapse":
             Y = X
@@ -278,6 +320,10 @@ def maps(draw, complexes,
         vm = VertexMap.from_dict(X, Y, dict(zip(X.vertices, images)))
     NA, NB = structure_for(X).chains, structure_for(Y).chains
     comps = induced_components(vm.as_dict(), X.all_simplices())
+    if kind == "spread":
+        comps = {s: img for s, img in comps.items() if Y.has_simplex(*img)}
+        if draw(st.booleans()):
+            _fill_in_the_cone(comps, NA, NB, apex)
     change = draw(st.sampled_from(changes))
     if change == "negate":
         comps = {s: {t: -c for t, c in img.items()} for s, img in comps.items()}
@@ -492,6 +538,37 @@ def test_squares_are_formed_only_from_where_f_leaves_n_phi(
     assert decided == [identity_map(k) for k in range(X.dim + 1)]
 
 
+def test_a_phi_off_the_target_is_decided_by_its_types_up_to_s0(monkeypatch):
+    # phi = id from the triangle into the cone on its boundary is
+    # order-preserving, not simplicial: the triangle's image is no simplex.
+    # Filled in by the cone contraction, f is a chain map that leaves N(phi)
+    # first at the triangle, so the vertices and edges are decided by their
+    # local types, the triangle by the scan, and no certificate is given
+    X = standard_simplex(2)
+    Y = build_complex([(0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    vm = VertexMap.from_dict(X, Y, {0: 0, 1: 1, 2: 2})
+    NA, NB = structure_for(X).chains, structure_for(Y).chains
+    comps = induced_components(vm.as_dict(), X.all_simplices())
+    del comps[0, 1, 2]
+    _fill_in_the_cone(comps, NA, NB, 3)
+    f = GradedMap(NA, NB, 0, comps)
+    assert f.is_chain_map() and not vm.is_simplicial()
+    decided = spy_on_type_decisions(monkeypatch)
+    formed = []
+    square = reconstruct.square_failure
+
+    def spy(delta_src, delta_tgt, image, s, bound):
+        formed.append(s)
+        return square(delta_src, delta_tgt, image, s, bound)
+
+    monkeypatch.setattr(reconstruct, "square_failure", spy)
+    verdict = is_steenrod_morphism(f, X, Y)
+    assert verdict == MorphismVerdict("not_morphism", witness=(0, (0, 1, 2)))
+    assert decided == [(0,), (0, 1)]
+    assert formed == [(0,), (0, 1), (0, 1, 2)]  # the two types, then s0
+    assert verdict == oracles.scan_morphism(f, X, Y)
+
+
 class TestEnumerate:
     def test_point_to_point(self):
         X = standard_simplex(0)
@@ -576,7 +653,8 @@ class TestEnumerate:
         isos = [m for m in enumerate_morphisms(3, X)
                 if m.chain_map.apply_label(top).get(top, 0) in (1, -1)]
         assert len(isos) == 1
-        assert isos[0].vertex_map.as_dict() == {i: i for i in range(4)}
+        assert oracles.morphism_vertex_map(isos[0]).as_dict() == \
+            {i: i for i in range(4)}
 
     def test_degeneracy_classification_brute(self):
         # surjective morphisms of simplex chains correspond exactly to
@@ -606,8 +684,8 @@ class TestEnumerate:
 
         monkeypatch.setattr(steenrod, "ensure_tables", built)
         found = enumerate_morphisms(12, standard_simplex(0))
-        assert [ms.vertex_map.as_dict() for ms in found] == [{v: 0 for v in
-                                                             range(13)}]
+        assert [oracles.morphism_vertex_map(ms).as_dict()
+                for ms in found] == [{v: 0 for v in range(13)}]
 
     def test_empty_complex_builds_no_standard_simplex(self, monkeypatch):
         from cupi import reconstruct, simplicial
@@ -658,7 +736,7 @@ def test_guided_morphisms_pass_the_per_map_check(X, n):
     for ms in found:
         verdict = is_steenrod_morphism(ms.chain_map, source, X)
         assert verdict.ok
-        assert verdict.certificate == ms.vertex_map
+        assert verdict.certificate == oracles.morphism_vertex_map(ms)
     assert len(found) == sum(comb(n, k) * len(X.simplices_of_dim(k))
                              for k in range(X.dim + 1))
 
@@ -919,6 +997,45 @@ class TestLift:
         with pytest.raises(ValueError):
             lift_morphism(g, bad, X, X)
 
+    def test_refuses_a_verdict_on_other_complexes(self):
+        X = circle()
+        g = GradedMap.identity(structure_for(X).chains)
+        verdict = is_steenrod_morphism(g, X, X)
+        with pytest.raises(ValueError, match="other complexes"):
+            lift_morphism(g, verdict, X, rp2())
+
+    def test_a_certified_path_into_a_hollow_triangle_is_no_isomorphism(self):
+        # phi = id is simplicial, certified, and a bijection of vertices,
+        # but its inverse sends the edge (0, 2) to no simplex
+        X = build_complex([(0, 1), (1, 2)])
+        Y = build_complex([(0, 1), (1, 2), (0, 2)])
+        vm = VertexMap.from_dict(X, Y, {v: v for v in X.vertices})
+        g = chain_map_from_vertex_map(vm, structure_for(X).chains,
+                                      structure_for(Y).chains)
+        verdict = is_steenrod_morphism(g, X, Y)
+        assert verdict == MorphismVerdict("morphism", certificate=vm)
+        assert lift_morphism(g, verdict, X, Y).recovered_bijection() is None
+        assert oracles.inverse_simplicial_bijection(vm) is None
+
+    def test_one_vertex_map_per_lift_decision(self, monkeypatch):
+        # the decision builds phi once, as its certificate; the lift and
+        # the recovered isomorphism read it and build no inverse
+        X = rp2()
+        Y, vm = _shifted(X)
+        g = chain_map_from_vertex_map(vm, structure_for(X).chains,
+                                      structure_for(Y).chains)
+        built = []
+        from_dict = VertexMap.from_dict.__func__
+
+        def spy(cls, source, target, mapping):
+            built.append((source, target))
+            return from_dict(cls, source, target, mapping)
+
+        monkeypatch.setattr(VertexMap, "from_dict", classmethod(spy))
+        verdict = is_steenrod_morphism(g, X, Y)
+        assert lift_morphism(g, verdict, X, Y).recovered_bijection() == vm
+        assert built == [(X, Y)]
+
     def test_lift_identity_is_identity(self):
         X = circle()
         g = GradedMap.identity(structure_for(X).chains)
@@ -956,7 +1073,8 @@ class TestLift:
             # postcompose the morphism-simplex with g and reclassify
             composite = oracles.compose(g, ms.chain_map)
             lifted = lift.vertex_map.as_dict()
-            values = tuple(lifted[ms.vertex_map.as_dict()[i]] for i in range(2))
+            own = oracles.morphism_vertex_map(ms).as_dict()
+            values = tuple(lifted[own[i]] for i in range(2))
             assert epi_mono_factor(values) == \
                 image_pair(lift.vertex_map.as_dict(), ms.pair)
             induced = chain_map_from_vertex_map(
@@ -965,6 +1083,29 @@ class TestLift:
                 structure_for(standard_simplex(1)).chains,
                 structure_for(B).chains)
             assert composite.equals(induced)
+
+
+@given(complexes, st.data())
+@settings(max_examples=100, deadline=None)
+def test_recovered_bijection_is_the_inverse_simplicial_oracle(X, data):
+    # a relabeling of X's vertices, in any order and not always injective,
+    # into the complex its simplex images span, with some facets added: a
+    # simplicial map, as every certificate is, and an isomorphism exactly
+    # when nothing is merged or added
+    n = len(X.vertices)
+    labels = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n,
+                                unique=data.draw(st.booleans())))
+    m = dict(zip(X.vertices, labels))
+    extra = data.draw(st.lists(st.sets(st.integers(0, 9), min_size=1,
+                                       max_size=3), max_size=2))
+    Y = build_complex([tuple(sorted({m[v] for v in s}))
+                       for s in X.all_simplices()]
+                      + [tuple(sorted(f)) for f in extra])
+    vm = VertexMap.from_dict(X, Y, m)
+    got = LiftedMap(vm).recovered_bijection()
+    assert got == oracles.inverse_simplicial_bijection(vm)
+    assert (got is None) == (len(set(labels)) < n or Y.f_vector()
+                             != X.f_vector())
 
 
 class TestHomologySquare:

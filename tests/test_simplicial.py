@@ -318,7 +318,8 @@ class TestUnitCounit:
 
 def _vertex_maps(n, X):
     """The vertex maps of the morphisms N(standard n-simplex) -> N(X)."""
-    return [ms.vertex_map for ms in enumerate_morphisms(n, X)]
+    return [oracles.morphism_vertex_map(ms)
+            for ms in enumerate_morphisms(n, X)]
 
 
 class TestSimplicialMaps:

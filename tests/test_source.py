@@ -133,22 +133,44 @@ def test_chain_is_the_one_combination_type():
             node.name
 
 
-def test_the_structure_square_is_formed_in_one_function():
-    # (f (x) f) . Delta_j = xi(e_j (x) f) has one copy: the scan, the local
-    # types and naturality all decide it by steenrod.square_failure
+def _call_sites(matches):
+    """(module, enclosing function) of every call in the package whose
+    callee node satisfies matches, in source order."""
     sites = []
 
     def visit(node, path, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and \
-                    getattr(child.func, "attr", None) == "map_factors":
+            if isinstance(child, ast.Call) and matches(child.func):
                 sites.append((path.name, scope))
             visit(child, path, child.name
                   if isinstance(child, ast.FunctionDef) else scope)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path, None)
-    assert sites == [("steenrod.py", "square_failure")]
+    return sites
+
+
+def test_the_structure_square_is_formed_in_one_function():
+    # (f (x) f) . Delta_j = xi(e_j (x) f) has one copy: the scan, the local
+    # types and naturality all decide it by steenrod.square_failure
+    assert _call_sites(
+        lambda f: getattr(f, "attr", None) == "map_factors") == [
+        ("steenrod.py", "square_failure")]
+
+
+def test_the_vertex_map_is_decided_once_as_the_certificate():
+    # phi is built only by the decision, as its certificate, and its scan
+    # alone decides that phi is simplicial: the lift reads the certificate
+    # and builds no other vertex map.  Only naturality_holds, which takes
+    # a vertex map as input, checks one for simpliciality
+    def builds(f):
+        return "VertexMap" in (getattr(f, "id", None),
+                               getattr(getattr(f, "value", None), "id", None))
+
+    assert _call_sites(builds) == [("reconstruct.py", "is_steenrod_morphism")]
+    assert _call_sites(
+        lambda f: getattr(f, "attr", None) == "is_simplicial") == [
+        ("steenrod.py", "naturality_holds")]
 
 
 def test_every_runtime_error_is_marked_internal():

@@ -101,6 +101,11 @@ class TestAwDiagonal:
         assert ((10, 20), (20, 35)) in d
 
 
+# the faces of the standard 4-simplex, as increasing position tuples
+faces_of_delta4 = st.sets(st.integers(0, 4), min_size=1).map(
+    lambda v: tuple(sorted(v)))
+
+
 class TestHigherDiagonal:
     def test_vertex_delta1_vanishes(self):
         assert higher_diagonal(1, (0,)).is_zero()
@@ -242,6 +247,19 @@ class TestHigherDiagonal:
         # d.d = 0, which makes the law dD = R imply that R is a cycle
         assert steenrod._mask_boundary(steenrod._mask_boundary(t)) == {}
 
+    @given(st.dictionaries(st.tuples(faces_of_delta4, faces_of_delta4),
+                           st.integers(-9, 9).filter(bool), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_mask_boundary_is_the_tensor_boundary(self, terms):
+        # the build's d on position bitmasks against the oracle's on
+        # vertex tuples, one degree at a time
+        for degree in {len(a) + len(b) - 2 for a, b in terms}:
+            t = TensorChain.from_dict(degree, {
+                key: c for key, c in terms.items()
+                if len(key[0]) + len(key[1]) - 2 == degree})
+            assert steenrod._mask_boundary(steenrod._masks(t)) == \
+                steenrod._masks(oracles.tensor_boundary(t))
+
     def test_mod2_solver_certifies_contract(self):
         # independent GF(2) route: an equivariant extension with the pinned
         # top classes exists, and the integral tables satisfy the same mod-2
@@ -282,7 +300,7 @@ class TestXi:
             k = len(s) - 1
             gen = S.chains.generator(s)
             for j in range(0, 7 - k):
-                lhs = S.xi(BarElement.e(j), gen).boundary()
+                lhs = oracles.tensor_boundary(S.xi(BarElement.e(j), gen))
                 rhs = S.xi(bar_boundary(BarElement.e(j)), gen)
                 ds = S.chains.boundary(gen)
                 if not ds.is_zero():
