@@ -1,13 +1,14 @@
-"""Ordered simplicial complexes, delta-complexes, and degeneracy-free simplicial sets.
+"""Ordered simplicial complexes and degeneracy-free simplicial sets.
 
 An ordered simplicial complex stores its simplices as strictly increasing
-vertex tuples, closed under taking faces, and d_i drops vertex i.  A
-delta-complex keeps indexed cells with face operators only.  Freely adding
-degeneracies to either gives a degeneracy-free simplicial set, represented
-here as pairs (theta, c) of an order-preserving surjection theta and a core
-cell c; the full simplicial set is never materialized, every dimension is
-enumerated on demand.  Faces and degeneracies of (theta, c) are read off
-their formulas (May, Simplicial Objects in Algebraic Topology, section 1).
+vertex tuples, closed under taking faces, and d_i drops vertex i, so the
+face identities hold by that rule and the complex is its own delta-core.
+Freely adding degeneracies to it gives a degeneracy-free simplicial set,
+represented here as pairs (theta, c) of an order-preserving surjection
+theta and a core simplex c; the full simplicial set is never materialized,
+every dimension is enumerated on demand.  Faces and degeneracies of
+(theta, c) are read off their formulas (May, Simplicial Objects in
+Algebraic Topology, section 1).
 """
 
 from __future__ import annotations
@@ -122,11 +123,8 @@ class OrderedComplex:
         return simplex[:i] + simplex[i + 1:]
 
     def to_delta(self):
-        """A copy as a delta-complex: cells are the simplices, faces self.face."""
-        cells = {k: tuple(self.simplices[k]) for k in range(self.dim + 1)}
-        faces = {s: tuple(self.face(s, i) for i in range(len(s)))
-                 for level in self.simplices[1:] for s in level}
-        return DeltaComplex(cells=cells, faces=faces)
+        """An ordered complex is its own delta-core."""
+        return self
 
 
 def build_complex(facets):
@@ -168,87 +166,16 @@ def standard_simplex(n):
 
 
 # ---------------------------------------------------------------------------
-# delta-complexes
-# ---------------------------------------------------------------------------
-
-class DeltaComplex:
-    """Indexed cells with face operators d_0..d_n per n-cell.
-
-    `cells[n]` is a tuple of hashable labels (globally unique across
-    dimensions); `faces[c]` lists (d_0 c, ..., d_n c) for every cell of
-    positive dimension.  Treated as immutable after construction.
-    """
-
-    __slots__ = ("cells", "faces")
-
-    def __eq__(self, other):
-        if not isinstance(other, DeltaComplex):
-            return NotImplemented
-        return self.same_as(other)
-
-    def __hash__(self):
-        return hash(tuple(sorted((n, tuple(cs)) for n, cs in self.cells.items())))
-
-    def __init__(self, cells, faces):
-        self.cells, self.faces = cells, faces
-        seen = set()
-        for n, cs in self.cells.items():
-            for c in cs:
-                if c in seen:
-                    raise InvalidComplexError(f"duplicate cell label {c!r}")
-                seen.add(c)
-            if n > 0:
-                for c in cs:
-                    if len(self.faces.get(c, ())) != n + 1:
-                        raise InvalidComplexError(f"cell {c!r} lacks {n + 1} faces")
-        self._check_face_identities()
-
-    @property
-    def dim(self):
-        return max(self.cells) if self.cells else -1
-
-    def simplices_of_dim(self, n):
-        return self.cells.get(n, ())
-
-    def face(self, cell, i):
-        return self.faces[cell][i]
-
-    def _check_face_identities(self):
-        # d_i d_j = d_{j-1} d_i for i < j
-        for n, cs in self.cells.items():
-            if n < 2:
-                continue
-            for c in cs:
-                for j in range(n + 1):
-                    for i in range(j):
-                        if self.face(self.face(c, j), i) != self.face(self.face(c, i), j - 1):
-                            raise InvalidComplexError(
-                                f"face identity d_{i} d_{j} fails on {c!r}")
-
-    def same_as(self, other):
-        """Exact equality of cell lists (in order) and face operators."""
-        if set(self.cells) != set(other.cells):
-            return False
-        for n in self.cells:
-            a = self.cells[n]
-            if tuple(a) != tuple(other.cells[n]):
-                return False
-            if n > 0 and any(self.faces[c] != other.faces[c] for c in a):
-                return False
-        return True
-
-
-# ---------------------------------------------------------------------------
 # degeneracy-free simplicial sets: the functor adding degeneracies
 # ---------------------------------------------------------------------------
 
 class SimplicialSetDF(namedtuple("SimplicialSetDF", "core")):
-    """Degeneracy-free simplicial set presented by its core, a
-    delta-complex or an ordered complex.
+    """Degeneracy-free simplicial set presented by its core, an ordered
+    complex or any object with dim, simplices_of_dim and face.
 
     m-simplices are pairs (theta, c) with theta an order-preserving
-    surjection m -> n (a value tuple) and c an n-cell of the core; only the
-    core is stored, dimensions are enumerated on demand.
+    surjection m -> n (a value tuple) and c an n-simplex of the core; only
+    the core is stored, dimensions are enumerated on demand.
     """
 
     __slots__ = ()
@@ -275,47 +202,9 @@ class SimplicialSetDF(namedtuple("SimplicialSetDF", "core")):
 
 
 def adjoin(core):
-    """Freely add degenerate simplices to a delta-complex or to an ordered
-    complex, which is read as its own delta-core."""
-    if not isinstance(core, (DeltaComplex, OrderedComplex)):
-        raise InvalidComplexError(
-            "adjoin expects a DeltaComplex or an OrderedComplex")
+    """Freely add degenerate simplices to an ordered complex, read as its
+    own delta-core."""
     return SimplicialSetDF(core=core)
-
-
-def core_of(sset):
-    """The nondegenerate simplices and their faces (here: the stored core)."""
-    return sset.core
-
-
-def apply_surjection_degeneracies(sset, theta, simplex):
-    """theta*(simplex): peel elementary degeneracies off theta one repeat
-    position at a time and apply the simplicial-set operators."""
-    if theta == identity_map(len(theta) - 1):
-        return simplex
-    p = next(i for i in range(1, len(theta)) if theta[i] == theta[i - 1])
-    shorter = theta[:p] + theta[p + 1:]
-    return sset.degeneracy(apply_surjection_degeneracies(sset, shorter, simplex),
-                           p - 1)
-
-
-def core_comparison_is_iso(sset, up_to):
-    """Check that the canonical map adjoin(core_of(X)) -> X is an isomorphism
-    through dimension up_to, by pairwise simplex matching.
-
-    The map sends (theta, c) to the theta-degeneracy of the nondegenerate
-    simplex (id, c), computed through the operator algebra.
-    """
-    rebuilt = adjoin(core_of(sset))
-    for m in range(up_to + 1):
-        image = []
-        for theta, c in rebuilt.simplices_of_dim(m):
-            n = max(theta) if theta else 0
-            base = (identity_map(n), c)
-            image.append(apply_surjection_degeneracies(sset, theta, base))
-        if sorted(image) != sorted(sset.simplices_of_dim(m)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

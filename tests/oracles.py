@@ -1,8 +1,11 @@
 """Independent oracles, kept deliberately separate from the package code.
 
 - brute-force face closure (set arithmetic only) for complex counts;
-- N(X) read through the delta-complex view X.to_delta(), and C(X) built
-  one degree at a time, against the shared face-sum builder;
+- the reference delta-core delta_core(X), whose faces are formed by
+  slicing the vertex tuple and whose face identities are checked on every
+  cell, with core_of and the comparison adjoin(core_of(X)) -> X peeled one
+  degeneracy at a time; N(X) read through it, and C(X) built one degree at
+  a time, against the shared face-sum builder and OrderedComplex.face;
 - composition of graded maps, and the hom-complex differential formed by
   composing with the boundaries, against GradedMap.equals_composite and
   GradedMap.first_commutator_witness;
@@ -62,7 +65,9 @@ from cupi.chains import (Chain, FreeChainComplex, GradedMap, HomologyGroup,
                          TensorChain, _add_into, _present,
                          chain_map_from_vertex_map, kernel_basis)
 from cupi.reconstruct import MorphismVerdict, image_pair, is_steenrod_morphism
-from cupi.simplicial import VertexMap, epi_mono_factor, standard_simplex
+from cupi.simplicial import (InvalidComplexError, VertexMap, adjoin,
+                             epi_mono_factor, identity_map,
+                             standard_simplex)
 from cupi.steenrod import BarElement, aw_diagonal, eta, higher_diagonal
 
 
@@ -116,14 +121,125 @@ def monotone_action(sset, simplex, phi):
 
 
 # ---------------------------------------------------------------------------
-# chain complexes through the delta-complex view
+# the reference delta-core, and chain complexes through it
 # ---------------------------------------------------------------------------
 
+class DeltaComplex:
+    """Indexed cells with face operators d_0..d_n per n-cell.
+
+    `cells[n]` is a tuple of hashable labels (globally unique across
+    dimensions); `faces[c]` lists (d_0 c, ..., d_n c) for every cell of
+    positive dimension.  Treated as immutable after construction.
+    """
+
+    __slots__ = ("cells", "faces")
+
+    def __eq__(self, other):
+        if not isinstance(other, DeltaComplex):
+            return NotImplemented
+        return self.same_as(other)
+
+    def __hash__(self):
+        return hash(tuple(sorted((n, tuple(cs)) for n, cs in self.cells.items())))
+
+    def __init__(self, cells, faces):
+        self.cells, self.faces = cells, faces
+        seen = set()
+        for n, cs in self.cells.items():
+            for c in cs:
+                if c in seen:
+                    raise InvalidComplexError(f"duplicate cell label {c!r}")
+                seen.add(c)
+            if n > 0:
+                for c in cs:
+                    if len(self.faces.get(c, ())) != n + 1:
+                        raise InvalidComplexError(f"cell {c!r} lacks {n + 1} faces")
+        self._check_face_identities()
+
+    @property
+    def dim(self):
+        return max(self.cells) if self.cells else -1
+
+    def simplices_of_dim(self, n):
+        return self.cells.get(n, ())
+
+    def face(self, cell, i):
+        return self.faces[cell][i]
+
+    def _check_face_identities(self):
+        # d_i d_j = d_{j-1} d_i for i < j
+        for n, cs in self.cells.items():
+            if n < 2:
+                continue
+            for c in cs:
+                for j in range(n + 1):
+                    for i in range(j):
+                        if self.face(self.face(c, j), i) != self.face(self.face(c, i), j - 1):
+                            raise InvalidComplexError(
+                                f"face identity d_{i} d_{j} fails on {c!r}")
+
+    def same_as(self, other):
+        """Exact equality of cell lists (in order) and face operators."""
+        if set(self.cells) != set(other.cells):
+            return False
+        for n in self.cells:
+            a = self.cells[n]
+            if tuple(a) != tuple(other.cells[n]):
+                return False
+            if n > 0 and any(self.faces[c] != other.faces[c] for c in a):
+                return False
+        return True
+
+
+def delta_core(X):
+    """An ordered complex as a DeltaComplex: one cell per simplex, each
+    face formed here by dropping one vertex of the tuple, not by X.face."""
+    cells = {k: tuple(X.simplices_of_dim(k)) for k in range(X.dim + 1)}
+    faces = {s: tuple(s[:i] + s[i + 1:] for i in range(len(s)))
+             for k in range(1, X.dim + 1) for s in cells[k]}
+    return DeltaComplex(cells=cells, faces=faces)
+
+
+def core_of(sset):
+    """The nondegenerate simplices and their faces (here: the stored core)."""
+    return sset.core
+
+
+def apply_surjection_degeneracies(sset, theta, simplex):
+    """theta*(simplex): peel elementary degeneracies off theta one repeat
+    position at a time and apply the simplicial-set operators."""
+    if theta == identity_map(len(theta) - 1):
+        return simplex
+    p = next(i for i in range(1, len(theta)) if theta[i] == theta[i - 1])
+    shorter = theta[:p] + theta[p + 1:]
+    return sset.degeneracy(apply_surjection_degeneracies(sset, shorter, simplex),
+                           p - 1)
+
+
+def core_comparison_is_iso(sset, up_to):
+    """Check that the canonical map adjoin(core_of(X)) -> X is an isomorphism
+    through dimension up_to, by pairwise simplex matching.
+
+    The map sends (theta, c) to the theta-degeneracy of the nondegenerate
+    simplex (id, c), computed through the operator algebra.
+    """
+    rebuilt = adjoin(core_of(sset))
+    for m in range(up_to + 1):
+        image = []
+        for theta, c in rebuilt.simplices_of_dim(m):
+            n = max(theta) if theta else 0
+            base = (identity_map(n), c)
+            image.append(apply_surjection_degeneracies(sset, theta, base))
+        if sorted(image) != sorted(sset.simplices_of_dim(m)):
+            return False
+    return True
+
+
 def delta_normalized_chains(X):
-    """N(X) read through X.to_delta(): one generator per cell, d the
+    """N(X) read through delta_core(X): one generator per cell, d the
     alternating sum of the stored faces; the DeltaComplex checks the face
     identities on every cell."""
-    D = X.to_delta()
+    D = delta_core(X)
     basis = {n: tuple(D.simplices_of_dim(n)) for n in D.cells}
     diff = {}
     for n in D.cells:

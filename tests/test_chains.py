@@ -51,19 +51,19 @@ class TestNormalizedChains:
 
 class TestUnnormalizedChains:
     def test_point_tower(self):
-        C = unnormalized_chains(adjoin(standard_simplex(0).to_delta()), 2)
+        C = unnormalized_chains(adjoin(standard_simplex(0)), 2)
         assert [C.rank(n) for n in range(3)] == [1, 1, 1]
         assert C.boundary_matrix(1) == [[0]]
         assert C.boundary_matrix(2) == [[1]]
 
     def test_interval_rank_one(self):
-        C = unnormalized_chains(adjoin(standard_simplex(1).to_delta()), 1)
+        C = unnormalized_chains(adjoin(standard_simplex(1)), 1)
         assert C.rank(1) == 3
 
     def test_homology_agrees_with_normalized_core(self, corpus):
         for X in corpus.values():
             up_to = min(X.dim + 2, 4)
-            C = unnormalized_chains(adjoin(X.to_delta()), up_to)
+            C = unnormalized_chains(adjoin(X), up_to)
             N = normalized_chains(X)
             hc = homology(C, up_to=up_to - 1)
             hn = homology(N)
@@ -225,21 +225,21 @@ def test_boundary_squares_to_zero_on_random_complexes(facets):
     N = normalized_chains(X)
     for lb in N.degree_of:
         assert N.boundary(N.boundary(N.generator(lb))).is_zero()
-    C = unnormalized_chains(adjoin(X.to_delta()), 3)
+    C = unnormalized_chains(adjoin(X), 3)
     for lb in C.degree_of:
         assert C.boundary(C.boundary(C.generator(lb))).is_zero()
 
 
 def test_builders_agree_with_the_reference_loops(full_corpus,
                                                 projective_spaces):
-    # the shared face-sum builder against N(X) read through X.to_delta()
+    # the shared face-sum builder against N(X) read through delta_core(X)
     # and against C(X) built one degree at a time
     complexes = (full_corpus + list(projective_spaces.values())
                  + [standard_simplex(n) for n in range(10)])
     for X in complexes:
         got, want = normalized_chains(X), oracles.delta_normalized_chains(X)
         assert (got.basis, got.diff) == (want.basis, want.diff)
-        sset = adjoin(X.to_delta())
+        sset = adjoin(X)
         got = unnormalized_chains(sset, 3)
         want = oracles.loop_unnormalized_chains(sset, 3)
         assert (got.basis, got.diff) == (want.basis, want.diff)
@@ -402,8 +402,7 @@ def test_homology_classes_against_naive_oracle(facets, unnormalized, rng):
     # degree 2
     X = build_complex(facets)
     if unnormalized:
-        _check_homology_classes(unnormalized_chains(adjoin(X.to_delta()), 3),
-                                2, rng)
+        _check_homology_classes(unnormalized_chains(adjoin(X), 3), 2, rng)
     else:
         C = normalized_chains(X)
         _check_homology_classes(C, C.top_degree, rng)
@@ -414,8 +413,7 @@ def test_homology_classes_with_torsion(unnormalized):
     # H_1(RP^2) = Z/2 puts a torsion coordinate in degree 1
     rng = random.Random(13)
     if unnormalized:
-        _check_homology_classes(unnormalized_chains(adjoin(rp2().to_delta()),
-                                                    3), 2, rng)
+        _check_homology_classes(unnormalized_chains(adjoin(rp2()), 3), 2, rng)
     else:
         _check_homology_classes(normalized_chains(rp2()), 2, rng)
 
@@ -452,7 +450,7 @@ def _check_generators(C, top):
 def test_homology_generators_against_kernel_oracle(facets, unnormalized):
     X = build_complex(facets)
     if unnormalized:
-        _check_generators(unnormalized_chains(adjoin(X.to_delta()), 3), 2)
+        _check_generators(unnormalized_chains(adjoin(X), 3), 2)
     else:
         C = normalized_chains(X)
         _check_generators(C, C.top_degree)
@@ -461,7 +459,7 @@ def test_homology_generators_against_kernel_oracle(facets, unnormalized):
 @pytest.mark.parametrize("unnormalized", [False, True])
 @pytest.mark.parametrize("X", [circle(), rp2()], ids=["circle", "rp2"])
 def test_dropping_a_generator_fails_the_lattice_check(X, unnormalized):
-    C = (unnormalized_chains(adjoin(X.to_delta()), 3) if unnormalized
+    C = (unnormalized_chains(adjoin(X), 3) if unnormalized
          else normalized_chains(X))
     dropped = 0
     for n in range(3):
@@ -520,14 +518,14 @@ def test_cleared_groups_against_full_columns_on_the_corpus(full_corpus,
                                                            projective_spaces):
     for X in full_corpus + [projective_spaces[3]]:
         _check_cleared_groups(normalized_chains(X))
-        _check_cleared_groups(unnormalized_chains(adjoin(X.to_delta()), 3))
+        _check_cleared_groups(unnormalized_chains(adjoin(X), 3))
 
 
 @given(facet_lists, st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_cleared_groups_against_full_columns(facets, unnormalized):
     X = build_complex(facets)
-    _check_cleared_groups(unnormalized_chains(adjoin(X.to_delta()), 3)
+    _check_cleared_groups(unnormalized_chains(adjoin(X), 3)
                           if unnormalized else normalized_chains(X))
 
 

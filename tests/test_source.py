@@ -173,6 +173,27 @@ def test_the_vertex_map_is_decided_once_as_the_certificate():
         ("steenrod.py", "naturality_holds")]
 
 
+def test_the_package_has_no_delta_complex_layer():
+    # an ordered complex is its own delta-core: the reference DeltaComplex,
+    # its core and comparison live in tests/oracles.py, and adjoin takes
+    # any core without checking its type
+    gone = {"DeltaComplex", "core_of", "apply_surjection_degeneracies",
+            "core_comparison_is_iso"}
+    found, adjoin = [], None
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name in gone:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+                if node.name == "adjoin":
+                    adjoin = node
+    assert found == []
+    assert adjoin is not None
+    assert not any(isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "isinstance"
+                   for node in ast.walk(adjoin))
+
+
 def test_every_runtime_error_is_marked_internal():
     # cli.main maps a RuntimeError to exit 3, a fault of the program: each
     # one says so in its message
