@@ -28,12 +28,11 @@ from .steenrod import eta, higher_diagonal, square_failure, structure_for
 
 # Enumeration and reconstruction: the most units of work one call may do,
 # summed over the dimensions n it reaches (_refuse_oversized_work).  A unit
-# took 0.26 us (enumerate on a triangle at n = 10: 2 684 475 units, 0.70 s)
-# to 5.6 us (reconstruct on RP^4 through 4: 370 323 units, 2.1 s, 55 MB) on
-# a 2-core x86 VM, so an admitted run takes at most about 12 s.  The cap
-# admits every input of the earlier caps of 20 000 morphisms and 50 000
-# (morphism, face) pairs; the largest is enumerate on a point at n = 14,
-# 2 031 569 units.
+# took 0.28 us (enumerate on a triangle at n = 9: 1 009 767 units, 0.28 s)
+# to 4.9 us (reconstruct on RP^5 through 4: 893 088 units, 4.4 s, 318 MB)
+# on a 2-core x86 VM, so an admitted run takes at most about 10 s there.
+# It admits every input of the earlier caps of 20 000 morphisms and 50 000
+# (morphism, face) pairs, up to enumerate on a point at n = 14 (2 031 569).
 GUIDED_MAX_WORK = 2_100_000
 
 
@@ -41,20 +40,19 @@ def _refuse_oversized_work(X, dims):
     """Raise before any work when the work at the n in dims is more than
     GUIDED_MAX_WORK units.  At n there are M = sum over k of C(n, k) f_k
     morphism simplices, one per n-simplex of the degeneracy completion of
-    X, each read by about n + 1 operator lookups, and T = sum over
+    X, each built, sorted and looked up once, and T = sum over
     k <= min(n, dim X) of C(n, k) codegeneracies.  Each codegeneracy is
     decided over the 2^(n+1) - 1 faces of the n-simplex, and each of its
     2n + 3 face and degeneracy squares, like the chain map of each of those
     operators, reads about as many faces.  So work(n) is
-    (n + 1) M + (2^(n+1) - 1)(T + 1)(2n + 3) on a nonempty X, and n + 1 on
-    the empty complex, where nothing is built: the scan of a huge range
-    ends within a few thousand values of n.  The exponent is bounded: past
-    the cap's bit length, one face term alone exceeds the cap."""
+    max(n + 1, M) + (2^(n+1) - 1)(T + 1)(2n + 3), and n + 1 on the empty
+    complex, where nothing is built: that floor ends the scan of a huge
+    range within a few thousand values of n.  Past the cap's bit length,
+    one face term alone exceeds the cap, so the exponent is bounded."""
     f = X.f_vector()  # () on the empty complex
     total = 0
     for n in dims:
-        total += (n + 1) * max(1, sum(comb(n, k) * fk
-                                      for k, fk in enumerate(f)))
+        total += max(n + 1, sum(comb(n, k) * fk for k, fk in enumerate(f)))
         if f:
             faces = 2 ** min(n + 1, GUIDED_MAX_WORK.bit_length() + 1) - 1
             thetas = sum(comb(n, k) for k in range(min(n, X.dim) + 1))
@@ -298,28 +296,27 @@ class ShomSimplicialSet:
     theta . delta = iota . theta' (epi-mono).  Relabeling by the injective
     tau is injective on chains and commutes with precomposition, so
     N(tau . theta) . N(delta) is N(tau . iota . theta') exactly when
-    N(iota . theta') = N(theta) . N(delta) on the standard simplices.  That
-    square is decided once per (theta, delta); per morphism simplex only
-    the lookup of the pair (theta', tau . iota) is left, and the check that
-    the record filed under it is that pair's.
+    N(iota . theta') = N(theta) . N(delta) on the standard simplices; the
+    answer is then the record filed under (theta', tau . iota), if its own.
     """
 
     def __init__(self, X, up_to):
         _refuse_oversized_work(X, range(up_to + 1))
         self.complex = X
-        self.up_to = up_to
         self.levels = {n: enumerate_morphisms(n, X)
                        for n in range(up_to + 1)}
         self._by_pair = {n: {ms.pair: ms for ms in level}
                          for n, level in self.levels.items()}
         self._operators = {}  # (n, coface/codegeneracy values) -> chain map
         self._codegeneracies = {}  # theta -> N(theta), decided when enumerated
-        self._squares = {}  # (theta, values) -> (theta', iota), or None
 
     def simplices_of_dim(self, n):
         return self.levels[n]
 
-    def _square(self, theta, values):
+    def _precompose(self, ms, values, dim):
+        """The stored dim-simplex equal to ms precomposed with the chain map
+        of the monotone map `values`, or None if the composite is not it."""
+        theta, tau = ms.pair
         n = len(theta) - 1
         if (n, values) not in self._operators:
             operator = _induced(values, standard_simplex(n))
@@ -336,18 +333,7 @@ class ShomSimplicialSet:
         if not image.equals_composite(self._codegeneracies[theta],
                                       self._operators[n, values]):
             return None
-        return theta2, iota
-
-    def _precompose(self, ms, values, dim):
-        """The stored dim-simplex equal to ms precomposed with the chain map
-        of the monotone map `values`, or None if the composite is not it."""
-        theta, tau = ms.pair
-        if (theta, values) not in self._squares:
-            self._squares[theta, values] = self._square(theta, values)
-        square = self._squares[theta, values]
-        if square is None:
-            return None
-        pair = (square[0], tuple([tau[t] for t in square[1]]))
+        pair = (theta2, tuple([tau[t] for t in iota]))
         stored = self._by_pair[dim].get(pair)
         if stored is None or stored.pair != pair:  # filed under another pair
             return None
@@ -377,13 +363,16 @@ def verify_reconstruction(X, up_to):
     freely adding degeneracies to X, through dimension up_to.
 
     Both sides are enumerated independently (morphism search vs surjection
-    combinatorics); the bijection must commute with every face and
-    degeneracy operator, and the canonical inclusion of X must land exactly
-    on the nondegenerate simplices.  Both sides hold (surjection, simplex)
-    pairs, and a morphism simplex is its pair: each operator square is
-    decided once per (codegeneracy, operator) on the standard simplices and
-    read on every morphism simplex as a lookup of its image pair
-    (ShomSimplicialSet).
+    combinatorics) as (surjection, simplex) pairs, and must agree; the
+    bijection must commute with every face and degeneracy operator, and the
+    canonical inclusion of X must land exactly on the nondegenerate
+    simplices.  On a record (theta, tau), ShomSimplicialSet answers an
+    operator delta by (theta', tau . iota), from its square on
+    (theta, delta), and adjoin by (theta'', tau) or (theta'', X.face(tau, v)),
+    tau without position v: one answer on (theta, the top k-simplex)
+    relabeled by the injective tau.  So they agree on every tau when they
+    agree on one, and only the first record of each theta is compared; per
+    record, what is left is that its lookup finds it under its own pair.
     """
     shom = ShomSimplicialSet(X, up_to)
     levels = shom.levels
@@ -397,8 +386,12 @@ def verify_reconstruction(X, up_to):
             return ReconstructionReport(False, f"dimension {n}: pair sets differ",
                                         tuple(counts))
     # operators commute with the classification bijection
+    firsts = {n: {} for n in levels}  # theta -> its first record
+    for n, level in levels.items():
+        for ms in level:
+            firsts[n].setdefault(ms.surjection, ms)
     for n in range(1, up_to + 1):
-        for ms in levels[n]:
+        for ms in firsts[n].values():
             for i in range(n + 1):
                 got = shom.face(ms, i)
                 if got is None or got.pair != df.face(ms.pair, i):
@@ -406,13 +399,20 @@ def verify_reconstruction(X, up_to):
                         False, f"face d_{i} disagrees at {ms.pair} in dim {n}",
                         tuple(counts))
     for n in range(up_to):
-        for ms in levels[n]:
+        for ms in firsts[n].values():
             for i in range(n + 1):
                 got = shom.degeneracy(ms, i)
                 if got is None or got.pair != df.degeneracy(ms.pair, i):
                     return ReconstructionReport(
                         False, f"degeneracy s_{i} disagrees at {ms.pair}",
                         tuple(counts))
+    # every record is the one filed under its own pair
+    for n, level in levels.items():
+        for ms in level:
+            if shom._by_pair[n].get(ms.pair) is not ms:
+                return ReconstructionReport(
+                    False, f"record {ms.pair} is filed under another pair "
+                    f"in dim {n}", tuple(counts))
     # the canonical inclusion lands exactly on the nondegenerate part
     for n in range(min(X.dim, up_to) + 1):
         incl = {(identity_map(n), tau) for tau in X.simplices_of_dim(n)}

@@ -640,14 +640,14 @@ def test_face_closure_is_bounded_before_it_is_built(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv, message", [
-    # work(n) = (n + 1) M + (2^(n+1) - 1)(T + 1)(2n + 3): on the triangle,
-    # 2684475 units at n = 10, against 1010361 at n = 9
+    # work(n) = max(n + 1, M) + (2^(n+1) - 1)(T + 1)(2n + 3): on the
+    # triangle, 2683695 units at n = 10, against 1009767 at n = 9
     (["enumerate", "tri.json", "--n", "10"],
      "more than 2100000 units of work to enumerate"),
-    # and 4258519 summed over n <= 10, against 1574044 over n <= 9
+    # and 4255879 summed over n <= 10, against 1572184 over n <= 9
     (["reconstruct", "tri.json", "--up-to", "10"],
      "more than 2100000 units of work to enumerate"),
-    # one morphism and one codegeneracy: 4325343 units at n = 15
+    # one morphism and one codegeneracy: 4325326 units at n = 15
     (["enumerate", "point.json", "--n", "15"],
      "more than 2100000 units of work to enumerate"),
     # no morphisms at all, but each n is charged n + 1: refused at n = 2048
@@ -673,7 +673,7 @@ def test_size_caps_refuse_before_enumerating(files, capsys, monkeypatch, argv,
 
 
 def test_rp3_reconstructs_at_the_default_depth(tmp_path, capsys):
-    # dim + 2 = 5: 14280 morphism simplices in all, 102608 units of work
+    # dim + 2 = 5: 14280 morphism simplices in all, 43360 units of work
     path = tmp_path / "rp3.json"
     path.write_text(json.dumps({"facets": [list(f) for f in
                                            rp(3).simplices[3]]}))

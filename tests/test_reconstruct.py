@@ -775,6 +775,19 @@ def test_the_work_cap_admits_what_the_earlier_caps_admitted(X):
                 reconstruct._refuse_oversized_work(X, dims)
 
 
+def test_the_empty_complex_is_charged_n_plus_1_per_dimension():
+    # no morphism simplices at all, so only the floor of n + 1 per level
+    # refuses a huge --up-to within a few thousand values of n: at n = 2048
+    with pytest.raises(ValueError):
+        reconstruct._refuse_oversized_work(build_complex([]), range(2100))
+
+
+def test_rp4_at_its_default_depth_is_admitted():
+    # one lookup per morphism simplex, not one per (simplex, operator):
+    # 523693 units through dim + 2 = 6
+    reconstruct._refuse_oversized_work(rp(4), range(7))
+
+
 class TestSFunctor:
     def test_point_tower(self):
         shom = ShomSimplicialSet(standard_simplex(0), 4)
@@ -855,20 +868,28 @@ class TestVerifyReconstruction:
     ], ids=["rp2", "rp2-3", "rp(2)", "sd1rp2-3", "sd1rp2-4"])
     def test_each_square_is_decided_once_per_codegeneracy_and_operator(
             self, monkeypatch, X, up_to, want):
-        # one composite per (theta, face or degeneracy) through up_to, by
-        # default dim X + 2 as in the CLI, however many simplices X has;
-        # one per (morphism simplex, operator) made 1644 calls on rp2 and
-        # 4065 on sd1rp2 through 3
+        # one composite, and one operator lookup, per (theta, face or
+        # degeneracy) through up_to, by default dim X + 2 as in the CLI,
+        # however many simplices X has; one lookup per (morphism simplex,
+        # operator) made 1644 calls on rp2 and 4065 on sd1rp2 through 3
         calls = []
+        lookups = []
         compare = GradedMap.equals_composite
+        precompose = ShomSimplicialSet._precompose
 
         def spy(self, outer, inner):
             calls.append(outer)
             return compare(self, outer, inner)
 
+        def lookup(self, ms, values, dim):
+            lookups.append((ms.surjection, values))
+            return precompose(self, ms, values, dim)
+
         monkeypatch.setattr(GradedMap, "equals_composite", spy)
+        monkeypatch.setattr(ShomSimplicialSet, "_precompose", lookup)
         assert verify_reconstruction(X, up_to or X.dim + 2).ok
         assert len(calls) == want
+        assert len(lookups) == len(set(lookups)) == want
 
 
 def _by_composites(shom):
