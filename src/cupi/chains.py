@@ -243,19 +243,6 @@ class GradedMap:
     def equals(self, other):
         return (self.shift == other.shift and self.comps == other.comps)
 
-    def equals_composite(self, outer, inner):
-        """self == outer . inner, compared one source label at a time
-        without building the composite."""
-        if self.shift != outer.shift + inner.shift:
-            return False
-        hits = 0
-        for lb, d in inner.comps.items():
-            image = _apply(outer.apply_label, d.items())
-            if image != self.comps.get(lb, {}):
-                return False
-            hits += bool(image)
-        return hits == len(self.comps)
-
     @classmethod
     def identity(cls, C):
         return cls(C, C, 0, {lb: {lb: 1} for lb in C.degree_of})

@@ -15,11 +15,12 @@ all degeneracies freely added.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from math import comb
 
-from .chains import (GradedMap, TensorChain, _add_into, _present, _terms,
-                     HomologyClasses, induced_components, induced_image,
-                     simplex_degree, unnormalized_chains)
+from .chains import (GradedMap, TensorChain, _add_into, _apply, _present,
+                     _terms, HomologyClasses, induced_components,
+                     induced_image, simplex_degree, unnormalized_chains)
 from .simplicial import (VertexMap, adjoin, coface, codegeneracy,
                          epi_mono_factor, identity_map, standard_simplex,
                          surjections)
@@ -286,6 +287,24 @@ def enumerate_morphisms(n, X):
 # the reconstruction functor and its verification
 # ---------------------------------------------------------------------------
 
+# Keys are (n, values): verify_reconstruction reads the n + 1 cofaces, and
+# later the n + 1 codegeneracies, of one level n at a time, and the work cap
+# admits no n above 14, so one level's operators always fit.
+_OPERATOR_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _operator(n, values):
+    """N(delta): N(standard dim-simplex) -> N(standard n-simplex) of the
+    monotone map delta: p -> values[p], with the chain-map law checked."""
+    operator = _induced(values, standard_simplex(n))
+    bad = operator.first_commutator_witness()
+    if bad is not None:  # N of a monotone map is a chain map
+        raise RuntimeError(f"internal: N{values} is not a chain "
+                           f"map: fails in degree {bad}")
+    return operator
+
+
 class ShomSimplicialSet:
     """The simplicial set whose n-simplices are the verified morphisms out
     of n-simplex chains, with faces and degeneracies by precomposition.
@@ -307,31 +326,24 @@ class ShomSimplicialSet:
                        for n in range(up_to + 1)}
         self._by_pair = {n: {ms.pair: ms for ms in level}
                          for n, level in self.levels.items()}
-        self._operators = {}  # (n, coface/codegeneracy values) -> chain map
-        self._codegeneracies = {}  # theta -> N(theta), decided when enumerated
 
     def simplices_of_dim(self, n):
         return self.levels[n]
 
     def _precompose(self, ms, values, dim):
         """The stored dim-simplex equal to ms precomposed with the chain map
-        of the monotone map `values`, or None if the composite is not it."""
+        of the monotone map `values`, or None if the composite is not it.
+        N(theta) is applied by induced_image to the components of the
+        cached N(values), and no other map is built."""
         theta, tau = ms.pair
-        n = len(theta) - 1
-        if (n, values) not in self._operators:
-            operator = _induced(values, standard_simplex(n))
-            bad = operator.first_commutator_witness()
-            if bad is not None:  # N of a monotone map is a chain map
-                raise RuntimeError(f"internal: N{values} is not a chain "
-                                   f"map: fails in degree {bad}")
-            self._operators[n, values] = operator
-        target = standard_simplex(theta[-1])
-        if theta not in self._codegeneracies:
-            self._codegeneracies[theta] = _induced(theta, target)
+        composite = {face: image for face, d in
+                     _operator(len(theta) - 1, values).comps.items()
+                     if (image := _apply(lambda t: induced_image(theta, t),
+                                         d.items()))}
         theta2, iota = epi_mono_factor([theta[v] for v in values])
-        image = _induced(tuple([iota[t] for t in theta2]), target)
-        if not image.equals_composite(self._codegeneracies[theta],
-                                      self._operators[n, values]):
+        if composite != induced_components(
+                tuple([iota[t] for t in theta2]),
+                standard_simplex(dim).all_simplices()):
             return None
         pair = (theta2, tuple([tau[t] for t in iota]))
         stored = self._by_pair[dim].get(pair)

@@ -19,6 +19,7 @@ os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 import pytest  # noqa: E402
 
+from cupi.reconstruct import _operator  # noqa: E402
 from cupi.simplicial import build_complex, standard_simplex  # noqa: E402
 from cupi.steenrod import structure_for  # noqa: E402
 
@@ -136,3 +137,13 @@ def fresh_structures():
     structure_for.cache_clear()
     yield structure_for.cache_clear
     structure_for.cache_clear()
+
+
+@pytest.fixture
+def fresh_operators():
+    """reconstruct's operator cache emptied before and after the test, so
+    that each N(delta) the test reads is built, and its chain-map law
+    checked, within the test, and no tampered operator outlives it."""
+    _operator.cache_clear()
+    yield
+    _operator.cache_clear()

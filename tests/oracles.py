@@ -7,8 +7,8 @@
   degeneracy at a time; N(X) read through it, and C(X) built one degree at
   a time, against the shared face-sum builder and OrderedComplex.face;
 - composition of graded maps, and the hom-complex differential formed by
-  composing with the boundaries, against GradedMap.equals_composite and
-  GradedMap.first_commutator_witness;
+  composing with the boundaries, against GradedMap.first_commutator_witness
+  and the (theta, delta) squares of the reconstruction;
 - a naive recursive Smith normal form and a Fraction-based rank, for
   homology invariants;
 - a Z-basis of every n-cycle from the dense Smith normal form of d_n,
@@ -1060,7 +1060,7 @@ def precompose_by_composite(shom, ms, values, dim, operators):
     stored = shom._by_pair[dim].get(
         image_pair(morphism_vertex_map(ms).as_dict(),
                    (values, tuple(range(n + 1)))))
-    if stored is None or not stored.chain_map.equals_composite(
-            ms.chain_map, operators[n, values]):
+    if stored is None:
         return None
-    return stored
+    composite = compose(ms.chain_map, operators[n, values])
+    return stored if composite.equals(stored.chain_map) else None

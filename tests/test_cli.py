@@ -250,9 +250,12 @@ class TestMorphismCommands:
         assert captured.err == "error: internal: x\n"  # no traceback
 
     def test_a_broken_operator_map_is_an_internal_fault(self, files, capsys,
-                                                       monkeypatch):
+                                                       monkeypatch,
+                                                       fresh_operators):
         # only a coface operator N(delta) raises the top degree; one that
-        # breaks the chain-map law is the program's fault, not the file's
+        # breaks the chain-map law is the program's fault, not the file's.
+        # The operator cache is emptied first: an operator an earlier test
+        # built is not checked again
         law = GradedMap.first_commutator_witness
 
         def broken(self):

@@ -13,9 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cupi.chains import (Chain, GradedMap, HomologyClasses, TensorChain,
                          _add_into, chain_map_from_vertex_map,
                          induced_components)
-from cupi.simplicial import (VertexMap, adjoin, build_complex,
-                             epi_mono_factor, identity_map, standard_simplex,
-                             surjections)
+from cupi.simplicial import (VertexMap, adjoin, build_complex, codegeneracy,
+                             coface, epi_mono_factor, identity_map,
+                             standard_simplex, surjections)
 from cupi import chains, reconstruct, steenrod
 from cupi.steenrod import (BarElement, SteenrodStructure, aw_diagonal, eta,
                            higher_diagonal, structure_for)
@@ -867,29 +867,57 @@ class TestVerifyReconstruction:
         (build_complex(barycentric(RP2_FACETS)), 4, 144),
     ], ids=["rp2", "rp2-3", "rp(2)", "sd1rp2-3", "sd1rp2-4"])
     def test_each_square_is_decided_once_per_codegeneracy_and_operator(
-            self, monkeypatch, X, up_to, want):
-        # one composite, and one operator lookup, per (theta, face or
-        # degeneracy) through up_to, by default dim X + 2 as in the CLI,
-        # however many simplices X has; one lookup per (morphism simplex,
-        # operator) made 1644 calls on rp2 and 4065 on sd1rp2 through 3
-        calls = []
+            self, monkeypatch, fresh_operators, X, up_to, want):
+        # one operator lookup per (theta, face or degeneracy) through U =
+        # up_to, by default dim X + 2 as in the CLI, however many simplices
+        # X has (one per (morphism simplex, operator) made 1644 on rp2 and
+        # 4065 on sd1rp2 through 3), and one chain-map law check per
+        # operator N(delta): the n + 1 cofaces of each 1 <= n <= U and the
+        # n + 1 codegeneracies of each n < U, U^2 + 2U in all
+        up_to = up_to or X.dim + 2
+        shom = ShomSimplicialSet(X, up_to)  # enumeration checks its own maps
+        checks = []
         lookups = []
-        compare = GradedMap.equals_composite
+        law = GradedMap.first_commutator_witness
         precompose = ShomSimplicialSet._precompose
 
-        def spy(self, outer, inner):
-            calls.append(outer)
-            return compare(self, outer, inner)
+        def spy(self):
+            checks.append(self)
+            return law(self)
 
         def lookup(self, ms, values, dim):
             lookups.append((ms.surjection, values))
             return precompose(self, ms, values, dim)
 
-        monkeypatch.setattr(GradedMap, "equals_composite", spy)
+        monkeypatch.setattr(reconstruct, "ShomSimplicialSet",
+                            lambda X, up_to: shom)
+        monkeypatch.setattr(GradedMap, "first_commutator_witness", spy)
         monkeypatch.setattr(ShomSimplicialSet, "_precompose", lookup)
-        assert verify_reconstruction(X, up_to or X.dim + 2).ok
-        assert len(calls) == want
+        assert verify_reconstruction(X, up_to).ok
+        assert len(checks) == up_to * up_to + 2 * up_to
         assert len(lookups) == len(set(lookups)) == want
+
+    @pytest.mark.parametrize("values, detail", [
+        (coface(1, 2), "face d_1 disagrees at {} in dim 2"),
+        (codegeneracy(1, 2), "degeneracy s_1 disagrees at {}"),
+    ], ids=["face", "degeneracy"])
+    def test_a_broken_square_is_a_failing_report(self, monkeypatch,
+                                                 fresh_operators, values,
+                                                 detail):
+        # the records and the operator N(delta) of (n, i) = (2, 1) are
+        # built, then N(delta) is doubled: its lookups still find the
+        # right pairs, so only the square N(theta) . N(delta) =
+        # N(iota . theta') tells, on the first theta of level 2
+        X = circle()
+        shom = ShomSimplicialSet(X, 3)
+        N = reconstruct._operator(2, values)
+        N.comps = {face: {t: 2 * v for t, v in d.items()}
+                   for face, d in N.comps.items()}
+        monkeypatch.setattr(reconstruct, "ShomSimplicialSet",
+                            lambda X, up_to: shom)
+        report = verify_reconstruction(X, 3)
+        assert not report.ok
+        assert report.detail == detail.format(shom.levels[2][0].pair)
 
 
 def _by_composites(shom):

@@ -252,3 +252,42 @@ def test_json_is_written_only_by_the_io_module():
                     and {"dump", "dumps"} & {a.name for a in node.names}:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_caches_are_bounded():
+    # every lru_cache of the package takes its maxsize from a named module
+    # constant (no maxsize=None, no bare decorator, no functools.cache), and
+    # ShomSimplicialSet keeps no memo of its own: its operators come from
+    # such a cache
+    found, sized, shom = [], set(), None
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        constants = {target.id for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     for target in node.targets
+                     if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and not node.args \
+                    and [k.arg for k in node.keywords] == ["maxsize"] \
+                    and getattr(node.keywords[0].value, "id", None) \
+                    in constants:
+                sized.add(id(node.func))
+            elif isinstance(node, ast.ClassDef) \
+                    and node.name == "ShomSimplicialSet":
+                shom = node
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(node, ast.alias):
+                name = "cache" if node.name == "cache" else None
+            if name == "cache" or (name == "lru_cache"
+                                   and id(node) not in sized):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert sized and found == []
+    init = next(stmt for stmt in shom.body
+                if isinstance(stmt, ast.FunctionDef)
+                and stmt.name == "__init__")
+    assert {node.attr for node in ast.walk(init)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"} == {
+        "complex", "levels", "_by_pair"}
