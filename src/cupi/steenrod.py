@@ -10,7 +10,7 @@ universal tables on standard simplices.  Table level (i, k) is produced by
 degree-by-degree extension with the cone contraction of
 N(Delta^k) (x) N(Delta^k) (prepend vertex 0), then the top coefficient is
 pinned to eta_k = (-1)^(k(k+1)/2) by an even cycle correction one level
-down.  Each level is built on position bitmasks and stored as TensorChains.
+down.  Each level is built on packed (A, B) keys and stored as TensorChains.
 Each entry is checked by the chain-map law once per process, as it is
 stored, where it is written; that the right side is a cycle is implied by
 it, and is read only to name a failed check.  Tables are built lazily,
@@ -28,7 +28,8 @@ position.  The construction satisfies, exactly over Z:
 
 verify_structure reads each universal table once, and keeps the build's
 verdict on the law at an entry while the tables it read are unchanged; it
-re-derives the law, on masks as the build does, only where one has changed.
+re-derives the law, on packed keys as the build does, only where one has
+changed.
 """
 
 from __future__ import annotations
@@ -104,10 +105,11 @@ def bar_augmentation(b):
 # tuples of positions in {0..k}; relabeling them by a simplex's vertex list
 # gives the value on any simplex of any complex (naturality is built in).
 #
-# A level is built on position bitmasks: a face of Delta^k is the int with
-# bit p set for each position p in it, and a table is a dict from (A, B)
-# mask pairs to coefficients.  Only the finished level is written back to
-# _TABLES, as sorted TensorChains.
+# A level is built on packed (A, B) keys: a face of Delta^k is the int with
+# bit p set for each position p in it, and the pair (A, B) is the one int
+# A << w | B with w = k + 1, so a table is a dict from packed keys to
+# coefficients.  Only the finished level is written back to _TABLES, as
+# sorted TensorChains.
 
 def aw_diagonal(simplex):
     """Alexander-Whitney diagonal: sum of front (x) back faces."""
@@ -129,71 +131,75 @@ _LEVEL_BUILT = 0
 _CHECKED = {}
 
 
-def _masks(table):
-    return {(sum(1 << p for p in a), sum(1 << p for p in b)): c
+def _masks(table, w):
+    """The packed keys A << w | B of a table's (A, B) pairs, w = k + 1 at
+    level k: bit p of B, and bit w + p of A, is set for each position p."""
+    return {sum(1 << p for p in a) << w | sum(1 << p for p in b): c
             for (a, b), c in table.coeffs}
 
 
-def _faces(m):
-    """The faces of the face m, each with its sign: the j-th set bit from
-    the lowest is dropped with sign (-1)^j.  A vertex has none."""
-    out = []
-    if m & (m - 1):
-        sign = 1
-        rest = m
-        while rest:
-            low = rest & -rest
-            out.append((m ^ low, sign))
-            sign = -sign
-            rest ^= low
-    return out
-
-
-def _mask_boundary(t):
-    """Koszul alternating-face boundary of a mask table."""
+def _mask_boundary(t, w):
+    """Koszul alternating-face boundary of a table on packed keys: in each
+    factor the j-th set bit from the lowest is dropped with sign (-1)^j,
+    and a vertex has no faces."""
     out = {}
     get = out.get
-    faces = {}
-    for (a, b), c in t.items():
-        if a not in faces:
-            faces[a] = _faces(a)
-        if b not in faces:
-            faces[b] = _faces(b)
-        for f, s in faces[a]:
-            key = (f, b)
-            out[key] = get(key, 0) + s * c
-        if not a.bit_count() & 1:  # deg A odd
-            c = -c
-        for f, s in faces[b]:
-            key = (a, f)
-            out[key] = get(key, 0) + s * c
+    low = (1 << w) - 1
+    for key, c in t.items():
+        a = key >> w
+        b = key & low
+        if a & (a - 1):
+            rest = a << w
+            s = c
+            while rest:
+                bit = rest & -rest
+                f = key ^ bit
+                out[f] = get(f, 0) + s
+                s = -s
+                rest ^= bit
+        if b & (b - 1):
+            rest = b
+            s = c if a.bit_count() & 1 else -c  # -c when deg A is odd
+            while rest:
+                bit = rest & -rest
+                f = key ^ bit
+                out[f] = get(f, 0) + s
+                s = -s
+                rest ^= bit
     return {key: c for key, c in out.items() if c}
 
 
-def _mask_contract(t):
+def _mask_contract(t, w):
     """Tensor-square cone contraction H = h (x) 1 + e (x) h, where h sets
-    bit 0 (prepends position 0) and e is the augmentation.  It only meets
-    right sides, of degree >= k, where e (x) h vanishes: a term v (x) B of
-    that degree has B = top, which holds position 0."""
-    return {(a | 1, b): c for (a, b), c in t.items() if not a & 1}
+    bit 0 of A, bit w of the key (prepends position 0), and e is the
+    augmentation.  It only meets right sides, of degree >= k, where
+    e (x) h vanishes: a term v (x) B of that degree has B = top, which
+    holds position 0."""
+    bit = 1 << w
+    return {key | bit: c for key, c in t.items() if not key & bit}
 
 
 def _mask_rhs(prev, face, i, k):
     """Right side of the chain-map law for the level-(i, k) table: prev is
-    the entry (i - 1, k) and face the entry (i, k - 1), or {} for i = k."""
+    the entry (i - 1, k) and face the entry (i, k - 1), both packed with
+    w = k + 1, or {} for i = k."""
+    w = k + 1
+    low = (1 << w) - 1
     out = dict(prev)
     sign = (-1) ** i
-    for (a, b), c in prev.items():
+    for key, c in prev.items():
         # the swap, with sign (-1)^(deg A * deg B): -1 when both are odd
+        a = key >> w
+        b = key & low
         both_odd = not (a.bit_count() & 1 or b.bit_count() & 1)
-        _add_into(out, (b, a), -sign * c if both_odd else sign * c)
+        _add_into(out, b << w | a, -sign * c if both_odd else sign * c)
     for j in range(k + 1):
-        # the face d_j: top[:j] + top[j+1:] on masks
-        lo = (1 << j) - 1
+        # the face d_j: top[:j] + top[j+1:] on both fields at once; bit k
+        # of each field is free at level k - 1, so none spills over
+        lo = ((1 << j) - 1) * ((1 << w) + 1)
         sign = (-1) ** (i + j)
-        for (a, b), c in face.items():
-            _add_into(out, ((a & lo) | ((a & ~lo) << 1),
-                            (b & lo) | ((b & ~lo) << 1)), sign * c)
+        for key, c in face.items():
+            _add_into(out, (key & lo) | ((key & ~lo) << 1), sign * c)
     return out
 
 
@@ -207,32 +213,34 @@ def _build_level(k):
     check: a right side that is not a cycle is named first.  Each (i, k - 1)
     is read once, and dropped.  Once the level is written, each verdict of
     the law is recorded in _CHECKED with the entries it read."""
-    top = (1 << (k + 1)) - 1
+    w = k + 1
+    top = (1 << w) - 1
+    top_key = top << w | top
 
     def check(i, R):
-        failed = ("top identity" if i == k and level[k] != {(top, top): eta(k)}
-                  else "chain-map law" if _mask_boundary(level[i]) != R
+        failed = ("top identity" if i == k and level[k] != {top_key: eta(k)}
+                  else "chain-map law" if _mask_boundary(level[i], w) != R
                   else None)
         if failed:
-            if _mask_boundary(R):
+            if _mask_boundary(R, w):
                 failed = "rhs not a cycle"
             raise RuntimeError(f"internal: {failed} at {(i, k)}")
 
     below = {i: _TABLES[(i, k - 1)] for i in range(1, k)}
-    lower = {i: _masks(t) for i, t in below.items()}
-    level = [_masks(aw_diagonal(tuple(range(k + 1))))]
+    lower = {i: _masks(t, w) for i, t in below.items()}
+    level = [_masks(aw_diagonal(tuple(range(w))), w)]
     for i in range(1, k + 1):
         R = _mask_rhs(level[i - 1], lower.pop(i, {}), i, k)
-        D = _mask_contract(R)
+        D = _mask_contract(R, w)
         if i == k:
-            lam = D.get((top, top), 0)
+            lam = D.get(top_key, 0)
             if lam != eta(k):
                 # realign the top coefficient with an even cycle correction
                 mu = (eta(k) - lam) // 2
-                for key, c in _mask_boundary({(top, top): 1}).items():
+                for key, c in _mask_boundary({top_key: 1}, w).items():
                     _add_into(level[k - 1], key, mu * c)
                 R = _mask_rhs(level[k - 1], {}, i, k)
-                D = _mask_contract(R)
+                D = _mask_contract(R, w)
             if k > 1:
                 check(k - 1, pending)
         level.append(D)
@@ -240,11 +248,13 @@ def _build_level(k):
             pending = R  # checked once the top correction is made
         else:
             check(i, R)
-    positions = {m: tuple(p for p in range(k + 1) if m >> p & 1)
-                 for m in {m for t in level for key in t for m in key}}
+    positions = {m: tuple(p for p in range(w) if m >> p & 1)
+                 for m in {m for t in level for key in t
+                           for m in (key >> w, key & top)}}
     for i, t in enumerate(level):
         _TABLES[(i, k)] = TensorChain(i + k, _terms(
-            {(positions[a], positions[b]): c for (a, b), c in t.items()}))
+            {(positions[key >> w], positions[key & top]): c
+             for key, c in t.items()}))
     for i in range(1, k + 1):
         _CHECKED[(i, k)] = (_TABLES[(i - 1, k)] if i > 1 else None,
                             _TABLES[(i, k)], below.get(i))
@@ -372,15 +382,17 @@ def _c1_holds(i, k, read):
     (i, k - 1)), with None for Delta_0, which is Alexander-Whitney, and for
     (k, k - 1), which is not read.  The verdict is a function of their
     contents, so the one recorded by the build stands while they are equal
-    to the entries it read; otherwise the law is re-derived on masks."""
+    to the entries it read; otherwise the law is re-derived on packed
+    keys."""
     record = _CHECKED.get((i, k))
     if record and all(a is b or a == b for a, b in zip(record, read)):
         return True
     prev, table, face = read
+    w = k + 1
     if prev is None:
-        prev = aw_diagonal(tuple(range(k + 1)))
-    return _mask_boundary(_masks(table)) == _mask_rhs(
-        _masks(prev), {} if face is None else _masks(face), i, k)
+        prev = aw_diagonal(tuple(range(w)))
+    return _mask_boundary(_masks(table, w), w) == _mask_rhs(
+        _masks(prev, w), {} if face is None else _masks(face, w), i, k)
 
 
 def verify_structure(S):
@@ -390,23 +402,26 @@ def verify_structure(S):
     Each k-simplex holds the universal tables of dimension k relabeled, so
     every k-simplex gets their verdict, and the first, X.simplices[k][0], is
     the first witness a full scan finds.  Each table is read once: C4 when
-    k <= max_i, on masks, then C1 for 1 <= i <= min(max_i, k).  C1 at (i, k)
-    was decided once in this process, where the build wrote the entry, and
-    is re-derived, with the build's boundary and right side, only when an
-    entry it reads has changed since.  C2 holds as xi defines the T e_i part
-    as the swap of the e_i part, C3 and C1 at i = 0 as Delta_0 is
-    Alexander-Whitney, vanishing and C1 at i = k + 1 by construction and
-    C4, and C5 as a built level is never rewritten; none of them is read.
+    k <= max_i, on packed keys, then C1 for 1 <= i <= min(max_i, k).  C1 at
+    (i, k) was decided once in this process, where the build wrote the
+    entry, and is re-derived, with the build's boundary and right side,
+    only when an entry it reads has changed since.  C2 holds as xi defines
+    the T e_i part as the swap of the e_i part, C3 and C1 at i = 0 as
+    Delta_0 is Alexander-Whitney, vanishing and C1 at i = k + 1 by
+    construction and C4, and C5 as a built level is never rewritten; none
+    of them is read.
     """
     X = S.complex
     if S.max_i >= 1:
         ensure_tables(X.dim)
     tables = None
     for k in range(X.dim + 1):
-        top = (1 << (k + 1)) - 1
+        w = k + 1
+        top = (1 << w) - 1
         lower, tables = tables, [None] + [
             _TABLES[(i, k)] for i in range(1, min(k, S.max_i) + 1)]
-        if 0 < k <= S.max_i and _masks(tables[k]) != {(top, top): eta(k)}:
+        if 0 < k <= S.max_i and \
+                _masks(tables[k], w) != {top << w | top: eta(k)}:
             return _fail("C4", k, X.simplices[k][0])
         for i in range(1, len(tables)):
             if not _c1_holds(i, k, (tables[i - 1], tables[i],

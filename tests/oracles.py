@@ -24,7 +24,7 @@
   re-deriving the mod-2 chain-map equations from scratch;
 - the Koszul boundary of a tensor chain on vertex tuples, and the
   integral cup-i tables built with it in TensorChain algebra, against the
-  package's build and its boundary on position bitmasks;
+  package's build and its boundary on packed (A, B) keys;
 - the textbook front/back cochain cup product for the Sq^1 cross-check;
 - the GF(2) coboundary by the face rule, simplex by simplex, which
   perturbs cocycle representatives without Mod2Cohomology;
@@ -547,7 +547,7 @@ def mod2_law_holds(table_getter, kmax):
 def tensor_boundary(t):
     """Koszul alternating-face boundary of each factor of a TensorChain, on
     vertex tuples: the tuple-side d that steenrod._mask_boundary, on
-    position bitmasks, is checked against."""
+    packed (A, B) keys, is checked against."""
     out = {}
     for key, c in t.coeffs:
         for pos, s in enumerate(key):

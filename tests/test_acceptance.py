@@ -22,7 +22,7 @@ from cupi.reconstruct import (enumerate_morphisms, homology_square,
                               verify_reconstruction, xi_iterate)
 
 import oracles
-from conftest import named_corpus, random_complexes
+from conftest import named_corpus
 
 
 def _report(name, ok, t0, detail=""):

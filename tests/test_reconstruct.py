@@ -4,7 +4,6 @@ lifting, and the homology square."""
 import copy
 import functools
 import itertools
-import random
 from math import comb
 
 import pytest

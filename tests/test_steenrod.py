@@ -8,8 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cupi.chains import (TensorChain, chain_map_from_vertex_map, homology,
-                         normalized_chains)
+from cupi.chains import TensorChain, homology, normalized_chains
 from cupi.simplicial import VertexMap, build_complex, standard_simplex
 from cupi import chains, cli, steenrod
 from cupi.steenrod import (BarElement, Mod2Cohomology, SteenrodStructure,
@@ -137,9 +136,8 @@ class TestHigherDiagonal:
                                                monkeypatch):
         # a broken contraction must stop a fresh build, also under python -O
         contract = steenrod._mask_contract
-        monkeypatch.setattr(steenrod, "_mask_contract",
-                            lambda t: {key: 2 * c
-                                       for key, c in contract(t).items()})
+        monkeypatch.setattr(steenrod, "_mask_contract", lambda t, w: {
+            key: 2 * c for key, c in contract(t, w).items()})
         with pytest.raises(RuntimeError, match=r"\(1, 1\)"):
             steenrod.ensure_tables(1)
 
@@ -166,18 +164,19 @@ class TestHigherDiagonal:
         elif tamper == "table4":
             steenrod._TABLES[(2, 3)] = steenrod._TABLES[(2, 3)].scale(2)
         elif tamper == "top":
-            monkeypatch.setattr(steenrod, "_mask_contract", lambda t: {
-                (a, b): 2 * c if a == b else c
-                for (a, b), c in contract(t).items()})
+            monkeypatch.setattr(steenrod, "_mask_contract", lambda t, w: {
+                key: 2 * c if key >> w == key & ((1 << w) - 1) else c
+                for key, c in contract(t, w).items()})
         elif tamper == "top33":
-            def add_at_top(t):
-                out = contract(t)
-                return {**out, (0b1111, 0b1): 1} \
-                    if (0b1111, 0b1111) in out else out
+            def add_at_top(t, w):
+                out = contract(t, w)
+                return {**out, 0b1111 << w | 0b1: 1} \
+                    if 0b1111 << w | 0b1111 in out else out
             monkeypatch.setattr(steenrod, "_mask_contract", add_at_top)
         else:
             monkeypatch.setattr(steenrod, "_mask_contract",
-                                lambda t: {**contract(t), (0b11, 0b1): 1})
+                                lambda t, w: {**contract(t, w),
+                                              0b11 << w | 0b1: 1})
         with pytest.raises(RuntimeError, match=message):
             steenrod.ensure_tables(k)
 
@@ -186,7 +185,8 @@ class TestHigherDiagonal:
         contract = steenrod._mask_contract
         with monkeypatch.context() as m:
             m.setattr(steenrod, "_mask_contract",
-                      lambda t: {key: 2 * c for key, c in contract(t).items()})
+                      lambda t, w: {key: 2 * c
+                                    for key, c in contract(t, w).items()})
             with pytest.raises(RuntimeError, match=r"top identity"):
                 steenrod.ensure_tables(1)
         assert steenrod._LEVEL_BUILT == 0
@@ -202,10 +202,10 @@ class TestHigherDiagonal:
         calls = {}
         boundary = steenrod._mask_boundary
 
-        def spy(t):
+        def spy(t, w):
             # a copy: the table as it was when its boundary was taken
             calls.setdefault(steenrod._LEVEL_BUILT + 1, []).append(dict(t))
-            return boundary(t)
+            return boundary(t, w)
 
         monkeypatch.setattr(steenrod, "_mask_boundary", spy)
         steenrod.ensure_tables(9)
@@ -213,21 +213,22 @@ class TestHigherDiagonal:
         assert sum(map(len, calls.values())) == 45 + 4
         corrected = 0
         for k, tables in calls.items():
-            top = (1 << (k + 1)) - 1
-            assert tables[-1] == {(top, top): eta(k)}
+            w = k + 1
+            top = (1 << w) - 1
+            assert tables[-1] == {top << w | top: eta(k)}
             fixed = len(tables) == k + 1
             if fixed:
                 corrected += 1
-                assert tables.pop(-3) == {(top, top): 1}
+                assert tables.pop(-3) == {top << w | top: 1}
             assert len(tables) == k
             # each checked table is the stored entry (i, k)
-            assert tables == [steenrod._masks(steenrod._TABLES[(i, k)])
+            assert tables == [steenrod._masks(steenrod._TABLES[(i, k)], w)
                               for i in range(1, k + 1)]
             # contracted: h sets bit 0 of every A, except in (k - 1, k)
             # after the top correction adds mu d(top (x) top)
             if fixed:
                 del tables[k - 2]
-            assert all(a & 1 for t in tables for a, _ in t)
+            assert all(key >> w & 1 for t in tables for key in t)
         assert corrected == 4
 
     def test_tables_equal_the_tensor_chain_build(self, cold_tables):
@@ -245,20 +246,38 @@ class TestHigherDiagonal:
     @settings(max_examples=200, deadline=None)
     def test_mask_boundary_squares_to_zero(self, t):
         # d.d = 0, which makes the law dD = R imply that R is a cycle
-        assert steenrod._mask_boundary(steenrod._mask_boundary(t)) == {}
+        t = {a << 10 | b: c for (a, b), c in t.items()}
+        assert steenrod._mask_boundary(steenrod._mask_boundary(t, 10),
+                                       10) == {}
 
     @given(st.dictionaries(st.tuples(faces_of_delta4, faces_of_delta4),
                            st.integers(-9, 9).filter(bool), max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_mask_boundary_is_the_tensor_boundary(self, terms):
-        # the build's d on position bitmasks against the oracle's on
+        # the build's d on packed (A, B) keys against the oracle's on
         # vertex tuples, one degree at a time
         for degree in {len(a) + len(b) - 2 for a, b in terms}:
             t = TensorChain.from_dict(degree, {
                 key: c for key, c in terms.items()
                 if len(key[0]) + len(key[1]) - 2 == degree})
-            assert steenrod._mask_boundary(steenrod._masks(t)) == \
-                steenrod._masks(oracles.tensor_boundary(t))
+            assert steenrod._mask_boundary(steenrod._masks(t, 5), 5) == \
+                steenrod._masks(oracles.tensor_boundary(t), 5)
+
+    def test_mask_rhs_is_the_tensor_rhs(self):
+        # the build's right side on packed keys, with the face d_j taken on
+        # both fields at once, against the oracle's on vertex tuples: at
+        # i = k the face is {}, and below it B may hold position k - 1,
+        # the top bit of its field at level k - 1; the tables read are the
+        # oracle's, so a broken kernel fails here and not in its build
+        tables = oracles.build_tables(7)
+        for k in range(1, 8):
+            w = k + 1
+            for i in range(1, k + 1):
+                face = steenrod._masks(tables[(i, k - 1)], w) if i < k else {}
+                got = steenrod._mask_rhs(
+                    steenrod._masks(tables[(i - 1, k)], w), face, i, k)
+                assert got == steenrod._masks(
+                    oracles._rhs(tables, i, k), w), (i, k)
 
     def test_mod2_solver_certifies_contract(self):
         # independent GF(2) route: an equivariant extension with the pinned
@@ -515,9 +534,9 @@ def spy_on_the_law(monkeypatch):
         derived.append((i, k))
         return rhs(prev, face, i, k)
 
-    def spy_boundary(t):
+    def spy_boundary(t, w):
         boundaries.append(1)
-        return boundary(t)
+        return boundary(t, w)
 
     monkeypatch.setattr(steenrod, "_mask_rhs", spy_rhs)
     monkeypatch.setattr(steenrod, "_mask_boundary", spy_boundary)
